@@ -85,9 +85,7 @@ usage: mdrun [options]
                             halo-exchange protocol (NVE only; --checkpoint
                             then names a directory of per-shard files)
   --shard-backend MODE      virtual (in-process ranks, default) or process
-                            (one mdshard-worker per shard over sockets)
-  --shard-codec NAME        wire codec for shard traffic: json (hex-f64
-                            text, default) or binary (raw LE frames)";
+                            (one mdshard-worker per shard over sockets)";
 
 const KNOWN_FLAGS: &[&str] = &[
     "--potential",
@@ -117,7 +115,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--max-retries",
     "--shards",
     "--shard-backend",
-    "--shard-codec",
 ];
 
 fn parse_thermostat(spec: &str) -> Result<Thermostat, String> {
@@ -197,13 +194,6 @@ fn run(args: &Args) -> Result<(), String> {
     if args.get_str("--shard-backend").is_some() && shards == 0 {
         return Err("--shard-backend needs --shards N".to_string());
     }
-    let shard_codec_name = args.get_str("--shard-codec").unwrap_or("json");
-    if args.get_str("--shard-codec").is_some() && shards == 0 {
-        return Err("--shard-codec needs --shards N".to_string());
-    }
-    let shard_codec = md_shard::Codec::parse(shard_codec_name).ok_or_else(|| {
-        format!("unknown codec '{shard_codec_name}' for flag '--shard-codec' (json | binary)")
-    })?;
     if shards > 0 {
         if !matches!(shard_backend, "virtual" | "process") {
             return Err(format!(
@@ -216,7 +206,7 @@ fn run(args: &Args) -> Result<(), String> {
         // kinds), --threads/--steps/--dt/--report, --no-fused/--no-simd
         // (shipped per shard through the Init wire spec), --dump,
         // --checkpoint/--checkpoint-every (per-shard directory),
-        // --metrics-out, --shard-backend/--shard-codec. Everything else is a
+        // --metrics-out, --shard-backend. Everything else is a
         // single-process convenience that reaches into the Simulation's
         // internals and is rejected explicitly below — silently ignoring a
         // flag the user asked for is the bug this audit fixes.
@@ -363,7 +353,6 @@ fn run(args: &Args) -> Result<(), String> {
         return run_sharded(&sim, &ShardRun {
             shards,
             backend: shard_backend,
-            codec: shard_codec,
             spec,
             steps,
             report,
@@ -486,7 +475,6 @@ fn run(args: &Args) -> Result<(), String> {
 struct ShardRun<'a> {
     shards: usize,
     backend: &'a str,
-    codec: md_shard::Codec,
     spec: md_shard::WorldSpec,
     steps: usize,
     report: usize,
@@ -538,23 +526,21 @@ fn run_sharded(sim: &Simulation, cfg: &ShardRun) -> Result<(), String> {
                 cfg.shards,
                 &worker,
                 &sock_dir,
-                cfg.codec,
+                md_shard::Codec::Binary,
             )
             .map_err(fail)?;
             WorldHandle::Process(world, sock_dir)
         }
         _ => WorldHandle::Virtual(
-            ShardWorld::virtual_world(sim.system(), &cfg.spec, cfg.shards, cfg.codec)
-                .map_err(fail)?,
+            ShardWorld::virtual_world(sim.system(), &cfg.spec, cfg.shards).map_err(fail)?,
         ),
     };
     let world = handle.world();
     println!(
-        "sharded: {} slab{} along x ({} backend, {} codec), skin {} Å",
+        "sharded: {} slab{} along x ({} backend), skin {} Å",
         world.shards(),
         if world.shards() == 1 { "" } else { "s" },
         cfg.backend,
-        cfg.codec.name(),
         cfg.spec.skin
     );
     if cfg.metrics_out.is_some() {
@@ -625,7 +611,7 @@ fn run_sharded(sim: &Simulation, cfg: &ShardRun) -> Result<(), String> {
             strategy: cfg.spec.strategy.clone(),
             dt_ps: cfg.spec.dt,
             balance: None,
-            shards: Some(world.shards_info(cfg.backend, cfg.codec).map_err(fail)?),
+            shards: Some(world.shards_info(cfg.backend).map_err(fail)?),
         };
         let report = RunReport::collect(&info, &timers, &metrics);
         report
@@ -782,7 +768,6 @@ mod tests {
     #[test]
     fn shard_transport_options_need_shards() {
         assert!(err_of(&["--shard-backend", "process"]).contains("--shards"));
-        assert!(err_of(&["--shard-codec", "binary"]).contains("--shards"));
     }
 
     #[test]

@@ -62,11 +62,11 @@ const WATCHED: &[(&str, Kind)] = &[
     ("scatter.duplicate_pairs", Kind::Count),
     ("scatter.merges", Kind::Count),
     ("scatter.color_barriers", Kind::Count),
-    // Shard halo traffic: the physics counters are codec- and
-    // backend-independent (identical ghost selection and migration for a
-    // fixed workload), so they compare as strict counts even in A/B mode.
-    // Wire volume and wall-clock quantities legitimately shrink when the
-    // codec gets leaner, so only increases are flagged.
+    // Shard halo traffic: the physics counters are backend-independent
+    // (identical ghost selection and migration for a fixed workload), so
+    // they compare as strict counts even in A/B mode. Wire volume and
+    // wall-clock quantities legitimately shrink when the wire gets leaner,
+    // so only increases are flagged.
     ("shards.ghost_sent", Kind::Count),
     ("shards.ghost_installed", Kind::Count),
     ("shards.migrated", Kind::Count),

@@ -26,9 +26,9 @@
 //! and the predicted curve no longer saturates as slabs thin out — the
 //! remaining sub-linearity is the redundant ghost compute, which is the
 //! shape Beazley & Lomdahl's neighbor-exchange machines show. The model
-//! prices both wire codecs ([`ShardLinkParams::json`] /
-//! [`ShardLinkParams::binary`]) and calibrates against the report's
-//! `shards.wire_seconds` (wire only — compute wait is tallied separately).
+//! prices the binary wire codec ([`ShardLinkParams::binary`]) and
+//! calibrates against the report's `shards.wire_seconds` (wire only —
+//! compute wait is tallied separately).
 
 use crate::case::CaseGeometry;
 use crate::machine::MachineParams;
@@ -67,12 +67,12 @@ pub struct ShardLinkParams {
 }
 
 impl ShardLinkParams {
-    /// Constants for the hex-f64 JSON codec: every f64 costs 16 text bytes
-    /// plus field syntax, and the decoder re-parses the hex.
-    pub fn json() -> ShardLinkParams {
+    /// Constants for the binary codec: raw little-endian bit patterns, 8
+    /// bytes per f64 and no text parse.
+    pub fn binary() -> ShardLinkParams {
         ShardLinkParams {
-            ghost_cost: 1.2e-6,
-            fp_cost: 4.0e-7,
+            ghost_cost: 3.0e-7,
+            fp_cost: 1.0e-7,
             round_latency: 5.0e-5,
             rounds_plain: 4.0,
             rounds_rebuild: 5.0,
@@ -80,22 +80,6 @@ impl ShardLinkParams {
             select_cost: 1.0e-8,
             drift_frac: 0.5,
         }
-    }
-
-    /// Constants for the binary codec: raw little-endian bit patterns, 8
-    /// bytes per f64 and no text parse — roughly 4× cheaper per record.
-    pub fn binary() -> ShardLinkParams {
-        ShardLinkParams {
-            ghost_cost: 3.0e-7,
-            fp_cost: 1.0e-7,
-            ..ShardLinkParams::json()
-        }
-    }
-}
-
-impl Default for ShardLinkParams {
-    fn default() -> ShardLinkParams {
-        ShardLinkParams::json()
     }
 }
 
@@ -214,7 +198,7 @@ mod tests {
     }
 
     fn p() -> ShardLinkParams {
-        ShardLinkParams::default()
+        ShardLinkParams::binary()
     }
 
     #[test]
@@ -261,17 +245,6 @@ mod tests {
             (e64 - e4).abs() < 1e-12,
             "exchange grew with S: {e4} -> {e64}"
         );
-    }
-
-    #[test]
-    fn binary_codec_is_cheaper_on_the_wire() {
-        let case = CaseGeometry::paper_case(4);
-        let json = exchange_seconds(&ShardLinkParams::json(), &case, DEFAULT_SKIN, 4);
-        let binary = exchange_seconds(&ShardLinkParams::binary(), &case, DEFAULT_SKIN, 4);
-        assert!(binary < json, "binary {binary} vs json {json}");
-        // The latency floor is shared; only the per-record term shrinks.
-        let floor = ShardLinkParams::json().round_latency * ShardLinkParams::json().rounds_plain;
-        assert!((json - floor) / (binary - floor) > 3.0);
     }
 
     #[test]

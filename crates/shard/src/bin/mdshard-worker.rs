@@ -1,15 +1,15 @@
 //! One shard of a sharded MD run (see `md-shard`).
 //!
-//! Spawned by the driver with `--connect <socket> --rank <r> --codec
-//! <json|binary>`; speaks the framed protocol on the socket until
-//! `Shutdown` or the driver goes away. Halo traffic bypasses this loop
-//! entirely: the [`md_shard::mesh::SocketMeshProvider`] installed here
-//! wires direct peer links when the driver's brokering rounds arrive, and
-//! the core pushes/pulls ghost frames on them from inside its handlers.
-//! All logic lives in [`md_shard::ShardCore`] — this binary is only the
-//! read-frame / handle / write-frame loop.
+//! Spawned by the driver with `--connect <socket> --rank <r>`; speaks the
+//! framed protocol on the socket until `Shutdown` or the driver goes away.
+//! Halo traffic bypasses this loop entirely: the
+//! [`md_shard::mesh::SocketMeshProvider`] installed here wires direct peer
+//! links when the driver's brokering rounds arrive, and the core
+//! pushes/pulls ghost frames on them from inside its handlers. All logic
+//! lives in [`md_shard::ShardCore`] — this binary is only the read-frame /
+//! handle / write-frame loop.
 
-use md_shard::codec::{Codec, CodecError};
+use md_shard::codec::{self, CodecError};
 use md_shard::mesh::SocketMeshProvider;
 use md_shard::ShardCore;
 use std::io::ErrorKind;
@@ -20,21 +20,10 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let mut connect = None;
     let mut rank = String::from("?");
-    let mut codec = Codec::Json;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--connect" => connect = args.next(),
             "--rank" => rank = args.next().unwrap_or(rank),
-            "--codec" => {
-                let name = args.next().unwrap_or_default();
-                codec = match Codec::parse(&name) {
-                    Some(c) => c,
-                    None => {
-                        eprintln!("mdshard-worker: unknown codec '{name}'");
-                        exit(2);
-                    }
-                };
-            }
             other => {
                 eprintln!("mdshard-worker: unknown argument '{other}'");
                 exit(2);
@@ -42,7 +31,7 @@ fn main() {
         }
     }
     let Some(path) = connect else {
-        eprintln!("usage: mdshard-worker --connect <socket> [--rank <r>] [--codec json|binary]");
+        eprintln!("usage: mdshard-worker --connect <socket> [--rank <r>]");
         exit(2);
     };
     let mut stream = match UnixStream::connect(&path) {
@@ -53,9 +42,9 @@ fn main() {
         }
     };
 
-    let mut core = ShardCore::new(Box::new(SocketMeshProvider::new(codec)));
+    let mut core = ShardCore::new(Box::<SocketMeshProvider>::default());
     loop {
-        let msg = match codec.read_msg(&mut stream) {
+        let msg = match codec::read_msg(&mut stream) {
             Ok(m) => m,
             // A clean EOF means the driver is gone; exit quietly so a
             // driver crash does not leave worker zombies complaining.
@@ -68,7 +57,7 @@ fn main() {
         };
         match core.handle(msg) {
             Ok(Some(reply)) => {
-                if let Err(e) = codec.write_msg(&mut stream, &reply) {
+                if let Err(e) = codec::write_msg(&mut stream, &reply) {
                     eprintln!("mdshard-worker[{rank}]: reply failed: {e}");
                     exit(1);
                 }

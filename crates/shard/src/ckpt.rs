@@ -12,7 +12,6 @@
 //! [`md_sim::atomic_write`] (tmp sibling + fsync + rename), with
 //! [`md_sim::sweep_stale_tmp_dir`] clearing crashed half-writes on load.
 
-use crate::codec::{f64_to_hex, hex_to_f64};
 use crate::msg::ShardAtom;
 use md_geometry::Vec3;
 use md_sim::checkpoint::atomic_write;
@@ -57,6 +56,30 @@ impl From<CheckpointError> for CkptError {
 
 fn corrupt(what: impl Into<String>) -> CkptError {
     CkptError::Corrupt(what.into())
+}
+
+/// Renders an `f64` as the 16 lowercase hex digits of its IEEE-754 bit
+/// pattern.
+fn f64_to_hex(x: f64) -> String {
+    format!("{:016x}", x.to_bits())
+}
+
+/// Parses a bit pattern produced by [`f64_to_hex`]: exactly 16 lowercase
+/// hex digits, nothing else. `u64::from_str_radix` alone is too lax here —
+/// it takes uppercase and a leading `+` — and a file format that writes
+/// only one canonical spelling must reject every other one.
+fn hex_to_f64(s: &str) -> Result<f64, CkptError> {
+    let ok = s.len() == 16
+        && s.bytes()
+            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b));
+    if !ok {
+        return Err(corrupt(format!(
+            "f64 bit pattern must be exactly 16 lowercase hex digits, got '{s}'"
+        )));
+    }
+    u64::from_str_radix(s, 16)
+        .map(f64::from_bits)
+        .map_err(|_| corrupt(format!("bad f64 bit pattern '{s}'")))
 }
 
 /// File name of one shard's checkpoint at one step.
@@ -172,7 +195,6 @@ pub fn load_shard(path: &Path) -> Result<ShardCkpt, CkptError> {
             .ok_or_else(|| corrupt("bad atom gid"))?;
         let mut next = || -> Result<f64, CkptError> {
             hex_to_f64(f.next().ok_or_else(|| corrupt("short atom line"))?)
-                .map_err(|e| corrupt(e.to_string()))
         };
         let pos = Vec3::new(next()?, next()?, next()?);
         let vel = Vec3::new(next()?, next()?, next()?);
@@ -275,6 +297,49 @@ mod tests {
                 vel: Vec3::new(-1.5, gid as f64 * 0.125, f64::MIN_POSITIVE),
             })
             .collect()
+    }
+
+    #[test]
+    fn hex_preserves_every_bit_pattern() {
+        for x in [0.0, -0.0, 1.5, -1.0e-300, f64::INFINITY, f64::NAN, 5.67] {
+            let back = hex_to_f64(&f64_to_hex(x)).unwrap();
+            assert_eq!(back.to_bits(), x.to_bits());
+        }
+        for case in 0..192 {
+            let bits = md_base::rng::Rng::new(case).next_u64();
+            let back = hex_to_f64(&f64_to_hex(f64::from_bits(bits))).unwrap();
+            assert_eq!(back.to_bits(), bits, "case {case}");
+        }
+    }
+
+    #[test]
+    fn hex_rejects_everything_but_16_lowercase_digits() {
+        // The from_str_radix quirks a plain parse would inherit: uppercase
+        // and a leading '+' both parse. All of these must fail,
+        // explicitly.
+        for bad in [
+            "zz",
+            "00000000000000000", // 17 digits
+            "0000000000000000 ", // trailing space (17 long anyway)
+            "3FF0000000000000",  // uppercase
+            "+ff0000000000000",  // sign prefix, 16 long
+            "-ff0000000000000",
+            " ff0000000000000", // leading space, 16 long
+            "3ff000000000000",  // 15 digits
+            "3ff000000000000g",
+            "",
+        ] {
+            assert!(
+                matches!(hex_to_f64(bad), Err(CkptError::Corrupt(_))),
+                "'{bad}' must be rejected"
+            );
+        }
+        // The canonical spelling still parses.
+        assert_eq!(hex_to_f64("3ff0000000000000").unwrap(), 1.0);
+        assert_eq!(
+            hex_to_f64(&f64_to_hex(-0.0)).unwrap().to_bits(),
+            (-0.0f64).to_bits()
+        );
     }
 
     #[test]

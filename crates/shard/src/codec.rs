@@ -1,7 +1,7 @@
-//! Length-prefixed, checksummed wire frames, in two selectable payload
-//! encodings.
+//! Length-prefixed, checksummed wire frames carrying binary protocol
+//! messages.
 //!
-//! Frame layout (little-endian), identical for both codecs:
+//! Frame layout (little-endian):
 //!
 //! ```text
 //! [u32 payload length][payload bytes][u64 fnv1a64(payload)]
@@ -9,26 +9,17 @@
 //!
 //! The checksum reuses [`md_sim::fnv1a64`] — the same journal-style framing
 //! the job server trusts for crash recovery. The payload is one protocol
-//! message ([`crate::msg::Msg`]) in one of two encodings, selected by
-//! [`Codec`]:
-//!
-//! * [`Codec::Json`] — compact JSON (via [`md_serve::wire::compact`]).
-//!   Every `f64` that must survive the trip bit-exactly (positions,
-//!   velocities, embedding derivatives) is carried as a 16-digit lowercase
-//!   hex encoding of its IEEE-754 bit pattern ([`f64_to_hex`] /
-//!   [`hex_to_f64`]), so NaN payloads and signed zeros round-trip and a
-//!   sharded trajectory is reproducible to the last ulp.
-//! * [`Codec::Binary`] — a tag byte plus raw little-endian fields
-//!   (`f64::to_bits`, so the same bit-exactness holds at roughly a quarter
-//!   of the bytes; see `Msg::encode_binary`).
+//! message ([`crate::msg::Msg`]) in its binary form: a tag byte plus raw
+//! little-endian fields, every `f64` as its `to_bits` pattern, so NaN
+//! payloads and signed zeros round-trip and a sharded trajectory is
+//! reproducible to the last ulp (see `Msg::encode`).
 //!
 //! Decoding is total: torn, truncated, oversized, corrupted or
 //! trailing-garbage frames come back as a typed [`CodecError`], never a
-//! panic, under either codec.
+//! panic.
 
 use crate::msg::Msg;
 use md_sim::fnv1a64;
-use md_sim::metrics::JsonValue;
 use std::io::{Read, Write};
 
 /// Upper bound on a payload, to reject absurd length prefixes before
@@ -49,10 +40,8 @@ pub enum CodecError {
         /// Checksum carried in the frame footer.
         found: u64,
     },
-    /// The payload is not valid compact JSON (or not UTF-8).
-    BadJson(String),
     /// The payload framing is intact but a message field is missing or
-    /// malformed (both codecs).
+    /// malformed.
     BadField(String),
     /// An underlying I/O error while reading or writing a stream.
     Io(std::io::Error),
@@ -67,7 +56,6 @@ impl std::fmt::Display for CodecError {
                 f,
                 "checksum mismatch: computed {expected:016x}, frame carries {found:016x}"
             ),
-            CodecError::BadJson(e) => write!(f, "bad JSON payload: {e}"),
             CodecError::BadField(e) => write!(f, "bad message field: {e}"),
             CodecError::Io(e) => write!(f, "I/O: {e}"),
         }
@@ -82,77 +70,38 @@ impl From<std::io::Error> for CodecError {
     }
 }
 
-/// The selectable payload encoding (`mdrun --shard-codec json|binary`).
+/// The wire codec of [`crate::ProcessWorld::spawn`]'s last parameter.
+/// Binary frames are the only encoding, so the parameter selects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Codec {
-    /// Compact JSON with hex-encoded f64 bit patterns.
-    Json,
     /// Tagged raw little-endian fields.
     Binary,
 }
 
-impl Codec {
-    /// Parses the `--shard-codec` spelling.
-    pub fn parse(s: &str) -> Option<Codec> {
-        match s {
-            "json" => Some(Codec::Json),
-            "binary" => Some(Codec::Binary),
-            _ => None,
-        }
-    }
+/// Encodes one message as a complete frame.
+pub fn encode(msg: &Msg) -> Vec<u8> {
+    frame(msg.encode())
+}
 
-    /// The wire name (`json` / `binary`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Codec::Json => "json",
-            Codec::Binary => "binary",
-        }
-    }
+/// Decodes one message from the front of `buf`, returning it and the
+/// number of bytes consumed. The whole payload must be one message:
+/// trailing bytes inside the payload are a [`CodecError`], not silence.
+pub fn decode(buf: &[u8]) -> Result<(Msg, usize), CodecError> {
+    let (body, used) = unframe(buf)?;
+    Msg::decode(body).map(|m| (m, used))
+}
 
-    /// Encodes one message as a complete frame.
-    pub fn encode(&self, msg: &Msg) -> Vec<u8> {
-        let body = match self {
-            Codec::Json => md_serve::wire::compact(&msg.encode()).into_bytes(),
-            Codec::Binary => msg.encode_binary(),
-        };
-        frame(body)
-    }
+/// Reads one message from a blocking stream. A stream that ends mid-frame
+/// reports [`CodecError::Truncated`].
+pub fn read_msg(r: &mut impl Read) -> Result<Msg, CodecError> {
+    Msg::decode(&read_frame_body(r)?)
+}
 
-    /// Decodes one message from the front of `buf`, returning it and the
-    /// number of bytes consumed. The whole payload must be one message:
-    /// trailing bytes inside the payload are a [`CodecError`], not silence.
-    pub fn decode(&self, buf: &[u8]) -> Result<(Msg, usize), CodecError> {
-        let (body, used) = unframe(buf)?;
-        self.decode_body(body).map(|m| (m, used))
-    }
-
-    fn decode_body(&self, body: &[u8]) -> Result<Msg, CodecError> {
-        match self {
-            Codec::Json => {
-                let text = std::str::from_utf8(body)
-                    .map_err(|_| CodecError::BadJson("payload is not UTF-8".to_string()))?;
-                let v = JsonValue::parse(text).map_err(|e| CodecError::BadJson(e.to_string()))?;
-                Msg::decode(&v)
-            }
-            Codec::Binary => Msg::decode_binary(body),
-        }
-    }
-
-    /// Reads one message from a blocking stream. A stream that ends
-    /// mid-frame reports [`CodecError::Truncated`].
-    pub fn read_msg(&self, r: &mut impl Read) -> Result<Msg, CodecError> {
-        let body = read_frame_body(r)?;
-        self.decode_body(&body)
-    }
-
-    /// Writes one message to a stream and flushes it; returns the frame
-    /// size in bytes.
-    pub fn write_msg(&self, w: &mut impl Write, msg: &Msg) -> Result<u64, CodecError> {
-        let bytes = self.encode(msg);
-        w.write_all(&bytes)?;
-        w.flush()?;
-        Ok(bytes.len() as u64)
-    }
+/// Writes one message to a stream and flushes it.
+pub fn write_msg(w: &mut impl Write, msg: &Msg) -> Result<(), CodecError> {
+    w.write_all(&encode(msg))?;
+    w.flush()?;
+    Ok(())
 }
 
 /// Wraps a payload body into a complete frame.
@@ -233,147 +182,62 @@ fn read_exact_or_truncated(r: &mut impl Read, buf: &mut [u8]) -> Result<(), Code
     })
 }
 
-/// Encodes one JSON value as a complete frame (the JSON codec's framing,
-/// exposed for tests and tooling).
-pub fn encode_frame(payload: &JsonValue) -> Vec<u8> {
-    frame(md_serve::wire::compact(payload).into_bytes())
-}
-
-/// Decodes one JSON frame from the front of `buf`, returning the payload
-/// and the number of bytes consumed.
-pub fn decode_frame(buf: &[u8]) -> Result<(JsonValue, usize), CodecError> {
-    let (body, used) = unframe(buf)?;
-    let text = std::str::from_utf8(body)
-        .map_err(|_| CodecError::BadJson("payload is not UTF-8".to_string()))?;
-    let v = JsonValue::parse(text).map_err(|e| CodecError::BadJson(e.to_string()))?;
-    Ok((v, used))
-}
-
-/// Reads one JSON frame from a blocking stream.
-pub fn read_frame(r: &mut impl Read) -> Result<JsonValue, CodecError> {
-    let body = read_frame_body(r)?;
-    let text = std::str::from_utf8(&body)
-        .map_err(|_| CodecError::BadJson("payload is not UTF-8".to_string()))?;
-    JsonValue::parse(text).map_err(|e| CodecError::BadJson(e.to_string()))
-}
-
-/// Writes one JSON frame to a stream and flushes it.
-pub fn write_frame(w: &mut impl Write, payload: &JsonValue) -> Result<(), CodecError> {
-    w.write_all(&encode_frame(payload))?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Renders an `f64` as the 16 lowercase hex digits of its IEEE-754 bit
-/// pattern.
-pub fn f64_to_hex(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
-/// Parses a bit pattern produced by [`f64_to_hex`]: exactly 16 lowercase
-/// hex digits, nothing else. `u64::from_str_radix` alone is too lax here —
-/// it takes uppercase and a leading `+` — and a codec that emits only one
-/// canonical spelling must reject every other one.
-pub fn hex_to_f64(s: &str) -> Result<f64, CodecError> {
-    let ok = s.len() == 16
-        && s.bytes()
-            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b));
-    if !ok {
-        return Err(CodecError::BadField(format!(
-            "f64 bit pattern must be exactly 16 lowercase hex digits, got '{s}'"
-        )));
-    }
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| CodecError::BadField(format!("bad f64 bit pattern '{s}'")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use md_geometry::Vec3;
+
+    fn sample() -> Msg {
+        Msg::PeerPos {
+            pos: vec![Vec3::new(-0.0, 1.5, f64::MIN_POSITIVE)],
+        }
+    }
 
     #[test]
     fn frames_round_trip() {
-        let v = JsonValue::obj(vec![
-            ("t", JsonValue::str("ready")),
-            ("rank", JsonValue::num(3.0)),
-            ("x", JsonValue::str(f64_to_hex(-0.0))),
-        ]);
-        let bytes = encode_frame(&v);
-        let (back, used) = decode_frame(&bytes).unwrap();
+        let bytes = encode(&sample());
+        let (back, used) = decode(&bytes).unwrap();
         assert_eq!(used, bytes.len());
-        assert_eq!(back, v);
-        // And through the stream reader.
-        let mut cursor = std::io::Cursor::new(bytes);
-        assert_eq!(read_frame(&mut cursor).unwrap(), v);
+        assert_eq!(back.encode(), sample().encode());
+        // And through the stream writer and reader.
+        let mut stream = Vec::new();
+        write_msg(&mut stream, &sample()).unwrap();
+        assert_eq!(stream, bytes);
+        let back = read_msg(&mut std::io::Cursor::new(stream)).unwrap();
+        assert_eq!(back.encode(), sample().encode());
     }
 
     #[test]
     fn corrupted_payload_is_a_checksum_error() {
-        let mut bytes = encode_frame(&JsonValue::str("hello"));
+        let mut bytes = encode(&sample());
         bytes[6] ^= 0x40;
         assert!(matches!(
-            decode_frame(&bytes),
+            decode(&bytes),
             Err(CodecError::BadChecksum { .. })
         ));
     }
 
     #[test]
     fn torn_and_oversized_frames_are_typed_errors() {
-        let bytes = encode_frame(&JsonValue::num(1.0));
+        let bytes = encode(&sample());
         for cut in 0..bytes.len() {
-            assert!(matches!(
-                decode_frame(&bytes[..cut]),
-                Err(CodecError::Truncated)
-            ));
+            assert!(matches!(decode(&bytes[..cut]), Err(CodecError::Truncated)));
         }
         let mut huge = bytes.clone();
         huge[..4].copy_from_slice(&(MAX_FRAME + 1).to_le_bytes());
-        assert!(matches!(decode_frame(&huge), Err(CodecError::Oversize(_))));
-    }
-
-    #[test]
-    fn hex_preserves_every_bit_pattern() {
-        for x in [0.0, -0.0, 1.5, -1.0e-300, f64::INFINITY, f64::NAN, 5.67] {
-            let back = hex_to_f64(&f64_to_hex(x)).unwrap();
-            assert_eq!(back.to_bits(), x.to_bits());
-        }
-    }
-
-    #[test]
-    fn hex_rejects_everything_but_16_lowercase_digits() {
-        // The from_str_radix quirks the old decoder inherited: uppercase
-        // was rejected by accident of length only, and a leading '+'
-        // parsed. All of these must fail now, explicitly.
-        for bad in [
-            "zz",
-            "00000000000000000",  // 17 digits
-            "0000000000000000 ", // trailing space (17 long anyway)
-            "3FF0000000000000",  // uppercase
-            "+ff0000000000000",  // sign prefix, 16 long
-            "-ff0000000000000",
-            " ff0000000000000", // leading space, 16 long
-            "3ff000000000000",  // 15 digits
-            "3ff000000000000g",
-            "",
-        ] {
-            assert!(
-                matches!(hex_to_f64(bad), Err(CodecError::BadField(_))),
-                "'{bad}' must be rejected"
-            );
-        }
-        // The canonical spelling still parses.
-        assert_eq!(hex_to_f64("3ff0000000000000").unwrap(), 1.0);
-        assert_eq!(hex_to_f64(&f64_to_hex(-0.0)).unwrap().to_bits(), (-0.0f64).to_bits());
+        assert!(matches!(decode(&huge), Err(CodecError::Oversize(_))));
     }
 
     #[test]
     fn frame_len_tracks_the_prefix() {
-        let bytes = Codec::Json.encode(&Msg::Begin);
+        let bytes = encode(&Msg::Begin);
         assert!(frame_len(&bytes[..3]).is_none());
         assert_eq!(frame_len(&bytes).unwrap().unwrap(), bytes.len());
         let mut huge = bytes.clone();
         huge[..4].copy_from_slice(&(MAX_FRAME + 1).to_le_bytes());
-        assert!(matches!(frame_len(&huge), Some(Err(CodecError::Oversize(_)))));
+        assert!(matches!(
+            frame_len(&huge),
+            Some(Err(CodecError::Oversize(_)))
+        ));
     }
 }

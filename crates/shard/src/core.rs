@@ -16,8 +16,9 @@
 //!
 //! 1. `MigIn` (rebuild leg) or `HaloPos` (plain leg): push this shard's
 //!    ghost exports — full `PeerGhosts` after a repartition, bare
-//!    `PeerPos` refreshes otherwise — to every peer. The frames ride the
-//!    kernel buffers while peers are still finishing the same round.
+//!    `PeerPos` refreshes otherwise — to every peer. The frames wait in
+//!    the mesh's outboxes and kernel buffers; the next round's receive
+//!    finishes sending them.
 //! 2. `HaloDensity`: pull the peers' exports in, install them, run the
 //!    density phase (EAM phases 1–2), and immediately push the exported
 //!    atoms' `F'(ρ)` as `PeerFp` frames — peers still inside their own

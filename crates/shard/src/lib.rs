@@ -18,12 +18,13 @@
 //! The decomposition is driven through a *control* protocol ([`msg::Msg`])
 //! over an abstract [`world::Transport`], while halo payloads flow over a
 //! direct peer mesh ([`mesh::PeerMesh`]) the driver brokers at boot. Both
-//! planes speak the same selectable wire [`codec::Codec`] — hex-f64 JSON
-//! or length-prefixed binary frames. Two backends:
+//! planes carry the same wire form ([`codec`]): length-prefixed,
+//! checksummed frames around a tagged little-endian message whose floats
+//! travel as raw bit patterns. Two backends:
 //!
 //! * [`world::MemTransport`] — *virtual ranks*: every shard lives in the
 //!   driver process, control messages are routed through the real wire
-//!   codec and halos through a [`mesh::ChannelMesh`] carrying codec
+//!   codec and halos through a [`mesh::ChannelMesh`] carrying the same
 //!   frames, so the conformance battery exercises the exact bytes the
 //!   process backend ships.
 //! * [`proc::ProcessWorld`] — one `mdshard-worker` process per shard over

@@ -11,16 +11,17 @@
 //! Two implementations:
 //!
 //! * [`ChannelMesh`] — virtual ranks: an mpsc channel per directed pair.
-//!   Frames still pass through the real [`Codec`], so the conformance
+//!   Frames still pass through the real [`codec`], so the conformance
 //!   battery exercises the exact bytes the process backend ships.
-//! * [`SocketMesh`] — one Unix-domain stream per unordered pair. Sends
-//!   and receives are pumped through nonblocking I/O: while a shard
-//!   flushes its exports it also drains whatever peers have already
-//!   written, so two shards writing large frames at each other cannot
-//!   deadlock on full kernel buffers, and fp frames arriving early (peers
-//!   that finished their density pass first — the overlap the
-//!   density/force split enables) are absorbed instead of blocking the
-//!   sender.
+//! * [`SocketMesh`] — one Unix-domain stream per unordered pair, driven
+//!   by a nonblocking pump that writes each link's outbox and drains its
+//!   inbox. A send only queues its frames and pumps once; the receive
+//!   that follows it in the next driver round keeps pumping until every
+//!   outbox is empty and every inbox holds a frame. A frame larger than
+//!   the kernel buffer therefore finishes while its peer is receiving,
+//!   even if that peer's own send finished long before, and fp frames
+//!   arriving early (peers that finished their density pass first — the
+//!   overlap the density/force split enables) wait in the inbox.
 //!
 //! Construction is two-phase to dodge the connect/accept race: every rank
 //! binds its rendezvous endpoint first (`PeerListen` round), then every
@@ -28,7 +29,7 @@
 //! round). A dial lands in the listener's backlog even before the peer
 //! accepts, so the serial dial-then-accept order cannot deadlock.
 
-use crate::codec::{frame_len, Codec};
+use crate::codec::{self, frame_len};
 use crate::msg::{HaloCounters, Msg};
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -63,10 +64,9 @@ pub trait MeshProvider: Send {
 // ---------------------------------------------------------------------------
 
 /// The virtual-rank mesh: one mpsc channel per directed pair, carrying
-/// fully framed codec bytes.
+/// complete frames.
 pub struct ChannelMesh {
     rank: usize,
-    codec: Codec,
     tx: Vec<Option<Sender<Vec<u8>>>>,
     rx: Vec<Option<Receiver<Vec<u8>>>>,
     bytes_sent: u64,
@@ -75,11 +75,10 @@ pub struct ChannelMesh {
 }
 
 /// Builds the fully wired mesh set for `n` virtual ranks.
-pub fn channel_mesh_set(n: usize, codec: Codec) -> Vec<ChannelMesh> {
+pub fn channel_mesh_set(n: usize) -> Vec<ChannelMesh> {
     let mut meshes: Vec<ChannelMesh> = (0..n)
         .map(|rank| ChannelMesh {
             rank,
-            codec,
             tx: (0..n).map(|_| None).collect(),
             rx: (0..n).map(|_| None).collect(),
             bytes_sent: 0,
@@ -111,7 +110,7 @@ impl PeerMesh for ChannelMesh {
             let tx = self.tx[t]
                 .as_ref()
                 .ok_or_else(|| format!("no peer link to rank {t}"))?;
-            let bytes = self.codec.encode(&msg);
+            let bytes = codec::encode(&msg);
             self.bytes_sent += bytes.len() as u64;
             tx.send(bytes)
                 .map_err(|_| format!("peer {t} hung up (channel closed)"))?;
@@ -141,10 +140,8 @@ impl PeerMesh for ChannelMesh {
                 }
             };
             self.bytes_recv += bytes.len() as u64;
-            let (msg, used) = self
-                .codec
-                .decode(&bytes)
-                .map_err(|e| format!("bad peer frame from rank {s}: {e}"))?;
+            let (msg, used) =
+                codec::decode(&bytes).map_err(|e| format!("bad peer frame from rank {s}: {e}"))?;
             if used != bytes.len() {
                 return Err(format!("peer frame from rank {s} has trailing bytes"));
             }
@@ -202,13 +199,24 @@ const MESH_DEADLINE: Duration = Duration::from_secs(30);
 
 struct PeerLink {
     stream: UnixStream,
+    /// Encoded frames the kernel has not taken yet.
+    outbox: Vec<u8>,
     /// Bytes read off the stream but not yet consumed as frames.
     inbox: Vec<u8>,
 }
 
+impl PeerLink {
+    fn new(stream: UnixStream) -> PeerLink {
+        PeerLink {
+            stream,
+            outbox: Vec::new(),
+            inbox: Vec::new(),
+        }
+    }
+}
+
 /// The process-backend mesh: one stream per unordered rank pair.
 pub struct SocketMesh {
-    codec: Codec,
     links: Vec<Option<PeerLink>>,
     bytes_sent: u64,
     bytes_recv: u64,
@@ -227,33 +235,48 @@ fn io_closed(kind: ErrorKind) -> bool {
 }
 
 impl SocketMesh {
-    /// Drains whatever `link`'s stream has ready into its inbox without
-    /// blocking. Returns bytes read; `Err` on peer death.
-    fn drain(link: &mut PeerLink, from: usize) -> Result<u64, String> {
+    /// Writes what the kernel will take of `link`'s outbox, then drains
+    /// whatever its stream has ready into its inbox, without blocking.
+    /// Returns whether any byte moved; `Err` on peer death.
+    fn pump(link: &mut PeerLink, peer: usize) -> Result<bool, String> {
+        let mut moved = false;
+        while !link.outbox.is_empty() {
+            match link.stream.write(&link.outbox) {
+                Ok(n) => {
+                    link.outbox.drain(..n);
+                    moved = true;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if io_closed(e.kind()) => return Err(format!("peer {peer} link died: {e}")),
+                Err(e) => return Err(format!("peer {peer} write error: {e}")),
+            }
+        }
         let mut buf = [0u8; 64 * 1024];
-        let mut total = 0u64;
         loop {
             match link.stream.read(&mut buf) {
-                Ok(0) => return Err(format!("peer {from} closed its link")),
+                Ok(0) => return Err(format!("peer {peer} closed its link")),
                 Ok(n) => {
                     link.inbox.extend_from_slice(&buf[..n]);
-                    total += n as u64;
+                    moved = true;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(total),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(moved),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if io_closed(e.kind()) => {
-                    return Err(format!("peer {from} link died: {e}"))
-                }
-                Err(e) => return Err(format!("peer {from} read error: {e}")),
+                Err(e) if io_closed(e.kind()) => return Err(format!("peer {peer} link died: {e}")),
+                Err(e) => return Err(format!("peer {peer} read error: {e}")),
             }
         }
     }
 
-    /// Whether `link`'s inbox holds one complete frame.
-    fn has_frame(link: &PeerLink, from: usize) -> Result<bool, String> {
+    /// Whether `link` has nothing left to send and one complete frame to
+    /// receive.
+    fn settled(link: &PeerLink, peer: usize) -> Result<bool, String> {
+        if !link.outbox.is_empty() {
+            return Ok(false);
+        }
         match frame_len(&link.inbox) {
             None => Ok(false),
-            Some(Err(e)) => Err(format!("peer {from} sent a bad frame: {e}")),
+            Some(Err(e)) => Err(format!("peer {peer} sent a bad frame: {e}")),
             Some(Ok(total)) => Ok(link.inbox.len() >= total),
         }
     }
@@ -265,56 +288,15 @@ impl PeerMesh for SocketMesh {
             return Err("peer send arity mismatch".to_string());
         }
         let start = Instant::now();
-        // Encode everything up front, then pump: write what the kernel
-        // will take, read what peers have written (they are all in this
-        // same round, writing at us), never block on either.
-        let mut pending: Vec<(usize, Vec<u8>, usize)> = Vec::new();
         for (t, msg) in out.into_iter().enumerate() {
             let Some(msg) = msg else { continue };
-            if self.links[t].is_none() {
-                return Err(format!("no peer link to rank {t}"));
-            }
-            let bytes = self.codec.encode(&msg);
+            let link = self.links[t]
+                .as_mut()
+                .ok_or_else(|| format!("no peer link to rank {t}"))?;
+            let bytes = codec::encode(&msg);
             self.bytes_sent += bytes.len() as u64;
-            pending.push((t, bytes, 0));
-        }
-        let deadline = Instant::now() + MESH_DEADLINE;
-        while !pending.is_empty() {
-            let mut progressed = false;
-            pending.retain_mut(|(t, bytes, off)| {
-                if let Some(link) = self.links[*t].as_mut() {
-                    loop {
-                        match link.stream.write(&bytes[*off..]) {
-                            Ok(n) => {
-                                *off += n;
-                                progressed = true;
-                                if *off == bytes.len() {
-                                    return false;
-                                }
-                            }
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
-                            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                            Err(_) => return true, // surfaced by the drain below
-                        }
-                    }
-                }
-                false
-            });
-            // Drain incoming bytes so a peer blocked writing at us can
-            // finish, which in turn unblocks our writes to it.
-            for (s, link) in self.links.iter_mut().enumerate() {
-                if let Some(link) = link {
-                    if Self::drain(link, s)? > 0 {
-                        progressed = true;
-                    }
-                }
-            }
-            if !pending.is_empty() && !progressed {
-                if Instant::now() > deadline {
-                    return Err("peer send stalled past deadline".to_string());
-                }
-                std::thread::sleep(PUMP_IDLE);
-            }
+            link.outbox.extend_from_slice(&bytes);
+            Self::pump(link, t)?;
         }
         self.wire_seconds += start.elapsed().as_secs_f64();
         Ok(())
@@ -324,26 +306,22 @@ impl PeerMesh for SocketMesh {
         let start = Instant::now();
         let deadline = Instant::now() + MESH_DEADLINE;
         loop {
-            let mut all = true;
-            let mut progressed = false;
+            let mut settled = true;
+            let mut moved = false;
             for (s, link) in self.links.iter_mut().enumerate() {
                 let Some(link) = link else { continue };
-                if Self::has_frame(link, s)? {
+                if Self::settled(link, s)? {
                     continue;
                 }
-                if Self::drain(link, s)? > 0 {
-                    progressed = true;
-                }
-                if !Self::has_frame(link, s)? {
-                    all = false;
-                }
+                moved |= Self::pump(link, s)?;
+                settled &= Self::settled(link, s)?;
             }
-            if all {
+            if settled {
                 break;
             }
-            if !progressed {
+            if !moved {
                 if Instant::now() > deadline {
-                    return Err("peer recv stalled past deadline".to_string());
+                    return Err("peer exchange stalled past deadline".to_string());
                 }
                 std::thread::sleep(PUMP_IDLE);
             }
@@ -354,9 +332,7 @@ impl PeerMesh for SocketMesh {
                 got.push(None);
                 continue;
             };
-            let (msg, used) = self
-                .codec
-                .decode(&link.inbox)
+            let (msg, used) = codec::decode(&link.inbox)
                 .map_err(|e| format!("bad peer frame from rank {s}: {e}"))?;
             link.inbox.drain(..used);
             self.bytes_recv += used as u64;
@@ -380,21 +356,10 @@ pub fn peer_sock_path(dir: &str, rank: usize) -> PathBuf {
 /// The provider the `mdshard-worker` binary installs: binds a listener on
 /// `PeerListen`, dials lower ranks / accepts higher ranks on
 /// `PeerConnect`, identifying inbound streams by their `PeerHello`.
+#[derive(Default)]
 pub struct SocketMeshProvider {
-    codec: Codec,
     listener: Option<UnixListener>,
     dir: Option<String>,
-}
-
-impl SocketMeshProvider {
-    /// A provider speaking `codec` on every peer link.
-    pub fn new(codec: Codec) -> SocketMeshProvider {
-        SocketMeshProvider {
-            codec,
-            listener: None,
-            dir: None,
-        }
-    }
 }
 
 impl MeshProvider for SocketMeshProvider {
@@ -421,16 +386,12 @@ impl MeshProvider for SocketMeshProvider {
             let path = peer_sock_path(&dir, s);
             let mut stream = UnixStream::connect(&path)
                 .map_err(|e| format!("dial rank {s} at {}: {e}", path.display()))?;
-            self.codec
-                .write_msg(&mut stream, &Msg::PeerHello { rank: rank as u64 })
+            codec::write_msg(&mut stream, &Msg::PeerHello { rank: rank as u64 })
                 .map_err(|e| format!("hello to rank {s}: {e}"))?;
             stream
                 .set_nonblocking(true)
                 .map_err(|e| format!("peer stream nonblocking: {e}"))?;
-            *link = Some(PeerLink {
-                stream,
-                inbox: Vec::new(),
-            });
+            *link = Some(PeerLink::new(stream));
         }
         // Accept every higher rank, identified by its hello.
         let expect = n_ranks - rank - 1;
@@ -442,10 +403,8 @@ impl MeshProvider for SocketMeshProvider {
                     stream
                         .set_nonblocking(false)
                         .map_err(|e| format!("peer stream blocking: {e}"))?;
-                    let hello = self
-                        .codec
-                        .read_msg(&mut stream)
-                        .map_err(|e| format!("peer hello: {e}"))?;
+                    let hello =
+                        codec::read_msg(&mut stream).map_err(|e| format!("peer hello: {e}"))?;
                     let from = match hello {
                         Msg::PeerHello { rank: r } => r as usize,
                         other => return Err(format!("expected peer hello, got {other:?}")),
@@ -456,10 +415,7 @@ impl MeshProvider for SocketMeshProvider {
                     stream
                         .set_nonblocking(true)
                         .map_err(|e| format!("peer stream nonblocking: {e}"))?;
-                    links[from] = Some(PeerLink {
-                        stream,
-                        inbox: Vec::new(),
-                    });
+                    links[from] = Some(PeerLink::new(stream));
                     accepted += 1;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -475,7 +431,6 @@ impl MeshProvider for SocketMeshProvider {
         }
         let _ = std::fs::remove_file(peer_sock_path(&dir, rank));
         Ok(Box::new(SocketMesh {
-            codec: self.codec,
             links,
             bytes_sent: 0,
             bytes_recv: 0,
@@ -505,10 +460,11 @@ pub fn halo_counters(
 mod tests {
     use super::*;
     use md_geometry::Vec3;
+    use std::sync::{Arc, Barrier};
 
     #[test]
     fn channel_mesh_routes_frames_between_ranks() {
-        let mut set = channel_mesh_set(3, Codec::Binary);
+        let mut set = channel_mesh_set(3);
         let mut m2 = set.pop().unwrap();
         let mut m1 = set.pop().unwrap();
         let mut m0 = set.pop().unwrap();
@@ -538,47 +494,80 @@ mod tests {
 
     #[test]
     fn empty_channel_is_a_phase_violation() {
-        let mut set = channel_mesh_set(2, Codec::Json);
+        let mut set = channel_mesh_set(2);
         let mut m0 = set.remove(0);
         assert!(m0.recv_peers().is_err());
+    }
+
+    /// Connected socket meshes of ranks 0 and 1, rendezvousing in a fresh
+    /// directory named after `label`.
+    fn socket_pair(label: &str) -> (Box<dyn PeerMesh>, Box<dyn PeerMesh>, PathBuf) {
+        let dir = std::env::temp_dir()
+            .join(format!("mdshard-mesh-{label}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let dir_str = dir.to_string_lossy().into_owned();
+        let mut p0 = SocketMeshProvider::default();
+        let mut p1 = SocketMeshProvider::default();
+        p0.listen(0, 2, &dir_str).unwrap();
+        p1.listen(1, 2, &dir_str).unwrap();
+        let accept = std::thread::spawn(move || p0.connect(0, 2).unwrap());
+        let m1 = p1.connect(1, 2).unwrap();
+        (accept.join().unwrap(), m1, dir)
+    }
+
+    /// A position frame of `n` atoms, 24 bytes each on the wire.
+    fn positions(n: usize) -> Vec<Vec3> {
+        (0..n).map(|i| Vec3::new(i as f64, 0.5, -1.0)).collect()
     }
 
     #[test]
     fn socket_mesh_full_duplex_survives_large_frames() {
         // Two ranks exchange frames far larger than a socket buffer in the
         // same round; the pump must interleave reads and writes.
-        let dir = std::env::temp_dir().join(format!("mdshard-mesh-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let dir_str = dir.to_string_lossy().into_owned();
-        let codec = Codec::Binary;
-        let big: Vec<Vec3> = (0..40_000).map(|i| Vec3::new(i as f64, 0.5, -1.0)).collect();
-        let mk_provider = || SocketMeshProvider::new(codec);
-        let mut p0 = mk_provider();
-        let mut p1 = mk_provider();
-        p0.listen(0, 2, &dir_str).unwrap();
-        p1.listen(1, 2, &dir_str).unwrap();
-        let d0 = dir_str.clone();
+        let (mut m0, mut m1, dir) = socket_pair("duplex");
+        let big = positions(40_000);
         let big0 = big.clone();
+        // The thread hands its mesh back, so no link closes before both
+        // sides have received.
         let t = std::thread::spawn(move || {
-            let _ = d0;
-            let mut mesh = p0.connect(0, 2).unwrap();
-            mesh.send_peers(vec![None, Some(Msg::PeerPos { pos: big0.clone() })])
+            m0.send_peers(vec![None, Some(Msg::PeerPos { pos: big0.clone() })])
                 .unwrap();
-            let got = mesh.recv_peers().unwrap();
-            match &got[1] {
-                Some(Msg::PeerPos { pos }) => assert_eq!(pos.len(), big0.len()),
-                other => panic!("unexpected {other:?}"),
-            }
+            let got = m0.recv_peers().unwrap();
+            assert_eq!(got[1], Some(Msg::PeerPos { pos: big0 }));
+            m0
         });
-        let mut mesh1 = p1.connect(1, 2).unwrap();
-        mesh1
-            .send_peers(vec![Some(Msg::PeerPos { pos: big.clone() }), None])
+        m1.send_peers(vec![Some(Msg::PeerPos { pos: big.clone() }), None])
             .unwrap();
-        let got = mesh1.recv_peers().unwrap();
-        match &got[0] {
-            Some(Msg::PeerPos { pos }) => assert_eq!(pos, &big),
-            other => panic!("unexpected {other:?}"),
-        }
+        let got = m1.recv_peers().unwrap();
+        assert_eq!(got[0], Some(Msg::PeerPos { pos: big }));
+        t.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_socket_buffer_drains_while_its_peer_waits() {
+        // Rank 1's send is tiny and done at once; it then waits on the
+        // driver without reading (the barrier stands in for the
+        // `HaloSent` round). Rank 0's ~960 KB frame does not fit in the
+        // kernel buffer, so rank 0's send must return with the rest
+        // queued, and the receive round after the barrier must flush it.
+        let (mut m0, mut m1, dir) = socket_pair("stall");
+        let big = positions(40_000);
+        let barrier = Arc::new(Barrier::new(2));
+        let (b0, big0) = (Arc::clone(&barrier), big.clone());
+        let t = std::thread::spawn(move || {
+            let sent = m0.send_peers(vec![None, Some(Msg::PeerPos { pos: big0 })]);
+            b0.wait();
+            sent.unwrap();
+            let got = m0.recv_peers().unwrap();
+            assert_eq!(got[1], Some(Msg::PeerPos { pos: vec![] }));
+            m0
+        });
+        m1.send_peers(vec![Some(Msg::PeerPos { pos: vec![] }), None])
+            .unwrap();
+        barrier.wait();
+        let got = m1.recv_peers().unwrap();
+        assert_eq!(got[0], Some(Msg::PeerPos { pos: big }));
         t.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

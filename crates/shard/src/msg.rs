@@ -27,13 +27,12 @@
 //! mesh links; exactly one frame per directed pair per halo round, empty
 //! or not, so the rounds stay deterministic.
 //!
-//! Messages have two wire forms behind [`crate::codec::Codec`]: compact
-//! JSON (floats as hex bit patterns) and a tagged little-endian binary
-//! form (floats as raw `to_bits`). Both are bit-exact for every f64.
+//! Every message has one wire form: a tag byte plus little-endian fields,
+//! floats as raw `to_bits`, so it is bit-exact for every f64.
+//! [`crate::codec`] frames it.
 
-use crate::codec::{f64_to_hex, hex_to_f64, CodecError};
+use crate::codec::CodecError;
 use md_geometry::Vec3;
-use md_sim::metrics::JsonValue;
 
 /// One atom on the wire: its stable global id plus position and velocity.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,381 +154,11 @@ pub enum Msg {
     PeerFp { fp: Vec<f64> },
 }
 
-fn hx(x: f64) -> JsonValue {
-    JsonValue::Str(f64_to_hex(x))
-}
-
-fn vec3_json(v: Vec3) -> JsonValue {
-    JsonValue::Arr(vec![hx(v.x), hx(v.y), hx(v.z)])
-}
-
-fn atoms_json(atoms: &[ShardAtom]) -> JsonValue {
-    JsonValue::Arr(
-        atoms
-            .iter()
-            .map(|a| {
-                JsonValue::obj(vec![
-                    ("gid", JsonValue::num(a.gid as f64)),
-                    ("pos", vec3_json(a.pos)),
-                    ("vel", vec3_json(a.vel)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn vec3s_json(vs: &[Vec3]) -> JsonValue {
-    JsonValue::Arr(vs.iter().map(|&v| vec3_json(v)).collect())
-}
-
-fn f64s_json(xs: &[f64]) -> JsonValue {
-    JsonValue::Arr(xs.iter().map(|&x| hx(x)).collect())
-}
-
-fn export_json(e: &GhostExport) -> JsonValue {
-    JsonValue::obj(vec![
-        (
-            "gids",
-            JsonValue::Arr(e.gids.iter().map(|&g| JsonValue::num(g as f64)).collect()),
-        ),
-        ("pos", vec3s_json(&e.pos)),
-    ])
-}
-
-fn bad(what: &str) -> CodecError {
-    CodecError::BadField(what.to_string())
-}
-
-fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, CodecError> {
-    v.get(key)
-        .ok_or_else(|| bad(&format!("missing field '{key}'")))
-}
-
-fn get_f64(v: &JsonValue) -> Result<f64, CodecError> {
-    hex_to_f64(v.as_str().ok_or_else(|| bad("expected hex f64 string"))?)
-}
-
-fn get_u64(v: &JsonValue) -> Result<u64, CodecError> {
-    let n = v.as_f64().ok_or_else(|| bad("expected an integer"))?;
-    if n < 0.0 || n.fract() != 0.0 || n > 9.0e15 {
-        return Err(bad(&format!("expected a non-negative integer, got {n}")));
-    }
-    Ok(n as u64)
-}
-
-fn get_usize(v: &JsonValue) -> Result<usize, CodecError> {
-    Ok(get_u64(v)? as usize)
-}
-
-fn get_bool(v: &JsonValue) -> Result<bool, CodecError> {
-    match v {
-        JsonValue::Bool(b) => Ok(*b),
-        _ => Err(bad("expected a bool")),
-    }
-}
-
-fn get_str(v: &JsonValue) -> Result<String, CodecError> {
-    Ok(v.as_str().ok_or_else(|| bad("expected a string"))?.to_string())
-}
-
-fn get_vec3(v: &JsonValue) -> Result<Vec3, CodecError> {
-    let a = v.as_arr().ok_or_else(|| bad("expected a [x,y,z] array"))?;
-    if a.len() != 3 {
-        return Err(bad("vector must have three components"));
-    }
-    Ok(Vec3::new(get_f64(&a[0])?, get_f64(&a[1])?, get_f64(&a[2])?))
-}
-
-fn get_atoms(v: &JsonValue) -> Result<Vec<ShardAtom>, CodecError> {
-    v.as_arr()
-        .ok_or_else(|| bad("expected an atom array"))?
-        .iter()
-        .map(|a| {
-            Ok(ShardAtom {
-                gid: get_u64(field(a, "gid")?)?,
-                pos: get_vec3(field(a, "pos")?)?,
-                vel: get_vec3(field(a, "vel")?)?,
-            })
-        })
-        .collect()
-}
-
-fn get_vec3s(v: &JsonValue) -> Result<Vec<Vec3>, CodecError> {
-    v.as_arr()
-        .ok_or_else(|| bad("expected a vector array"))?
-        .iter()
-        .map(get_vec3)
-        .collect()
-}
-
-fn get_f64s(v: &JsonValue) -> Result<Vec<f64>, CodecError> {
-    v.as_arr()
-        .ok_or_else(|| bad("expected an f64 array"))?
-        .iter()
-        .map(get_f64)
-        .collect()
-}
-
-fn get_export(v: &JsonValue) -> Result<GhostExport, CodecError> {
-    let gids = field(v, "gids")?
-        .as_arr()
-        .ok_or_else(|| bad("expected a gid array"))?
-        .iter()
-        .map(get_u64)
-        .collect::<Result<Vec<_>, _>>()?;
-    let pos = get_vec3s(field(v, "pos")?)?;
-    if gids.len() != pos.len() {
-        return Err(bad("ghost export gid/pos length mismatch"));
-    }
-    Ok(GhostExport { gids, pos })
-}
-
-fn per_rank<T>(
-    v: &JsonValue,
-    one: impl Fn(&JsonValue) -> Result<T, CodecError>,
-) -> Result<Vec<T>, CodecError> {
-    v.as_arr()
-        .ok_or_else(|| bad("expected a per-rank array"))?
-        .iter()
-        .map(one)
-        .collect()
-}
-
-impl Msg {
-    /// Renders the message as its JSON wire form.
-    pub fn encode(&self) -> JsonValue {
-        let tag = |t: &str| ("t", JsonValue::str(t));
-        match self {
-            Msg::Init(s) => JsonValue::obj(vec![
-                tag("init"),
-                ("rank", JsonValue::num(s.rank as f64)),
-                ("n_ranks", JsonValue::num(s.n_ranks as f64)),
-                ("axis", JsonValue::num(s.axis as f64)),
-                (
-                    "box",
-                    JsonValue::Arr(s.box_lengths.iter().map(|&l| hx(l)).collect()),
-                ),
-                ("potential", JsonValue::str(&*s.potential)),
-                ("tabulated", JsonValue::Bool(s.tabulated)),
-                ("fused", JsonValue::Bool(s.fused)),
-                ("simd", JsonValue::Bool(s.simd)),
-                ("strategy", JsonValue::str(&*s.strategy)),
-                ("threads", JsonValue::num(s.threads as f64)),
-                ("skin", hx(s.skin)),
-                ("dt", hx(s.dt)),
-                ("mass", hx(s.mass)),
-                ("step", JsonValue::num(s.step as f64)),
-                ("atoms", atoms_json(&s.atoms)),
-            ]),
-            Msg::Ready { rank } => JsonValue::obj(vec![
-                tag("ready"),
-                ("rank", JsonValue::num(*rank as f64)),
-            ]),
-            Msg::PeerListen { dir } => {
-                JsonValue::obj(vec![tag("peer_listen"), ("dir", JsonValue::str(&**dir))])
-            }
-            Msg::PeerBound => JsonValue::obj(vec![tag("peer_bound")]),
-            Msg::PeerConnect => JsonValue::obj(vec![tag("peer_connect")]),
-            Msg::PeerReady => JsonValue::obj(vec![tag("peer_ready")]),
-            Msg::Begin => JsonValue::obj(vec![tag("begin")]),
-            Msg::DispOut { max_sq } => {
-                JsonValue::obj(vec![tag("disp"), ("max_sq", hx(*max_sq))])
-            }
-            Msg::Migrate => JsonValue::obj(vec![tag("migrate")]),
-            Msg::MigOut { to } => JsonValue::obj(vec![
-                tag("mig_out"),
-                (
-                    "to",
-                    JsonValue::Arr(to.iter().map(|a| atoms_json(a)).collect()),
-                ),
-            ]),
-            Msg::MigIn { atoms } => {
-                JsonValue::obj(vec![tag("mig_in"), ("atoms", atoms_json(atoms))])
-            }
-            Msg::HaloPos => JsonValue::obj(vec![tag("halo_pos")]),
-            Msg::HaloSent => JsonValue::obj(vec![tag("halo_sent")]),
-            Msg::HaloDensity => JsonValue::obj(vec![tag("halo_density")]),
-            Msg::DensityDone => JsonValue::obj(vec![tag("density_done")]),
-            Msg::HaloForce { kick } => {
-                JsonValue::obj(vec![tag("halo_force"), ("kick", JsonValue::Bool(*kick))])
-            }
-            Msg::StepDone { step } => JsonValue::obj(vec![
-                tag("step_done"),
-                ("step", JsonValue::num(*step as f64)),
-            ]),
-            Msg::Save { dir } => {
-                JsonValue::obj(vec![tag("save"), ("dir", JsonValue::str(&**dir))])
-            }
-            Msg::Saved { path } => {
-                JsonValue::obj(vec![tag("saved"), ("path", JsonValue::str(&**path))])
-            }
-            Msg::Gather => JsonValue::obj(vec![tag("gather")]),
-            Msg::State { atoms } => {
-                JsonValue::obj(vec![tag("state"), ("atoms", atoms_json(atoms))])
-            }
-            Msg::Stats => JsonValue::obj(vec![tag("stats")]),
-            Msg::StatsOut { phases } => JsonValue::obj(vec![
-                tag("stats_out"),
-                (
-                    "phases",
-                    JsonValue::Arr(
-                        phases
-                            .iter()
-                            .map(|p| {
-                                JsonValue::obj(vec![
-                                    ("name", JsonValue::str(&*p.name)),
-                                    ("seconds", hx(p.seconds)),
-                                    ("count", JsonValue::num(p.count as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Msg::Counters => JsonValue::obj(vec![tag("counters")]),
-            Msg::CountersOut { counters: c } => JsonValue::obj(vec![
-                tag("counters_out"),
-                ("ghost_sent", JsonValue::num(c.ghost_sent as f64)),
-                ("ghost_installed", JsonValue::num(c.ghost_installed as f64)),
-                ("bytes_sent", JsonValue::num(c.bytes_sent as f64)),
-                ("bytes_recv", JsonValue::num(c.bytes_recv as f64)),
-                ("wire_seconds", hx(c.wire_seconds)),
-            ]),
-            Msg::Shutdown => JsonValue::obj(vec![tag("shutdown")]),
-            Msg::PeerHello { rank } => JsonValue::obj(vec![
-                tag("peer_hello"),
-                ("rank", JsonValue::num(*rank as f64)),
-            ]),
-            Msg::PeerGhosts { export } => {
-                JsonValue::obj(vec![tag("peer_ghosts"), ("export", export_json(export))])
-            }
-            Msg::PeerPos { pos } => {
-                JsonValue::obj(vec![tag("peer_pos"), ("pos", vec3s_json(pos))])
-            }
-            Msg::PeerFp { fp } => {
-                JsonValue::obj(vec![tag("peer_fp"), ("fp", f64s_json(fp))])
-            }
-        }
-    }
-
-    /// Parses a message from its JSON wire form.
-    pub fn decode(v: &JsonValue) -> Result<Msg, CodecError> {
-        let tag = field(v, "t")?
-            .as_str()
-            .ok_or_else(|| bad("tag must be a string"))?;
-        match tag {
-            "init" => {
-                let boxv = field(v, "box")?
-                    .as_arr()
-                    .ok_or_else(|| bad("box must be an array"))?;
-                if boxv.len() != 3 {
-                    return Err(bad("box must have three lengths"));
-                }
-                Ok(Msg::Init(Box::new(InitSpec {
-                    rank: get_usize(field(v, "rank")?)?,
-                    n_ranks: get_usize(field(v, "n_ranks")?)?,
-                    axis: get_usize(field(v, "axis")?)?,
-                    box_lengths: [
-                        get_f64(&boxv[0])?,
-                        get_f64(&boxv[1])?,
-                        get_f64(&boxv[2])?,
-                    ],
-                    potential: get_str(field(v, "potential")?)?,
-                    tabulated: get_bool(field(v, "tabulated")?)?,
-                    fused: get_bool(field(v, "fused")?)?,
-                    simd: get_bool(field(v, "simd")?)?,
-                    strategy: get_str(field(v, "strategy")?)?,
-                    threads: get_usize(field(v, "threads")?)?,
-                    skin: get_f64(field(v, "skin")?)?,
-                    dt: get_f64(field(v, "dt")?)?,
-                    mass: get_f64(field(v, "mass")?)?,
-                    step: get_u64(field(v, "step")?)?,
-                    atoms: get_atoms(field(v, "atoms")?)?,
-                })))
-            }
-            "ready" => Ok(Msg::Ready {
-                rank: get_u64(field(v, "rank")?)?,
-            }),
-            "peer_listen" => Ok(Msg::PeerListen {
-                dir: get_str(field(v, "dir")?)?,
-            }),
-            "peer_bound" => Ok(Msg::PeerBound),
-            "peer_connect" => Ok(Msg::PeerConnect),
-            "peer_ready" => Ok(Msg::PeerReady),
-            "begin" => Ok(Msg::Begin),
-            "disp" => Ok(Msg::DispOut {
-                max_sq: get_f64(field(v, "max_sq")?)?,
-            }),
-            "migrate" => Ok(Msg::Migrate),
-            "mig_out" => Ok(Msg::MigOut {
-                to: per_rank(field(v, "to")?, get_atoms)?,
-            }),
-            "mig_in" => Ok(Msg::MigIn {
-                atoms: get_atoms(field(v, "atoms")?)?,
-            }),
-            "halo_pos" => Ok(Msg::HaloPos),
-            "halo_sent" => Ok(Msg::HaloSent),
-            "halo_density" => Ok(Msg::HaloDensity),
-            "density_done" => Ok(Msg::DensityDone),
-            "halo_force" => Ok(Msg::HaloForce {
-                kick: get_bool(field(v, "kick")?)?,
-            }),
-            "step_done" => Ok(Msg::StepDone {
-                step: get_u64(field(v, "step")?)?,
-            }),
-            "save" => Ok(Msg::Save {
-                dir: get_str(field(v, "dir")?)?,
-            }),
-            "saved" => Ok(Msg::Saved {
-                path: get_str(field(v, "path")?)?,
-            }),
-            "gather" => Ok(Msg::Gather),
-            "state" => Ok(Msg::State {
-                atoms: get_atoms(field(v, "atoms")?)?,
-            }),
-            "stats" => Ok(Msg::Stats),
-            "stats_out" => Ok(Msg::StatsOut {
-                phases: per_rank(field(v, "phases")?, |p| {
-                    Ok(PhaseStat {
-                        name: get_str(field(p, "name")?)?,
-                        seconds: get_f64(field(p, "seconds")?)?,
-                        count: get_u64(field(p, "count")?)?,
-                    })
-                })?,
-            }),
-            "counters" => Ok(Msg::Counters),
-            "counters_out" => Ok(Msg::CountersOut {
-                counters: HaloCounters {
-                    ghost_sent: get_u64(field(v, "ghost_sent")?)?,
-                    ghost_installed: get_u64(field(v, "ghost_installed")?)?,
-                    bytes_sent: get_u64(field(v, "bytes_sent")?)?,
-                    bytes_recv: get_u64(field(v, "bytes_recv")?)?,
-                    wire_seconds: get_f64(field(v, "wire_seconds")?)?,
-                },
-            }),
-            "shutdown" => Ok(Msg::Shutdown),
-            "peer_hello" => Ok(Msg::PeerHello {
-                rank: get_u64(field(v, "rank")?)?,
-            }),
-            "peer_ghosts" => Ok(Msg::PeerGhosts {
-                export: get_export(field(v, "export")?)?,
-            }),
-            "peer_pos" => Ok(Msg::PeerPos {
-                pos: get_vec3s(field(v, "pos")?)?,
-            }),
-            "peer_fp" => Ok(Msg::PeerFp {
-                fp: get_f64s(field(v, "fp")?)?,
-            }),
-            other => Err(bad(&format!("unknown message tag '{other}'"))),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Binary wire form: [u8 tag][fields], all integers and f64 bit patterns
+// Wire form: [u8 tag][fields], all integers and f64 bit patterns
 // little-endian, strings and vectors u32-length-prefixed. Decoding is a
 // cursor walk that must consume the payload exactly — trailing bytes are a
-// typed error, mirroring the JSON parser's trailing-character rejection.
+// typed error.
 // ---------------------------------------------------------------------------
 
 mod tag {
@@ -563,6 +192,10 @@ mod tag {
     pub const PEER_GHOSTS: u8 = 28;
     pub const PEER_POS: u8 = 29;
     pub const PEER_FP: u8 = 30;
+}
+
+fn bad(what: &str) -> CodecError {
+    CodecError::BadField(what.to_string())
 }
 
 fn put_u64(out: &mut Vec<u8>, x: u64) {
@@ -629,7 +262,7 @@ struct Cur<'a> {
 impl<'a> Cur<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.buf.len() - self.at < n {
-            return Err(bad("binary payload ends mid-field"));
+            return Err(bad("payload ends mid-field"));
         }
         let s = &self.buf[self.at..self.at + n];
         self.at += n;
@@ -718,8 +351,8 @@ impl<'a> Cur<'a> {
 }
 
 impl Msg {
-    /// Renders the message as its binary payload body (unframed).
-    pub fn encode_binary(&self) -> Vec<u8> {
+    /// Renders the message as its payload body (unframed).
+    pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
             Msg::Init(s) => {
@@ -835,9 +468,9 @@ impl Msg {
         out
     }
 
-    /// Parses a message from its binary payload body. The body must hold
-    /// exactly one message; leftover bytes are a [`CodecError::BadField`].
-    pub fn decode_binary(body: &[u8]) -> Result<Msg, CodecError> {
+    /// Parses a message from its payload body. The body must hold exactly
+    /// one message; leftover bytes are a [`CodecError::BadField`].
+    pub fn decode(body: &[u8]) -> Result<Msg, CodecError> {
         let mut c = Cur { buf: body, at: 0 };
         let msg = match c.u8()? {
             tag::INIT => {
@@ -927,11 +560,11 @@ impl Msg {
             tag::PEER_GHOSTS => Msg::PeerGhosts { export: c.export()? },
             tag::PEER_POS => Msg::PeerPos { pos: c.vec3s()? },
             tag::PEER_FP => Msg::PeerFp { fp: c.f64s()? },
-            other => return Err(bad(&format!("unknown binary message tag {other}"))),
+            other => return Err(bad(&format!("unknown message tag {other}"))),
         };
         if c.at != body.len() {
             return Err(bad(&format!(
-                "trailing bytes after binary message ({} of {} consumed)",
+                "trailing bytes after message ({} of {} consumed)",
                 c.at,
                 body.len()
             )));
@@ -943,7 +576,7 @@ impl Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::Codec;
+    use crate::codec;
 
     fn atom(gid: u64) -> ShardAtom {
         ShardAtom {
@@ -1028,78 +661,41 @@ mod tests {
     }
 
     #[test]
-    fn every_message_round_trips_through_both_codecs() {
+    fn every_message_round_trips() {
         for m in sample_msgs() {
-            for codec in [Codec::Json, Codec::Binary] {
-                let bytes = codec.encode(&m);
-                let (back, used) = codec.decode(&bytes).unwrap();
-                assert_eq!(used, bytes.len());
-                // NaN breaks PartialEq; compare the canonical binary wire
-                // forms, which carry exact bit patterns.
-                assert_eq!(
-                    back.encode_binary(),
-                    m.encode_binary(),
-                    "{codec:?} round trip failed for {m:?}"
-                );
-            }
+            let bytes = codec::encode(&m);
+            let (back, used) = codec::decode(&bytes).unwrap();
+            assert_eq!(used, bytes.len());
+            // NaN breaks PartialEq; compare the wire forms, which carry
+            // exact bit patterns.
+            assert_eq!(back.encode(), m.encode(), "round trip failed for {m:?}");
         }
     }
 
     #[test]
-    fn cross_codec_equivalence() {
-        // decode(encode_json(m)) ≡ decode(encode_binary(m)), field for
-        // field and bit for bit.
-        for m in sample_msgs() {
-            let via_json = Codec::Json.decode(&Codec::Json.encode(&m)).unwrap().0;
-            let via_bin = Codec::Binary.decode(&Codec::Binary.encode(&m)).unwrap().0;
-            assert_eq!(
-                via_json.encode_binary(),
-                via_bin.encode_binary(),
-                "codecs disagree on {m:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn binary_trailing_bytes_are_rejected() {
-        let mut body = Msg::Begin.encode_binary();
+    fn trailing_bytes_are_rejected() {
+        let mut body = Msg::Begin.encode();
         body.push(0);
-        assert!(matches!(
-            Msg::decode_binary(&body),
-            Err(CodecError::BadField(_))
-        ));
+        assert!(matches!(Msg::decode(&body), Err(CodecError::BadField(_))));
     }
 
     #[test]
-    fn binary_length_prefix_cannot_overrun() {
+    fn length_prefix_cannot_overrun() {
         // A PeerFp claiming 2^32-1 floats in a 20-byte payload must be a
         // typed error, not an allocation attempt.
         let mut body = vec![30u8]; // PEER_FP
         body.extend_from_slice(&u32::MAX.to_le_bytes());
         body.extend_from_slice(&[0u8; 15]);
-        assert!(matches!(
-            Msg::decode_binary(&body),
-            Err(CodecError::BadField(_))
-        ));
+        assert!(matches!(Msg::decode(&body), Err(CodecError::BadField(_))));
     }
 
     #[test]
     fn unknown_tags_and_missing_fields_are_typed_errors() {
-        let v = JsonValue::obj(vec![("t", JsonValue::str("warp"))]);
-        assert!(matches!(Msg::decode(&v), Err(CodecError::BadField(_))));
-        let v = JsonValue::obj(vec![("t", JsonValue::str("disp"))]);
-        assert!(matches!(Msg::decode(&v), Err(CodecError::BadField(_))));
-        assert!(matches!(
-            Msg::decode(&JsonValue::num(3.0)),
-            Err(CodecError::BadField(_))
-        ));
-        assert!(matches!(
-            Msg::decode_binary(&[200]),
-            Err(CodecError::BadField(_))
-        ));
-        assert!(matches!(
-            Msg::decode_binary(&[]),
-            Err(CodecError::BadField(_))
-        ));
+        for body in [&[200u8][..], &[], &[tag::DISP_OUT]] {
+            assert!(
+                matches!(Msg::decode(body), Err(CodecError::BadField(_))),
+                "{body:?}"
+            );
+        }
     }
 }

@@ -2,14 +2,13 @@
 //! sockets.
 //!
 //! The driver binds one listener per rank, spawns the worker with
-//! `--connect <socket> --rank <r> --codec <json|binary>`, and wraps the
-//! accepted stream in a [`SocketTransport`]. The control link only boots
-//! the worker and carries the step schedule; halo payloads flow over the
-//! peer mesh the workers wire among themselves during the boot rounds
-//! (rendezvous sockets share `sock_dir`). Because the driver sends a whole
-//! round of requests before collecting replies, the workers compute their
-//! phases concurrently — this backend is where sharding buys real
-//! parallelism.
+//! `--connect <socket> --rank <r>`, and wraps the accepted stream in a
+//! [`SocketTransport`]. The control link only boots the worker and
+//! carries the step schedule; halo payloads flow over the peer mesh the
+//! workers wire among themselves during the boot rounds (rendezvous
+//! sockets share `sock_dir`). Because the driver sends a whole round of
+//! requests before collecting replies, the workers compute their phases
+//! concurrently — this backend is where sharding buys real parallelism.
 //!
 //! A worker that dies (crash, `kill -9`) surfaces as
 //! [`ShardFault::TransportClosed`] on its link at the next send or
@@ -18,7 +17,7 @@
 //! fault. The driver can then resume the whole world from the last
 //! committed checkpoint generation via [`ProcessWorld::resume`].
 
-use crate::codec::{Codec, CodecError};
+use crate::codec::{self, Codec, CodecError};
 use crate::msg::Msg;
 use crate::world::{ShardWorld, Transport, WorldSpec};
 use crate::ShardFault;
@@ -33,7 +32,6 @@ use std::time::{Duration, Instant};
 /// A driver ↔ worker link over a Unix-domain socket.
 pub struct SocketTransport {
     rank: usize,
-    codec: Codec,
     stream: UnixStream,
 }
 
@@ -49,13 +47,9 @@ fn is_closed(kind: ErrorKind) -> bool {
 }
 
 impl SocketTransport {
-    /// Wraps an accepted stream for `rank`, speaking `codec`.
-    pub fn new(rank: usize, codec: Codec, stream: UnixStream) -> SocketTransport {
-        SocketTransport {
-            rank,
-            codec,
-            stream,
-        }
+    /// Wraps an accepted stream for `rank`.
+    pub fn new(rank: usize, stream: UnixStream) -> SocketTransport {
+        SocketTransport { rank, stream }
     }
 
     fn fault(&self, error: CodecError) -> ShardFault {
@@ -78,16 +72,11 @@ impl SocketTransport {
 
 impl Transport for SocketTransport {
     fn send(&mut self, msg: &Msg) -> Result<(), ShardFault> {
-        self.codec
-            .write_msg(&mut self.stream, msg)
-            .map(|_| ())
-            .map_err(|e| self.fault(e))
+        codec::write_msg(&mut self.stream, msg).map_err(|e| self.fault(e))
     }
 
     fn recv(&mut self) -> Result<Msg, ShardFault> {
-        self.codec
-            .read_msg(&mut self.stream)
-            .map_err(|e| self.fault(e))
+        codec::read_msg(&mut self.stream).map_err(|e| self.fault(e))
     }
 }
 
@@ -105,13 +94,12 @@ fn spawn_workers(
     worker: &Path,
     shards: usize,
     sock_dir: &Path,
-    codec: Codec,
 ) -> Result<SpawnedWorkers, ShardFault> {
     std::fs::create_dir_all(sock_dir).map_err(|error| ShardFault::Io { rank: 0, error })?;
     let mut links: Vec<Box<dyn Transport>> = Vec::with_capacity(shards);
     let mut children = Vec::with_capacity(shards);
     for rank in 0..shards {
-        match spawn_one(worker, rank, sock_dir, codec) {
+        match spawn_one(worker, rank, sock_dir) {
             Ok((link, child)) => {
                 links.push(Box::new(link));
                 children.push(child);
@@ -132,7 +120,6 @@ fn spawn_one(
     worker: &Path,
     rank: usize,
     sock_dir: &Path,
-    codec: Codec,
 ) -> Result<(SocketTransport, Child), ShardFault> {
     let sock = sock_dir.join(format!("shard-{rank}.sock"));
     let _ = std::fs::remove_file(&sock);
@@ -144,8 +131,6 @@ fn spawn_one(
         .arg(&sock)
         .arg("--rank")
         .arg(rank.to_string())
-        .arg("--codec")
-        .arg(codec.name())
         .stdin(Stdio::null())
         .spawn()
         .map_err(|e| ShardFault::WorkerExit {
@@ -158,7 +143,7 @@ fn spawn_one(
             Ok((stream, _)) => {
                 stream.set_nonblocking(false).map_err(io_fault)?;
                 let _ = std::fs::remove_file(&sock);
-                return Ok((SocketTransport::new(rank, codec, stream), child));
+                return Ok((SocketTransport::new(rank, stream), child));
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 if let Ok(Some(status)) = child.try_wait() {
@@ -186,16 +171,17 @@ impl ProcessWorld {
     /// Spawns `shards` workers (the `mdshard-worker` binary at `worker`)
     /// and partitions `system` across them. `sock_dir` holds the
     /// rendezvous sockets — both the driver ↔ worker boot sockets and the
-    /// peer-mesh rendezvous endpoints.
+    /// peer-mesh rendezvous endpoints. The [`Codec`] selects nothing:
+    /// binary frames are the only wire form.
     pub fn spawn(
         system: &System,
         spec: &WorldSpec,
         shards: usize,
         worker: &Path,
         sock_dir: &Path,
-        codec: Codec,
+        _codec: Codec,
     ) -> Result<ProcessWorld, ShardFault> {
-        let (links, children) = spawn_workers(worker, shards, sock_dir, codec)?;
+        let (links, children) = spawn_workers(worker, shards, sock_dir)?;
         match ShardWorld::with_transports(system, spec, links, &sock_dir.to_string_lossy()) {
             Ok(world) => Ok(ProcessWorld { world, children }),
             Err(fault) => {
@@ -214,9 +200,8 @@ impl ProcessWorld {
         shards: usize,
         worker: &Path,
         sock_dir: &Path,
-        codec: Codec,
     ) -> Result<ProcessWorld, ShardFault> {
-        let (links, children) = spawn_workers(worker, shards, sock_dir, codec)?;
+        let (links, children) = spawn_workers(worker, shards, sock_dir)?;
         match ShardWorld::resume_with_transports(
             ckpt_dir,
             sim_box,

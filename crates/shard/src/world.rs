@@ -11,7 +11,7 @@
 //! schedule (see [`crate::msg`]); the control rounds double as the phase
 //! barrier the mesh relies on.
 
-use crate::codec::Codec;
+use crate::codec;
 use crate::core::{phase_by_name, ShardCore};
 use crate::layout::ShardLayout;
 use crate::mesh::{channel_mesh_set, ChannelMesh, ChannelMeshProvider};
@@ -36,23 +36,20 @@ pub trait Transport {
 
 /// The virtual-rank backend: the shard lives inside the driver process and
 /// requests are processed inline — but every control message still passes
-/// through the selected [`Codec`] (and peer traffic through a
-/// [`ChannelMesh`] carrying codec frames), so the conformance battery
-/// exercises the exact bytes the process backend puts on a socket.
+/// through the wire [`codec`] (and peer traffic through a [`ChannelMesh`]
+/// carrying frames), so the conformance battery exercises the exact bytes
+/// the process backend puts on a socket.
 pub struct MemTransport {
     rank: usize,
-    codec: Codec,
     core: ShardCore,
     replies: VecDeque<Vec<u8>>,
 }
 
 impl MemTransport {
-    /// A fresh in-process shard at `rank`, speaking `codec` and exchanging
-    /// halos over `mesh`.
-    pub fn new(rank: usize, codec: Codec, mesh: ChannelMesh) -> MemTransport {
+    /// A fresh in-process shard at `rank`, exchanging halos over `mesh`.
+    pub fn new(rank: usize, mesh: ChannelMesh) -> MemTransport {
         MemTransport {
             rank,
-            codec,
             core: ShardCore::new(Box::new(ChannelMeshProvider::new(mesh))),
             replies: VecDeque::new(),
         }
@@ -61,14 +58,14 @@ impl MemTransport {
 
 impl Transport for MemTransport {
     fn send(&mut self, msg: &Msg) -> Result<(), ShardFault> {
-        let frame = self.codec.encode(msg);
-        let (request, _) = self.codec.decode(&frame).map_err(|error| ShardFault::Codec {
+        let frame = codec::encode(msg);
+        let (request, _) = codec::decode(&frame).map_err(|error| ShardFault::Codec {
             rank: self.rank,
             error,
         })?;
         match self.core.handle(request) {
             Ok(Some(reply)) => {
-                self.replies.push_back(self.codec.encode(&reply));
+                self.replies.push_back(codec::encode(&reply));
                 Ok(())
             }
             Ok(None) => Ok(()),
@@ -84,7 +81,7 @@ impl Transport for MemTransport {
             rank: self.rank,
             detail: "no pending reply".to_string(),
         })?;
-        let (msg, _) = self.codec.decode(&frame).map_err(|error| ShardFault::Codec {
+        let (msg, _) = codec::decode(&frame).map_err(|error| ShardFault::Codec {
             rank: self.rank,
             error,
         })?;
@@ -167,12 +164,11 @@ impl ShardWorld {
         system: &System,
         spec: &WorldSpec,
         shards: usize,
-        codec: Codec,
     ) -> Result<ShardWorld, ShardFault> {
-        let links = channel_mesh_set(shards, codec)
+        let links = channel_mesh_set(shards)
             .into_iter()
             .enumerate()
-            .map(|(r, mesh)| Box::new(MemTransport::new(r, codec, mesh)) as Box<dyn Transport>)
+            .map(|(r, mesh)| Box::new(MemTransport::new(r, mesh)) as Box<dyn Transport>)
             .collect();
         ShardWorld::with_transports(system, spec, links, "")
     }
@@ -614,12 +610,11 @@ impl ShardWorld {
     }
 
     /// The run report's `shards` section for this world.
-    pub fn shards_info(&mut self, backend: &str, codec: Codec) -> Result<ShardsInfo, ShardFault> {
+    pub fn shards_info(&mut self, backend: &str) -> Result<ShardsInfo, ShardFault> {
         let stats = self.stats()?;
         Ok(ShardsInfo {
             count: self.shards(),
             backend: backend.to_string(),
-            codec: codec.name().to_string(),
             ghost_sent: stats.ghost_sent,
             ghost_installed: stats.ghost_installed,
             migrated: stats.migrated,

@@ -1,23 +1,15 @@
-//! Property fuzz of the shard wire codecs — the same battery runs against
-//! both the hex-f64 JSON codec and the binary codec: every f64 bit pattern
-//! must round-trip exactly, the two codecs must decode to the very same
-//! message, and torn / truncated / corrupted / oversized frames must come
-//! back as typed [`CodecError`]s — never a panic, never a silently wrong
-//! message. Case `k` of a test draws its inputs from `Rng::new(k)` and names
-//! `k` in every failure message.
+//! Property fuzz of the shard wire codec: every f64 bit pattern must
+//! round-trip exactly, and torn / truncated / corrupted / oversized frames
+//! must come back as typed [`CodecError`]s — never a panic, never a
+//! silently wrong message. Case `k` of a test draws its inputs from
+//! `Rng::new(k)` and names `k` in every failure message.
 
 use md_base::rng::Rng;
 use md_geometry::Vec3;
-use md_shard::codec::{f64_to_hex, hex_to_f64, Codec, CodecError, MAX_FRAME};
+use md_shard::codec::{self, CodecError, MAX_FRAME};
 use md_shard::{GhostExport, Msg, ShardAtom};
 
 const CASES: u64 = 192;
-
-/// Highest gid the wire carries as a plain JSON number (the decoder
-/// rejects anything above 9.0e15 as not exactly representable).
-const MAX_GID: u64 = 9_000_000_000_000_000;
-
-const CODECS: [Codec; 2] = [Codec::Json, Codec::Binary];
 
 /// Three arbitrary f64 bit patterns (NaNs and infinities included).
 fn random_vec3(rng: &mut Rng) -> Vec3 {
@@ -29,7 +21,7 @@ fn random_vec3(rng: &mut Rng) -> Vec3 {
 fn random_atoms(rng: &mut Rng, max_len: u64) -> Vec<ShardAtom> {
     (0..rng.below(max_len))
         .map(|_| ShardAtom {
-            gid: rng.below(MAX_GID),
+            gid: rng.next_u64(),
             pos: random_vec3(rng),
             vel: random_vec3(rng),
         })
@@ -38,74 +30,49 @@ fn random_atoms(rng: &mut Rng, max_len: u64) -> Vec<ShardAtom> {
 
 /// Fewer than `max_len` arbitrary f64 bit patterns.
 fn random_f64s(rng: &mut Rng, max_len: u64) -> Vec<f64> {
-    (0..rng.below(max_len)).map(|_| f64::from_bits(rng.next_u64())).collect()
+    (0..rng.below(max_len))
+        .map(|_| f64::from_bits(rng.next_u64()))
+        .collect()
 }
 
 /// Between `min_len` and `max_len - 1` bytes, each uniform on `lo..=hi`.
 fn random_bytes(rng: &mut Rng, min_len: u64, max_len: u64, lo: u8, hi: u8) -> Vec<u8> {
     let len = min_len + rng.below(max_len - min_len);
-    (0..len).map(|_| lo + rng.below(u64::from(hi - lo) + 1) as u8).collect()
-}
-
-/// The canonical comparison: NaN breaks `PartialEq`, so messages are
-/// compared through their canonical binary encoding, which preserves every
-/// bit pattern.
-fn wire_bytes(msg: &Msg) -> Vec<u8> {
-    msg.encode_binary()
+    (0..len)
+        .map(|_| lo + rng.below(u64::from(hi - lo) + 1) as u8)
+        .collect()
 }
 
 #[test]
-fn every_f64_bit_pattern_survives_the_hex_trip() {
+fn atom_payloads_round_trip_bit_exactly() {
     for case in 0..CASES {
-        let bits = Rng::new(case).next_u64();
-        let back = hex_to_f64(&f64_to_hex(f64::from_bits(bits))).unwrap();
-        assert_eq!(back.to_bits(), bits, "case {case}");
+        let msg = Msg::MigIn {
+            atoms: random_atoms(&mut Rng::new(case), 8),
+        };
+        let frame = codec::encode(&msg);
+        let (back, used) = codec::decode(&frame).unwrap();
+        assert_eq!(used, frame.len(), "case {case}: consumed");
+        // NaN breaks `PartialEq`; the wire form preserves every bit.
+        assert_eq!(back.encode(), msg.encode(), "case {case}: bytes");
     }
 }
 
 #[test]
-fn atom_payloads_round_trip_bit_exactly_in_both_codecs() {
-    for case in 0..CASES {
-        let msg = Msg::MigIn { atoms: random_atoms(&mut Rng::new(case), 8) };
-        for codec in CODECS {
-            let frame = codec.encode(&msg);
-            let (back, used) = codec.decode(&frame).unwrap();
-            assert_eq!(used, frame.len(), "case {case}: {} consumed", codec.name());
-            assert_eq!(wire_bytes(&back), wire_bytes(&msg), "case {case}: {} bytes", codec.name());
-        }
-    }
-}
-
-#[test]
-fn ghost_and_fp_payloads_round_trip_bit_exactly_in_both_codecs() {
+fn ghost_and_fp_payloads_round_trip_bit_exactly() {
     for case in 0..CASES {
         let mut rng = Rng::new(case);
         let n = rng.below(6) as usize;
-        let gids: Vec<u64> = (0..n).map(|_| rng.below(MAX_GID)).collect();
+        let gids: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
         let pos: Vec<Vec3> = (0..n).map(|_| random_vec3(&mut rng)).collect();
-        let ghosts = Msg::PeerGhosts { export: GhostExport { gids, pos } };
-        let fp = Msg::PeerFp { fp: random_f64s(&mut rng, 6) };
+        let ghosts = Msg::PeerGhosts {
+            export: GhostExport { gids, pos },
+        };
+        let fp = Msg::PeerFp {
+            fp: random_f64s(&mut rng, 6),
+        };
         for msg in [ghosts, fp] {
-            for codec in CODECS {
-                let frame = codec.encode(&msg);
-                let (back, _) = codec.decode(&frame).unwrap();
-                assert_eq!(wire_bytes(&back), wire_bytes(&msg), "case {case}: {}", codec.name());
-            }
-        }
-    }
-}
-
-#[test]
-fn both_codecs_decode_to_the_same_message() {
-    for case in 0..CASES {
-        let mut rng = Rng::new(case);
-        let atoms = random_atoms(&mut rng, 8);
-        let fp = random_f64s(&mut rng, 6);
-        let kick = rng.below(2) == 1;
-        for msg in [Msg::MigIn { atoms }, Msg::PeerFp { fp }, Msg::HaloForce { kick }] {
-            let (via_json, _) = Codec::Json.decode(&Codec::Json.encode(&msg)).unwrap();
-            let (via_bin, _) = Codec::Binary.decode(&Codec::Binary.encode(&msg)).unwrap();
-            assert_eq!(wire_bytes(&via_json), wire_bytes(&via_bin), "case {case}");
+            let (back, _) = codec::decode(&codec::encode(&msg)).unwrap();
+            assert_eq!(back.encode(), msg.encode(), "case {case}");
         }
     }
 }
@@ -114,25 +81,22 @@ fn both_codecs_decode_to_the_same_message() {
 fn torn_frames_are_truncated_errors_at_every_cut() {
     for case in 0..CASES {
         let mut rng = Rng::new(case);
-        let msg = Msg::MigIn { atoms: random_atoms(&mut rng, 4) };
-        let cut_seed = rng.next_u64();
-        for codec in CODECS {
-            let frame = codec.encode(&msg);
-            let cut = (cut_seed % frame.len() as u64) as usize;
-            assert!(
-                matches!(codec.decode(&frame[..cut]), Err(CodecError::Truncated)),
-                "case {case}: {} buffer cut at {cut}",
-                codec.name()
-            );
-            // The stream reader reports the same condition.
-            let mut stream = std::io::Cursor::new(frame[..cut].to_vec());
-            let got = codec.read_msg(&mut stream);
-            assert!(
-                matches!(got, Err(CodecError::Truncated) | Err(CodecError::Io(_))),
-                "case {case}: {} stream cut at {cut}",
-                codec.name()
-            );
-        }
+        let msg = Msg::MigIn {
+            atoms: random_atoms(&mut rng, 4),
+        };
+        let frame = codec::encode(&msg);
+        let cut = (rng.next_u64() % frame.len() as u64) as usize;
+        assert!(
+            matches!(codec::decode(&frame[..cut]), Err(CodecError::Truncated)),
+            "case {case}: buffer cut at {cut}"
+        );
+        // The stream reader reports the same condition.
+        let mut stream = std::io::Cursor::new(frame[..cut].to_vec());
+        let got = codec::read_msg(&mut stream);
+        assert!(
+            matches!(got, Err(CodecError::Truncated) | Err(CodecError::Io(_))),
+            "case {case}: stream cut at {cut}"
+        );
     }
 }
 
@@ -140,32 +104,26 @@ fn torn_frames_are_truncated_errors_at_every_cut() {
 fn corrupted_frames_never_yield_a_different_message() {
     for case in 0..CASES {
         let mut rng = Rng::new(case);
-        let msg = Msg::MigIn { atoms: random_atoms(&mut rng, 4) };
-        let idx_seed = rng.next_u64();
-        let bit = rng.below(8);
-        for codec in CODECS {
-            let mut frame = codec.encode(&msg);
-            let idx = (idx_seed % frame.len() as u64) as usize;
-            frame[idx] ^= 1 << bit;
-            match codec.decode(&frame) {
-                // Typed rejection is the expected outcome for any
-                // single-bit corruption (checksum, framing or length
-                // damage).
-                Err(
-                    CodecError::Truncated
-                    | CodecError::Oversize(_)
-                    | CodecError::BadChecksum { .. }
-                    | CodecError::BadJson(_)
-                    | CodecError::BadField(_)
-                    | CodecError::Io(_),
-                ) => {}
-                // Acceptance is sound only if the bytes decode to the
-                // very same message (theoretically unreachable for a bit
-                // flip inside the checksummed region).
-                Ok((back, _)) => {
-                    assert_eq!(wire_bytes(&back), wire_bytes(&msg), "case {case}: {}", codec.name());
-                }
-            }
+        let msg = Msg::MigIn {
+            atoms: random_atoms(&mut rng, 4),
+        };
+        let mut frame = codec::encode(&msg);
+        let idx = (rng.next_u64() % frame.len() as u64) as usize;
+        frame[idx] ^= 1 << rng.below(8);
+        match codec::decode(&frame) {
+            // Typed rejection is the expected outcome for any single-bit
+            // corruption (checksum, framing or length damage).
+            Err(
+                CodecError::Truncated
+                | CodecError::Oversize(_)
+                | CodecError::BadChecksum { .. }
+                | CodecError::BadField(_)
+                | CodecError::Io(_),
+            ) => {}
+            // Acceptance is sound only if the bytes decode to the very
+            // same message (theoretically unreachable for a bit flip
+            // inside the checksummed region).
+            Ok((back, _)) => assert_eq!(back.encode(), msg.encode(), "case {case}"),
         }
     }
 }
@@ -176,25 +134,19 @@ fn trailing_garbage_after_the_payload_is_rejected() {
         let mut rng = Rng::new(case);
         // Splice garbage between the payload and the checksum, fixing up
         // the length prefix and checksum so only payload-level validation
-        // can catch it. Both codecs must reject with a typed error: JSON
-        // parsing stops at the document end, binary decoding demands exact
-        // consumption.
-        let msg = Msg::PeerFp { fp: random_f64s(&mut rng, 4) };
+        // can catch it: decoding demands exact consumption.
+        let msg = Msg::PeerFp {
+            fp: random_f64s(&mut rng, 4),
+        };
         let junk = random_bytes(&mut rng, 1, 8, 33, 126);
-        for codec in CODECS {
-            let frame = codec.encode(&msg);
-            let mut spliced = frame[4..frame.len() - 8].to_vec();
-            spliced.extend_from_slice(&junk);
-            let reframed = md_shard::codec::frame(spliced);
-            assert!(
-                matches!(
-                    codec.decode(&reframed),
-                    Err(CodecError::BadJson(_) | CodecError::BadField(_))
-                ),
-                "case {case}: {} accepted trailing garbage",
-                codec.name()
-            );
-        }
+        let frame = codec::encode(&msg);
+        let mut spliced = frame[4..frame.len() - 8].to_vec();
+        spliced.extend_from_slice(&junk);
+        let reframed = codec::frame(spliced);
+        assert!(
+            matches!(codec::decode(&reframed), Err(CodecError::BadField(_))),
+            "case {case}: accepted trailing garbage"
+        );
     }
 }
 
@@ -205,19 +157,15 @@ fn oversized_length_prefixes_are_rejected_without_allocating() {
         let excess = 1 + rng.below(1024) as u32;
         let mut frame = (MAX_FRAME + excess).to_le_bytes().to_vec();
         frame.extend(random_bytes(&mut rng, 0, 16, 0, 255));
-        for codec in CODECS {
-            assert!(
-                matches!(codec.decode(&frame), Err(CodecError::Oversize(_))),
-                "case {case}: {} buffer",
-                codec.name()
-            );
-            let mut stream = std::io::Cursor::new(frame.clone());
-            assert!(
-                matches!(codec.read_msg(&mut stream), Err(CodecError::Oversize(_))),
-                "case {case}: {} stream",
-                codec.name()
-            );
-        }
+        assert!(
+            matches!(codec::decode(&frame), Err(CodecError::Oversize(_))),
+            "case {case}: buffer"
+        );
+        let mut stream = std::io::Cursor::new(frame);
+        assert!(
+            matches!(codec::read_msg(&mut stream), Err(CodecError::Oversize(_))),
+            "case {case}: stream"
+        );
     }
 }
 
@@ -227,33 +175,37 @@ fn garbage_byte_soup_never_panics() {
         // Any outcome is fine; the property is the absence of a panic and
         // of unbounded allocation.
         let bytes = random_bytes(&mut Rng::new(case), 0, 64, 0, 255);
-        for codec in CODECS {
-            let _ = codec.decode(&bytes);
-            let mut stream = std::io::Cursor::new(bytes.clone());
-            let _ = codec.read_msg(&mut stream);
-        }
+        let _ = codec::decode(&bytes);
+        let _ = Msg::decode(&bytes);
+        let _ = codec::read_msg(&mut std::io::Cursor::new(bytes));
     }
 }
 
 #[test]
 fn unknown_tags_and_missing_fields_are_bad_field_errors() {
-    use md_sim::metrics::JsonValue;
+    // The tag byte of every message that carries fields.
+    let tagged = [
+        Msg::MigIn { atoms: vec![] },
+        Msg::DispOut { max_sq: 0.0 },
+        Msg::PeerPos { pos: vec![] },
+        Msg::PeerFp { fp: vec![] },
+    ]
+    .map(|m| m.encode()[0]);
     for case in 0..CASES {
-        // An "x"-prefixed lowercase tag collides with no real message tag.
-        let tag_bytes = random_bytes(&mut Rng::new(case), 1, 8, b'a', b'z');
-        let tag = format!("x{}", String::from_utf8(tag_bytes).unwrap());
-        let unknown = JsonValue::obj(vec![("t", JsonValue::str(&tag))]);
-        assert!(
-            matches!(Msg::decode(&unknown), Err(CodecError::BadField(_))),
-            "case {case}: tag {tag}"
-        );
+        let mut rng = Rng::new(case);
+        // Tags run 1..=30; 0 and everything above are unknown.
+        let unknown = [0u8, 31 + rng.below(225) as u8];
+        for tag in unknown {
+            assert!(
+                matches!(Msg::decode(&[tag]), Err(CodecError::BadField(_))),
+                "case {case}: tag {tag}"
+            );
+        }
         // A real tag with its required fields missing is also typed.
-        let hollow = JsonValue::obj(vec![("t", JsonValue::str("peer_fp"))]);
-        assert!(matches!(Msg::decode(&hollow), Err(CodecError::BadField(_))), "case {case}");
-        // Binary: an out-of-range tag byte is typed, not a panic.
+        let tag = tagged[rng.below(tagged.len() as u64) as usize];
         assert!(
-            matches!(Msg::decode_binary(&[0xC8]), Err(CodecError::BadField(_))),
-            "case {case}"
+            matches!(Msg::decode(&[tag]), Err(CodecError::BadField(_))),
+            "case {case}: hollow tag {tag}"
         );
     }
 }

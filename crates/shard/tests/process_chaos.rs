@@ -66,9 +66,9 @@ fn spec() -> WorldSpec {
     }
 }
 
-fn spawn(start: &System, label: &str, codec: Codec) -> (ProcessWorld, PathBuf) {
+fn spawn(start: &System, label: &str) -> (ProcessWorld, PathBuf) {
     let socks = scratch(label);
-    let world = ProcessWorld::spawn(start, &spec(), SHARDS, worker_path(), &socks, codec)
+    let world = ProcessWorld::spawn(start, &spec(), SHARDS, worker_path(), &socks, Codec::Binary)
         .expect("spawn workers");
     (world, socks)
 }
@@ -98,21 +98,12 @@ fn assert_bitwise(a: &[Vec3], b: &[Vec3], what: &str) {
 
 #[test]
 fn killed_worker_faults_and_checkpoint_resumes_at_the_exact_step() {
-    for codec in [Codec::Json, Codec::Binary] {
-        chaos_round_trip(codec);
-    }
-}
-
-/// One full kill / fault / resume cycle over the peer mesh with the given
-/// control+halo codec.
-fn chaos_round_trip(codec: Codec) {
-    let tag = codec.name();
     let start = start_system();
     let sim_box = *start.sim_box();
-    let ckpt = scratch(&format!("ckpt-{tag}"));
+    let ckpt = scratch("ckpt");
 
     // Uninterrupted reference over the process backend.
-    let (mut clean, clean_socks) = spawn(&start, &format!("clean-{tag}"), codec);
+    let (mut clean, clean_socks) = spawn(&start, "clean");
     clean.refresh_forces().expect("clean refresh");
     clean.run(10).expect("clean run");
     let (clean_pos, clean_vel) = clean.gather().expect("clean gather");
@@ -121,7 +112,7 @@ fn chaos_round_trip(codec: Codec) {
 
     // Chaos run: checkpoint at step 5, advance past it, then SIGKILL a
     // worker. The next step must surface a typed fault on that rank.
-    let (mut chaos, chaos_socks) = spawn(&start, &format!("chaos-{tag}"), codec);
+    let (mut chaos, chaos_socks) = spawn(&start, "chaos");
     chaos.refresh_forces().expect("chaos refresh");
     chaos.run(5).expect("chaos run to checkpoint");
     chaos.save_checkpoint(&ckpt).expect("checkpoint");
@@ -139,9 +130,14 @@ fn chaos_round_trip(codec: Codec) {
     let _ = std::fs::remove_dir_all(&chaos_socks);
 
     // Resume from the committed generation: fresh workers, exact step.
-    let resume_socks = scratch(&format!("resume-{tag}"));
+    let resume_socks = scratch("resume");
     let mut resumed = ProcessWorld::resume(
-        &ckpt, sim_box, &spec(), SHARDS, worker_path(), &resume_socks, codec,
+        &ckpt,
+        sim_box,
+        &spec(),
+        SHARDS,
+        worker_path(),
+        &resume_socks,
     )
     .expect("resume");
     assert_eq!(resumed.step_count(), 5, "resume step");
@@ -157,11 +153,10 @@ fn chaos_round_trip(codec: Codec) {
 
     // Determinism of the recovery path itself: a second resume from the
     // same generation replays the first bit for bit.
-    let again_socks = scratch(&format!("again-{tag}"));
-    let mut again = ProcessWorld::resume(
-        &ckpt, sim_box, &spec(), SHARDS, worker_path(), &again_socks, codec,
-    )
-    .expect("second resume");
+    let again_socks = scratch("again");
+    let mut again =
+        ProcessWorld::resume(&ckpt, sim_box, &spec(), SHARDS, worker_path(), &again_socks)
+            .expect("second resume");
     again.refresh_forces().expect("second resumed refresh");
     again.run(5).expect("second resumed run");
     let (again_pos, again_vel) = again.gather().expect("second gather");

@@ -7,10 +7,10 @@
 //!
 //! Two on-disk guarantees make checkpoints crash-safe:
 //!
-//! * **integrity** — the current format (v2) ends with a `checksum` footer
+//! * **integrity** — the format (v2) ends with a `checksum` footer
 //!   (FNV-1a 64 over every preceding byte), so truncation and bit-flips are
 //!   detected at load instead of silently restarting from garbage. v1 files
-//!   (no footer) are still read.
+//!   (no footer) are refused as unsupported.
 //! * **atomicity** — [`save_checkpoint`] writes to a temporary sibling file
 //!   and renames it over the target only after a successful flush + fsync,
 //!   so a crash mid-write never clobbers the previous good checkpoint.
@@ -24,7 +24,7 @@ const MAGIC: &str = "sdc-md-checkpoint";
 /// Current checkpoint format version (written by [`write_checkpoint`]).
 pub const VERSION: u32 = 2;
 /// Oldest readable version.
-pub const MIN_VERSION: u32 = 1;
+pub const MIN_VERSION: u32 = 2;
 
 /// Checkpoint read errors.
 #[derive(Debug)]
@@ -200,9 +200,8 @@ pub fn save_checkpoint(
     atomic_write(path, |f| write_checkpoint(f, system, step))
 }
 
-/// Reads a checkpoint (v1 or v2), returning the restored system and its
-/// step counter. For v2, the checksum footer is verified before any field
-/// is trusted.
+/// Reads a checkpoint, returning the restored system and its step
+/// counter. The checksum footer is verified before any field is trusted.
 pub fn read_checkpoint(mut source: impl Read) -> Result<(System, usize), CheckpointError> {
     let mut raw = Vec::new();
     source.read_to_end(&mut raw)?;
@@ -234,38 +233,32 @@ pub fn read_checkpoint(mut source: impl Read) -> Result<(System, usize), Checkpo
         });
     }
 
-    // v2: split off and verify the checksum footer before parsing anything.
-    let body: &[u8] = if version >= 2 {
-        let trimmed_len = raw.iter().rposition(|&b| b != b'\n').map_or(0, |i| i + 1);
-        let footer_start = raw[..trimmed_len]
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        let footer = String::from_utf8_lossy(&raw[footer_start..trimmed_len]);
-        let stored = footer
-            .strip_prefix("checksum ")
-            .and_then(|h| u64::from_str_radix(h.trim(), 16).ok())
-            .ok_or_else(|| {
-                CheckpointError::Malformed(format!(
-                    "missing or malformed checksum footer (last line: '{footer}')"
-                ))
-            })?;
-        let body = &raw[..footer_start];
-        let computed = fnv1a64(body);
-        if stored != computed {
-            return Err(CheckpointError::ChecksumMismatch { stored, computed });
-        }
-        body
-    } else {
-        &raw
-    };
-
-    parse_body(body, version)
+    // Split off and verify the checksum footer before parsing anything.
+    let trimmed_len = raw.iter().rposition(|&b| b != b'\n').map_or(0, |i| i + 1);
+    let footer_start = raw[..trimmed_len]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map(|i| i + 1)
+        .unwrap_or(0);
+    let footer = String::from_utf8_lossy(&raw[footer_start..trimmed_len]);
+    let stored = footer
+        .strip_prefix("checksum ")
+        .and_then(|h| u64::from_str_radix(h.trim(), 16).ok())
+        .ok_or_else(|| {
+            CheckpointError::Malformed(format!(
+                "missing or malformed checksum footer (last line: '{footer}')"
+            ))
+        })?;
+    let body = &raw[..footer_start];
+    let computed = fnv1a64(body);
+    if stored != computed {
+        return Err(CheckpointError::ChecksumMismatch { stored, computed });
+    }
+    parse_body(body)
 }
 
 /// Parses the (already integrity-checked) checkpoint body.
-fn parse_body(body: &[u8], _version: u32) -> Result<(System, usize), CheckpointError> {
+fn parse_body(body: &[u8]) -> Result<(System, usize), CheckpointError> {
     let mut lines = BufReader::new(body).lines();
     let mut next = || -> Result<String, CheckpointError> {
         lines
@@ -353,12 +346,10 @@ mod tests {
         buf
     }
 
-    /// The same state as a legacy v1 file: v2 body with the old header and
-    /// no checksum footer (byte-identical to what the v1 writer produced).
-    fn v1_bytes(system: &System, step: usize) -> Vec<u8> {
-        render_body(system, step)
-            .replacen(&format!("v{VERSION}"), "v1", 1)
-            .into_bytes()
+    /// `body` sealed with a freshly computed checksum footer, so only the
+    /// parser can reject what the body says.
+    fn resealed(body: &str) -> Vec<u8> {
+        format!("{body}checksum {:016x}\n", fnv1a64(body.as_bytes())).into_bytes()
     }
 
     #[test]
@@ -391,27 +382,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_are_still_read() {
-        let original = state();
-        let buf = v1_bytes(&original, 42);
-        let (restored, step) = read_checkpoint(&buf[..]).unwrap();
-        assert_eq!(step, 42);
-        assert_eq!(restored.positions(), original.positions());
-        assert_eq!(restored.velocities(), original.velocities());
-    }
-
-    #[test]
     fn unknown_version_reports_unsupported() {
-        let buf = String::from_utf8(v2_bytes(&state(), 0))
-            .unwrap()
-            .replacen("v2", "v7", 1)
-            .into_bytes();
-        match read_checkpoint(&buf[..]).unwrap_err() {
-            CheckpointError::UnsupportedVersion { found, supported } => {
-                assert_eq!(found, 7);
-                assert_eq!(supported, VERSION);
+        // v1 (the footerless format) is as unsupported as a future v7.
+        for found in [1, 7] {
+            let buf = resealed(&render_body(&state(), 0).replacen("v2", &format!("v{found}"), 1));
+            match read_checkpoint(&buf[..]).unwrap_err() {
+                CheckpointError::UnsupportedVersion {
+                    found: f,
+                    supported,
+                } => {
+                    assert_eq!(f, found);
+                    assert_eq!(supported, VERSION);
+                }
+                other => panic!("expected UnsupportedVersion, got {other:?}"),
             }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
     }
 
@@ -551,27 +535,24 @@ mod tests {
             read_checkpoint("x".as_bytes()).unwrap_err(),
             CheckpointError::Malformed(_)
         ));
-        // Truncated v1 atom table (no checksum to catch it; the parser must).
-        let mut buf = v1_bytes(&state(), 0);
-        buf.truncate(buf.len() - 40);
+        // Truncated atom table under a valid checksum (the parser must
+        // catch it).
+        let body = render_body(&state(), 0);
+        let buf = resealed(&format!("{}\n", &body[..body.len() - 40]));
         let err = read_checkpoint(&buf[..]).unwrap_err();
-        assert!(
-            err.to_string().contains("malformed") || err.to_string().contains("fields"),
-            "{err}"
-        );
+        assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
     }
 
     #[test]
-    fn non_finite_fields_rejected_even_in_v1() {
-        let original = state();
-        let text = String::from_utf8(v1_bytes(&original, 0)).unwrap();
+    fn non_finite_fields_rejected_under_a_valid_checksum() {
+        let body = render_body(&state(), 0);
         // Replace the first atom's x coordinate with NaN.
-        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        let mut lines: Vec<String> = body.lines().map(String::from).collect();
         let mut atom = lines[5].split_whitespace().map(String::from).collect::<Vec<_>>();
         atom[0] = "NaN".into();
         lines[5] = atom.join(" ");
-        let buf = lines.join("\n");
-        let err = read_checkpoint(buf.as_bytes()).unwrap_err();
+        let buf = resealed(&format!("{}\n", lines.join("\n")));
+        let err = read_checkpoint(&buf[..]).unwrap_err();
         assert!(err.to_string().contains("non-finite"), "{err}");
     }
 }

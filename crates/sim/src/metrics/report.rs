@@ -18,8 +18,10 @@ use std::path::Path;
 ///
 /// v2: the `shards` section's star-relay accounting (`ghost_recv`,
 /// `exchange_seconds`) was replaced by peer-mesh accounting
-/// (`ghost_installed`, wire byte/second counters, `compute_wait_seconds`)
-/// plus the wire `codec` name.
+/// (`ghost_installed`, wire byte/second counters, `compute_wait_seconds`).
+/// v2 reports written while shards had two wire codecs also carry a
+/// `shards.codec` name; nothing reads it, so reports with and without it
+/// diff alike.
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// Identifying metadata of the run the report describes.
@@ -50,8 +52,6 @@ pub struct ShardsInfo {
     /// Transport backend: `"virtual"` (in-memory) or `"process"`
     /// (Unix-socket workers).
     pub backend: String,
-    /// Wire codec the shards speak: `"json"` or `"binary"`.
-    pub codec: String,
     /// Ghost position records sent shard → shard over the peer mesh,
     /// summed over shards and steps.
     pub ghost_sent: u64,
@@ -307,7 +307,6 @@ impl RunReport {
                 JsonValue::obj(vec![
                     ("count", JsonValue::num(s.count as f64)),
                     ("backend", JsonValue::str(s.backend.clone())),
-                    ("codec", JsonValue::str(s.codec.clone())),
                     ("ghost_sent", JsonValue::num(s.ghost_sent as f64)),
                     ("ghost_installed", JsonValue::num(s.ghost_installed as f64)),
                     ("migrated", JsonValue::num(s.migrated as f64)),
@@ -499,7 +498,6 @@ mod tests {
             shards: Some(ShardsInfo {
                 count: 2,
                 backend: "virtual".to_string(),
-                codec: "binary".to_string(),
                 ghost_sent: 1200,
                 ghost_installed: 1200,
                 migrated: 7,
@@ -517,10 +515,6 @@ mod tests {
         assert_eq!(
             doc.path("shards.backend").and_then(|v| v.as_str()),
             Some("virtual")
-        );
-        assert_eq!(
-            doc.path("shards.codec").and_then(|v| v.as_str()),
-            Some("binary")
         );
         assert_eq!(
             doc.path("shards.ghost_sent").and_then(|v| v.as_f64()),

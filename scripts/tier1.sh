@@ -34,12 +34,10 @@
 #      taskgraph-vs-barriered SDC on the carved-void case with every
 #      physics counter matching exactly — only the scheduling regime, and
 #      therefore the scatter.* counters, may differ)
-#  10. shard gate                 (the peer-mesh halo-exchange: two A/B
-#      metered mdruns, a 2-shard process-backend run against the unsharded
-#      engine and the same sharded case binary-vs-json — the physics
-#      counters must match exactly in both; slabbing may only change where
-#      the work runs, and the codec may only change how the bytes are
-#      spelled)
+#  10. shard gate                 (the peer-mesh halo-exchange: an A/B
+#      metered mdrun of a 2-shard process-backend run, on the binary wire
+#      codec, against the unsharded engine — the physics counters must
+#      match exactly; slabbing may only change where the work runs)
 #  11. SIMD gate                  (the lane-batched fused EAM kernels: the
 #      conformance battery in release so the silent `UniformSpline::locate`
 #      clamp is live, a MD_SIMD_SCALAR=1 leg so the runtime scalar fallback
@@ -142,14 +140,13 @@ cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   "$sdc" "$tg" --ab --tol 1.0 --time-tol 50
 rm -f "$sdc" "$tg"
 
-echo "==> [10/11] shard gate (A/B legs)"
-# The conformance battery, the codec-generic fuzz, and the SIGKILL/resume
-# chaos test run in job 2 and each cover both codecs internally.
+echo "==> [10/11] shard gate (A/B vs the unsharded engine)"
+# The conformance battery, the codec fuzz, and the SIGKILL/resume chaos
+# test run in job 2.
 # The process-backend smoke: mdrun needs the worker binary next to it.
 cargo build -q --release -p md-shard
 flat="$(mktemp /tmp/tier1_flat.XXXXXX.json)"
 shrd="$(mktemp /tmp/tier1_shard.XXXXXX.json)"
-shbn="$(mktemp /tmp/tier1_shard_bin.XXXXXX.json)"
 cargo run -q -p sdc-bench --release --bin mdrun -- \
   --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 \
   --metrics-out "$flat" > /dev/null
@@ -161,17 +158,7 @@ cargo run -q -p sdc-bench --release --bin mdrun -- \
 # different regime, not a regression signal.
 cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   "$flat" "$shrd" --ab --tol 1.0 --time-tol 500
-echo "    binary-codec leg (process backend, binary vs json)"
-cargo run -q -p sdc-bench --release --bin mdrun -- \
-  --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 \
-  --shards 2 --shard-backend process --shard-codec binary \
-  --metrics-out "$shbn" > /dev/null
-# Same strategy, same shards: strict (non-A/B) diff. Every counter —
-# physics spans, scatter bookkeeping, ghost/migration traffic — must be
-# identical; only the wire volume and timings may move, and only down.
-cargo run -q -p sdc-bench --release --bin metrics_diff -- \
-  "$shrd" "$shbn" --tol 1.0 --time-tol 500
-rm -f "$flat" "$shrd" "$shbn"
+rm -f "$flat" "$shrd"
 
 echo "==> [11/11] SIMD gate (release + scalar-fallback legs + A/B vs scalar fused)"
 echo "    release-profile battery (silent spline clamp live)"

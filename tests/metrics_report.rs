@@ -257,7 +257,6 @@ fn sharded_run_report_pins_the_shards_section() {
         shards: Some(ShardsInfo {
             count: 2,
             backend: "virtual".to_string(),
-            codec: "binary".to_string(),
             ghost_sent: 640,
             ghost_installed: 640,
             migrated: 3,
@@ -279,7 +278,6 @@ fn sharded_run_report_pins_the_shards_section() {
         [
             "count",
             "backend",
-            "codec",
             "ghost_sent",
             "ghost_installed",
             "migrated",
@@ -294,10 +292,6 @@ fn sharded_run_report_pins_the_shards_section() {
     assert_eq!(
         doc.path("shards.backend").and_then(|v| v.as_str()),
         Some("virtual")
-    );
-    assert_eq!(
-        doc.path("shards.codec").and_then(|v| v.as_str()),
-        Some("binary")
     );
     // Round-trips like everything else.
     let back = RunReport::parse(&report.to_string()).expect("parse back");

@@ -19,11 +19,9 @@
 
 use md_geometry::Vec3;
 use md_potential::AnalyticEam;
-use md_shard::{Codec, ShardStats, ShardWorld, WorldSpec};
+use md_shard::{ShardStats, ShardWorld, WorldSpec};
 use md_sim::{PotentialChoice, Simulation, StrategyKind, System};
 use std::sync::Arc;
-
-const CODECS: [Codec; 2] = [Codec::Json, Codec::Binary];
 
 const FE_MASS: f64 = 55.845;
 const CELLS: usize = 5;
@@ -105,14 +103,8 @@ fn spec(threads: usize) -> WorldSpec {
     }
 }
 
-fn run_world(
-    start: &System,
-    threads: usize,
-    shards: usize,
-    codec: Codec,
-) -> (Vec<Vec3>, Vec<Vec3>, ShardStats) {
-    let mut world =
-        ShardWorld::virtual_world(start, &spec(threads), shards, codec).expect("world boot");
+fn run_world(start: &System, threads: usize, shards: usize) -> (Vec<Vec3>, Vec<Vec3>, ShardStats) {
+    let mut world = ShardWorld::virtual_world(start, &spec(threads), shards).expect("world boot");
     world.refresh_forces().expect("refresh");
     world.run(STEPS).expect("run");
     assert_eq!(world.step_count(), STEPS);
@@ -158,12 +150,10 @@ fn single_shard_replays_the_unsharded_engine_bitwise() {
             let mut sim = reference(workload, threads);
             let start = sim.system().clone();
             sim.run(STEPS as usize);
-            for codec in CODECS {
-                let (pos, vel, _) = run_world(&start, threads, 1, codec);
-                let what = format!("{workload:?} t{threads} 1-shard {}", codec.name());
-                assert_bitwise(sim.system().positions(), &pos, &format!("{what} pos"));
-                assert_bitwise(sim.system().velocities(), &vel, &format!("{what} vel"));
-            }
+            let (pos, vel, _) = run_world(&start, threads, 1);
+            let what = format!("{workload:?} t{threads} 1-shard");
+            assert_bitwise(sim.system().positions(), &pos, &format!("{what} pos"));
+            assert_bitwise(sim.system().velocities(), &vel, &format!("{what} vel"));
         }
     }
 }
@@ -176,23 +166,20 @@ fn multi_shard_trajectories_conform_to_the_unsharded_reference() {
             let start = sim.system().clone();
             sim.run(STEPS as usize);
             for shards in [2usize, 4] {
-                for codec in CODECS {
-                    let (pos, _, stats) = run_world(&start, threads, shards, codec);
-                    let what =
-                        format!("{workload:?} t{threads} {shards}-shard {}", codec.name());
-                    assert_close(sim.system().positions(), &pos, 1e-10, &what);
-                    // The battery must actually exercise the halo
-                    // machinery: ghosts flow every step, every export a
-                    // peer ships is installed at exactly one receiver
-                    // (Σ sent == Σ installed), and the tight skin forces
-                    // at least one rebuild (hence migration checks).
-                    assert!(stats.ghost_sent > 0, "{what}: no ghosts shipped");
-                    assert_eq!(
-                        stats.ghost_sent, stats.ghost_installed,
-                        "{what}: mesh lost or duplicated ghosts"
-                    );
-                    assert!(stats.rebuilds > 0, "{what}: skin never triggered a rebuild");
-                }
+                let (pos, _, stats) = run_world(&start, threads, shards);
+                let what = format!("{workload:?} t{threads} {shards}-shard");
+                assert_close(sim.system().positions(), &pos, 1e-10, &what);
+                // The battery must actually exercise the halo machinery:
+                // ghosts flow every step, every export a peer ships is
+                // installed at exactly one receiver (Σ sent == Σ
+                // installed), and the tight skin forces at least one
+                // rebuild (hence migration checks).
+                assert!(stats.ghost_sent > 0, "{what}: no ghosts shipped");
+                assert_eq!(
+                    stats.ghost_sent, stats.ghost_installed,
+                    "{what}: mesh lost or duplicated ghosts"
+                );
+                assert!(stats.rebuilds > 0, "{what}: skin never triggered a rebuild");
             }
         }
     }
@@ -202,41 +189,20 @@ fn multi_shard_trajectories_conform_to_the_unsharded_reference() {
 fn fixed_shard_count_is_bitwise_reproducible() {
     let workload = Workload::Melt;
     for shards in [2usize, 4] {
-        for codec in CODECS {
-            let sim = reference(workload, 2);
-            let start = sim.system().clone();
-            let (pos_a, vel_a, stats_a) = run_world(&start, 2, shards, codec);
-            let (pos_b, vel_b, stats_b) = run_world(&start, 2, shards, codec);
-            let what = format!("{shards}-shard {} repeat", codec.name());
-            assert_bitwise(&pos_a, &pos_b, &format!("{what} pos"));
-            assert_bitwise(&vel_a, &vel_b, &format!("{what} vel"));
-            assert_eq!(stats_a.rebuilds, stats_b.rebuilds, "{what}: rebuild cadence");
-            assert_eq!(stats_a.migrated, stats_b.migrated, "{what}: migration count");
-        }
-    }
-}
-
-#[test]
-fn json_and_binary_codecs_produce_the_same_trajectory_bitwise() {
-    // Both codecs carry exact f64 bit patterns (hex strings vs raw LE
-    // bits), so switching codec must not perturb the physics at all.
-    let sim = reference(Workload::Melt, 2);
-    let start = sim.system().clone();
-    for shards in [2usize, 4] {
-        let (pos_j, vel_j, stats_j) = run_world(&start, 2, shards, Codec::Json);
-        let (pos_b, vel_b, stats_b) = run_world(&start, 2, shards, Codec::Binary);
-        let what = format!("{shards}-shard cross-codec");
-        assert_bitwise(&pos_j, &pos_b, &format!("{what} pos"));
-        assert_bitwise(&vel_j, &vel_b, &format!("{what} vel"));
-        assert_eq!(stats_j.ghost_sent, stats_b.ghost_sent, "{what}: ghost volume");
-        assert_eq!(stats_j.migrated, stats_b.migrated, "{what}: migration count");
-        // The binary frames must be materially leaner for the same
-        // ghost traffic.
-        assert!(
-            stats_j.wire_bytes_sent > stats_b.wire_bytes_sent,
-            "{what}: binary frames not smaller ({} vs {} B)",
-            stats_j.wire_bytes_sent,
-            stats_b.wire_bytes_sent
+        let sim = reference(workload, 2);
+        let start = sim.system().clone();
+        let (pos_a, vel_a, stats_a) = run_world(&start, 2, shards);
+        let (pos_b, vel_b, stats_b) = run_world(&start, 2, shards);
+        let what = format!("{shards}-shard repeat");
+        assert_bitwise(&pos_a, &pos_b, &format!("{what} pos"));
+        assert_bitwise(&vel_a, &vel_b, &format!("{what} vel"));
+        assert_eq!(
+            stats_a.rebuilds, stats_b.rebuilds,
+            "{what}: rebuild cadence"
+        );
+        assert_eq!(
+            stats_a.migrated, stats_b.migrated,
+            "{what}: migration count"
         );
     }
 }
@@ -247,7 +213,7 @@ fn migration_moves_atoms_across_slab_boundaries() {
     // boundary; thermal jitter pushes some across at the first rebuild.
     let sim = reference(Workload::Melt, 1);
     let start = sim.system().clone();
-    let (_, _, stats) = run_world(&start, 1, 2, Codec::Json);
+    let (_, _, stats) = run_world(&start, 1, 2);
     assert!(stats.rebuilds > 0, "no rebuild in the melt run");
     assert!(
         stats.migrated > 0,
