@@ -64,9 +64,10 @@ usage: mdrun [options]
                             instead of the analytic forms (fe/cu only)
   --no-fused                use the reference (per-pair dyn-dispatched) EAM
                             path instead of the fused monomorphized one
-  --no-simd                 use the scalar fused kernels instead of the
-                            lane-batched (AVX2) spline evaluation; physics
-                            is bitwise identical either way
+  --no-simd                 evaluate the fused kernels' lane blocks one
+                            lane at a time instead of through the batched
+                            (AVX2) splines; physics is bitwise identical
+                            either way
   --restart PATH            continue from a checkpoint file
   --dump PATH               write an .xyz trajectory
   --log PATH                write a thermo CSV

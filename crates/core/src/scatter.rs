@@ -10,7 +10,9 @@
 //! [`ScatterValue`] abstracts over the accumulated type (`f64` for
 //! densities, [`Vec3`] for forces) so every strategy is written once.
 
+use md_base::pool::SharedSlice;
 use md_geometry::Vec3;
+use md_neighbor::Csr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A value that pair kernels accumulate into a shared per-atom array.
@@ -130,12 +132,52 @@ impl PairTerm<Vec3> {
 pub trait PairKernel<V: ScatterValue>: Fn(usize, usize) -> Option<PairTerm<V>> + Sync {}
 impl<V: ScatterValue, K: Fn(usize, usize) -> Option<PairTerm<V>> + Sync> PairKernel<V> for K {}
 
-/// Slot sentinel handed to indexed kernels by strategies whose sweep carries
-/// no usable per-pair storage index (the gather, lock and privatized
-/// baselines, which may visit a pair from both endpoints or without a stable
-/// half-list position). On seeing `NO_SLOT` a kernel must fall back to
-/// recomputing the pair instead of touching per-pair scratch.
-pub const NO_SLOT: usize = usize::MAX;
+/// The half-list rows one task of a row-owning sweep owns (see
+/// [`crate::ScatterExec::run_tasks`]), in the order the task visits them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TaskRows<'a> {
+    /// Rows `0..n`, ascending: the serial sweep's single task.
+    All(usize),
+    /// One subdomain's atoms, [`crate::SdcPlan::atoms_of`].
+    Atoms(&'a [u32]),
+}
+
+impl TaskRows<'_> {
+    /// Calls `f` on every row, in visiting order.
+    #[inline]
+    pub fn for_each(self, mut f: impl FnMut(usize)) {
+        match self {
+            TaskRows::All(n) => (0..n).for_each(f),
+            TaskRows::Atoms(atoms) => atoms.iter().for_each(|&i| f(i as usize)),
+        }
+    }
+}
+
+/// One task of a per-pair sweep: for each owned row `i` and each stored
+/// neighbor `j`, `out[i] += to_i` and `out[j] += to_j`.
+///
+/// # Safety
+/// While this runs, no other thread may access `out[i]` for a row `i` of
+/// `rows` or `out[j]` for a stored neighbor `j` of such a row.
+#[inline]
+pub(crate) unsafe fn pair_task<V: ScatterValue>(
+    half: &Csr,
+    rows: TaskRows<'_>,
+    out: &SharedSlice<'_, V>,
+    kernel: &impl Fn(usize, usize) -> Option<PairTerm<V>>,
+) {
+    rows.for_each(|i| {
+        for &j in half.row(i) {
+            if let Some(t) = kernel(i, j as usize) {
+                // SAFETY: the caller's contract covers `out[i]` and `out[j]`.
+                unsafe {
+                    out.get_mut(i).add(t.to_i);
+                    out.get_mut(j as usize).add(t.to_j);
+                }
+            }
+        }
+    });
+}
 
 #[cfg(test)]
 mod tests {

@@ -17,9 +17,10 @@ pub mod serial;
 
 use crate::metrics::ScatterMetrics;
 use crate::plan::SdcPlan;
-use crate::scatter::{PairTerm, ScatterValue, NO_SLOT};
+use crate::scatter::{pair_task, PairTerm, ScatterValue, TaskRows};
 use crate::taskgraph::{self, TaskGraph};
 use crate::ParallelContext;
+use md_base::pool::SharedSlice;
 use md_neighbor::Csr;
 
 /// Selects an irregular-reduction parallelization strategy (paper §I
@@ -160,13 +161,11 @@ impl StrategyKind {
         matches!(self, StrategyKind::LocalWrite)
     }
 
-    /// `true` for strategies whose [`ScatterExec::run_indexed`] sweep hands
-    /// the kernel real half-list slot indices (Serial, barriered SDC, and
-    /// the task-graph scheduler); every other strategy receives
-    /// [`NO_SLOT`](crate::scatter::NO_SLOT) and must recompute per pair.
-    /// Slot-addressed side channels — the fused EAM scratch replay and the
-    /// SIMD precompute pass built on top of it — are only sound on these.
-    pub fn provides_slots(&self) -> bool {
+    /// `true` for the row-owning strategies — Serial, SDC and the task
+    /// graph — whose tasks each own whole rows of the half list, with the
+    /// write footprints of concurrently running tasks disjoint. These are
+    /// the strategies [`ScatterExec::run_tasks`] runs.
+    pub fn owns_rows(&self) -> bool {
         matches!(
             self,
             StrategyKind::Serial | StrategyKind::Sdc { .. } | StrategyKind::TaskGraph { .. }
@@ -264,15 +263,12 @@ impl ScatterExec<'_> {
             "output length must match atom count"
         );
         match kind {
-            StrategyKind::Serial => serial::scatter_serial(self.half, out, kernel),
-            StrategyKind::Sdc { dims } => {
-                let plan = self.plan.expect("SDC strategy requires a plan");
-                assert_eq!(
-                    plan.decomposition().dims(),
-                    dims,
-                    "plan dimensionality does not match StrategyKind::Sdc"
-                );
-                sdc::scatter_sdc_metered(self.ctx, plan, self.half, out, kernel, self.metrics);
+            StrategyKind::Serial | StrategyKind::Sdc { .. } | StrategyKind::TaskGraph { .. } => {
+                // SAFETY: `run_tasks` gives every task a private footprint.
+                let task = |rows: TaskRows<'_>, out: &SharedSlice<'_, V>| unsafe {
+                    pair_task(self.half, rows, out, kernel)
+                };
+                self.run_tasks(kind, out, &task);
             }
             StrategyKind::Critical => {
                 critical::scatter_critical_metered(self.ctx, self.half, out, kernel, self.metrics)
@@ -299,80 +295,54 @@ impl ScatterExec<'_> {
                 let full = self.full.expect("Redundant strategy requires a full list");
                 redundant::scatter_redundant_metered(self.ctx, full, out, kernel, self.metrics);
             }
-            StrategyKind::TaskGraph { dims } => {
-                let plan = self.plan.expect("TaskGraph strategy requires a plan");
-                assert_eq!(
-                    plan.decomposition().dims(),
-                    dims,
-                    "plan dimensionality does not match StrategyKind::TaskGraph"
-                );
-                let graph = self
-                    .taskgraph
-                    .expect("TaskGraph strategy requires a task graph");
-                taskgraph::scatter_taskgraph_metered(
-                    self.ctx,
-                    graph,
-                    plan,
-                    self.half,
-                    out,
-                    kernel,
-                    self.metrics,
-                );
-            }
         }
     }
 
-    /// [`ScatterExec::run`] for **indexed** kernels: the kernel additionally
-    /// receives each stored pair's slot — its storage index in the half list
-    /// (`offsets[i] + k` for the `k`-th neighbor of `i`).
+    /// The task-sweep entry point of the row-owning strategies
+    /// ([`StrategyKind::owns_rows`]): runs `task(rows, out)` once per task
+    /// of `kind`'s sweep, and every row of the half list goes to exactly
+    /// one task.
     ///
-    /// `Serial` and `Sdc` hand out real slots, each visited exactly once per
-    /// sweep by exactly one task, so kernels may keep disjoint per-pair
-    /// scratch addressed by slot. Every other strategy routes through its
-    /// plain sweep and passes [`NO_SLOT`](crate::scatter::NO_SLOT); the
-    /// kernel must then recompute the pair instead of touching scratch.
-    pub fn run_indexed<V: ScatterValue>(
+    /// * Serial runs all rows as one task.
+    /// * SDC runs each subdomain's [`SdcPlan::atoms_of`], color by color,
+    ///   with a barrier between colors.
+    /// * The task graph runs each DAG task once its conflicting
+    ///   lower-id tasks are done.
+    ///
+    /// A task may write `out` at its rows and at their half-list neighbors,
+    /// and nowhere else; no concurrently running task shares any of those
+    /// elements. Scratch addressed by the CSR slots of a task's rows is
+    /// private to that task in the same way. Metering and the debug-build
+    /// footprint and independence checks are those of the strategy's
+    /// sweep ([`sdc::sweep_sdc`], [`taskgraph::sweep_taskgraph`]).
+    ///
+    /// # Panics
+    /// Panics if `kind` does not own rows, if it needs a resource (`plan`,
+    /// `taskgraph`) this exec lacks, or if the plan's dimensionality does
+    /// not match `kind`'s.
+    pub fn run_tasks<V: ScatterValue>(
         &self,
         kind: StrategyKind,
         out: &mut [V],
-        kernel: &(impl Fn(usize, usize, usize) -> Option<PairTerm<V>> + Sync),
+        task: &(impl Fn(TaskRows<'_>, &SharedSlice<'_, V>) + Sync),
     ) {
+        assert_eq!(
+            out.len(),
+            self.half.rows(),
+            "output length must match atom count"
+        );
         match kind {
-            StrategyKind::Serial => {
-                assert_eq!(
-                    out.len(),
-                    self.half.rows(),
-                    "output length must match atom count"
-                );
-                serial::scatter_serial_indexed(self.half, out, kernel);
-            }
+            StrategyKind::Serial => serial::sweep_serial(self.half, out, task),
             StrategyKind::Sdc { dims } => {
-                assert_eq!(
-                    out.len(),
-                    self.half.rows(),
-                    "output length must match atom count"
-                );
                 let plan = self.plan.expect("SDC strategy requires a plan");
                 assert_eq!(
                     plan.decomposition().dims(),
                     dims,
                     "plan dimensionality does not match StrategyKind::Sdc"
                 );
-                sdc::scatter_sdc_indexed_metered(
-                    self.ctx,
-                    plan,
-                    self.half,
-                    out,
-                    kernel,
-                    self.metrics,
-                );
+                sdc::sweep_sdc(self.ctx, plan, self.half, out, task, self.metrics);
             }
             StrategyKind::TaskGraph { dims } => {
-                assert_eq!(
-                    out.len(),
-                    self.half.rows(),
-                    "output length must match atom count"
-                );
                 let plan = self.plan.expect("TaskGraph strategy requires a plan");
                 assert_eq!(
                     plan.decomposition().dims(),
@@ -382,17 +352,17 @@ impl ScatterExec<'_> {
                 let graph = self
                     .taskgraph
                     .expect("TaskGraph strategy requires a task graph");
-                taskgraph::scatter_taskgraph_indexed_metered(
+                taskgraph::sweep_taskgraph(
                     self.ctx,
                     graph,
                     plan,
                     self.half,
                     out,
-                    kernel,
+                    task,
                     self.metrics,
                 );
             }
-            _ => self.run(kind, out, &|i, j| kernel(NO_SLOT, i, j)),
+            _ => panic!("{kind} does not own rows; it has no task sweep"),
         }
     }
 }
@@ -447,20 +417,29 @@ mod tests {
         }
     }
 
-    fn run_density(f: &Fixture, kind: StrategyKind, threads: usize) -> Vec<f64> {
-        let ctx = ParallelContext::new(threads);
-        let plan = kind.plan_dims().map(|dims| &f.plans[dims - 1]);
-        let graph = graph_for(f, kind);
-        let exec = ScatterExec {
-            ctx: &ctx,
+    fn exec_for<'a>(
+        f: &'a Fixture,
+        kind: StrategyKind,
+        ctx: &'a ParallelContext,
+        graph: Option<&'a TaskGraph>,
+        metrics: Option<&'a ScatterMetrics>,
+    ) -> ScatterExec<'a> {
+        ScatterExec {
+            ctx,
             half: &f.half,
             full: Some(&f.full),
-            plan,
+            plan: kind.plan_dims().map(|dims| &f.plans[dims - 1]),
             localwrite: Some(&f.lw),
-            metrics: None,
+            metrics,
             sap: None,
-            taskgraph: graph.as_ref(),
-        };
+            taskgraph: graph,
+        }
+    }
+
+    fn run_density(f: &Fixture, kind: StrategyKind, threads: usize) -> Vec<f64> {
+        let ctx = ParallelContext::new(threads);
+        let graph = graph_for(f, kind);
+        let exec = exec_for(f, kind, &ctx, graph.as_ref(), None);
         let pos = &f.pos;
         let sim_box = &f.sim_box;
         let mut rho = vec![0.0f64; pos.len()];
@@ -479,18 +458,8 @@ mod tests {
 
     fn run_force(f: &Fixture, kind: StrategyKind, threads: usize) -> Vec<Vec3> {
         let ctx = ParallelContext::new(threads);
-        let plan = kind.plan_dims().map(|dims| &f.plans[dims - 1]);
         let graph = graph_for(f, kind);
-        let exec = ScatterExec {
-            ctx: &ctx,
-            half: &f.half,
-            full: Some(&f.full),
-            plan,
-            localwrite: Some(&f.lw),
-            metrics: None,
-            sap: None,
-            taskgraph: graph.as_ref(),
-        };
+        let exec = exec_for(f, kind, &ctx, graph.as_ref(), None);
         let pos = &f.pos;
         let sim_box = &f.sim_box;
         let mut force = vec![Vec3::ZERO; pos.len()];
@@ -575,52 +544,183 @@ mod tests {
         }
     }
 
-    #[test]
-    fn run_indexed_matches_plain_and_slots_address_the_half_list() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let f = fixture();
-        let reference = run_density(&f, StrategyKind::Serial, 1);
-        for kind in StrategyKind::all() {
-            let ctx = ParallelContext::new(4);
-            let plan = kind.plan_dims().map(|dims| &f.plans[dims - 1]);
-            let graph = graph_for(&f, kind);
-            let exec = ScatterExec {
-                ctx: &ctx,
-                half: &f.half,
-                full: Some(&f.full),
-                plan,
-                localwrite: Some(&f.lw),
-                metrics: None,
-                sap: None,
-                taskgraph: graph.as_ref(),
-            };
-            // The public predicate must agree with the dispatch below — the
-            // fused/SIMD engines gate their slot-addressed scratch on it.
-            let expects_slots = kind.provides_slots();
-            let hits: Vec<AtomicU32> = (0..f.half.entries()).map(|_| AtomicU32::new(0)).collect();
-            let (pos, sim_box, half) = (&f.pos, &f.sim_box, &f.half);
-            let mut rho = vec![0.0f64; pos.len()];
-            exec.run_indexed(kind, &mut rho, &|slot, i, j| {
-                if expects_slots {
-                    // A real slot must name exactly this pair's storage cell.
-                    assert_eq!(half.indices()[slot], j as u32, "{kind}: slot names wrong pair");
-                    let base = half.offsets()[i] as usize;
-                    assert!(slot >= base && slot < base + half.row_len(i), "{kind}: slot off-row");
-                    hits[slot].fetch_add(1, Ordering::Relaxed);
-                } else {
-                    assert_eq!(slot, crate::scatter::NO_SLOT, "{kind}: expected NO_SLOT");
+    /// The row-owning kinds: the ones with a task sweep.
+    const ROW_OWNING: [StrategyKind; 7] = [
+        StrategyKind::Serial,
+        StrategyKind::Sdc { dims: 1 },
+        StrategyKind::Sdc { dims: 2 },
+        StrategyKind::Sdc { dims: 3 },
+        StrategyKind::TaskGraph { dims: 1 },
+        StrategyKind::TaskGraph { dims: 2 },
+        StrategyKind::TaskGraph { dims: 3 },
+    ];
+
+    /// The density kernel of [`run_density`] replayed on one thread in
+    /// `kind`'s task order: rows ascending for Serial, subdomains color by
+    /// color for SDC, subdomains by ascending id for the task graph — the
+    /// order in which the parallel sweeps add into every shared element.
+    fn replay_task_order(f: &Fixture, kind: StrategyKind) -> Vec<f64> {
+        let kernel = |i: usize, j: usize| {
+            let r2 = f.sim_box.distance_sq(f.pos[i], f.pos[j]);
+            (r2 < CUTOFF * CUTOFF).then(|| PairTerm::symmetric((-r2).exp() + 0.01))
+        };
+        let mut out = vec![0.0f64; f.pos.len()];
+        let Some(dims) = kind.plan_dims() else {
+            serial::scatter_serial(&f.half, &mut out, &kernel);
+            return out;
+        };
+        let plan = &f.plans[dims - 1];
+        let decomp = plan.decomposition();
+        let order: Vec<usize> = match kind {
+            StrategyKind::Sdc { .. } => (0..decomp.color_count())
+                .flat_map(|c| plan.ordered_of_color(c).iter().map(|&s| s as usize))
+                .collect(),
+            _ => (0..decomp.subdomain_count()).collect(),
+        };
+        for s in order {
+            for &i in plan.atoms_of(s) {
+                let i = i as usize;
+                for &j in f.half.row(i) {
+                    if let Some(t) = kernel(i, j as usize) {
+                        out[i] += t.to_i;
+                        out[j as usize] += t.to_j;
+                    }
                 }
-                let r2 = sim_box.distance_sq(pos[i], pos[j]);
-                (r2 < CUTOFF * CUTOFF).then(|| PairTerm::symmetric((-r2).exp() + 0.01))
-            });
-            assert_close_f64(&reference, &rho, 1e-12, &format!("indexed {kind}"));
-            if expects_slots {
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn task_sweeps_partition_the_rows_and_carry_the_per_pair_sweeps() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Mutex;
+        let f = fixture();
+        let rows = f.half.rows();
+        for kind in ROW_OWNING {
+            assert!(kind.owns_rows(), "{kind}");
+            let graph = graph_for(&f, kind);
+            let replay = replay_task_order(&f, kind);
+            for threads in [1, 2, 4] {
+                let ctx = ParallelContext::new(threads);
+                let exec = exec_for(&f, kind, &ctx, graph.as_ref(), None);
+                let hits: Vec<AtomicU32> = (0..rows).map(|_| AtomicU32::new(0)).collect();
+                let tasks = Mutex::new(Vec::new());
+                let mut out = vec![0.0f64; rows];
+                exec.run_tasks(kind, &mut out, &|task_rows, _| {
+                    task_rows.for_each(|i| {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    });
+                    tasks.lock().unwrap().push(match task_rows {
+                        TaskRows::All(n) => Err(n),
+                        TaskRows::Atoms(atoms) => Ok(atoms.to_vec()),
+                    });
+                });
                 assert!(
                     hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                    "{kind}: every slot must be visited exactly once per sweep"
+                    "{kind} t={threads}: every row goes to exactly one task per sweep"
+                );
+                let tasks = tasks.into_inner().unwrap();
+                match kind.plan_dims() {
+                    None => assert_eq!(tasks, [Err(rows)], "{kind}: one task over all rows"),
+                    Some(dims) => {
+                        // Plan-backed tasks receive exactly the subdomains'
+                        // atom lists, each once.
+                        let plan = &f.plans[dims - 1];
+                        let mut got = tasks;
+                        let mut expect: Vec<Result<Vec<u32>, usize>> =
+                            (0..plan.decomposition().subdomain_count())
+                                .map(|s| Ok(plan.atoms_of(s).to_vec()))
+                                .collect();
+                        got.sort();
+                        expect.sort();
+                        assert_eq!(got, expect, "{kind} t={threads}: tasks are atoms_of(s)");
+                    }
+                }
+                // The per-pair `run` rides on the task sweep: bitwise equal to
+                // `scatter_serial` replayed in the strategy's task order, at
+                // every thread count (for Serial that is `scatter_serial`).
+                assert_eq!(
+                    run_density(&f, kind, threads),
+                    replay,
+                    "{kind} t={threads}: per-pair run differs from its serial replay"
                 );
             }
         }
+    }
+
+    #[test]
+    fn metered_two_thread_task_sweeps_keep_busy_time_and_counters() {
+        use std::sync::Barrier;
+        let f = fixture();
+        let ctx = ParallelContext::new(2);
+        for kind in ROW_OWNING.into_iter().filter(|k| k.needs_plan()) {
+            let graph = graph_for(&f, kind);
+            let plan = &f.plans[kind.plan_dims().unwrap() - 1];
+            let decomp = plan.decomposition();
+            let (colors, subdomains) =
+                (decomp.color_count() as u64, decomp.subdomain_count() as u64);
+            // Under SDC the first and last task of color 0 wait for each
+            // other, so each worker runs one of them. (The task graph gets
+            // no such pair: consecutive subdomain ids are always
+            // neighbors on a periodic box, so its DAG orders every task.)
+            let first = plan.ordered_of_color(0);
+            let pair = [first[0], first[first.len() - 1]].map(|s| plan.atoms_of(s as usize));
+            let rendezvous = Barrier::new(2);
+            let tasks_metrics = ScatterMetrics::new(2);
+            let pairs_metrics = ScatterMetrics::new(2);
+            let mut out = vec![0.0f64; f.half.rows()];
+            exec_for(&f, kind, &ctx, graph.as_ref(), Some(&tasks_metrics)).run_tasks(
+                kind,
+                &mut out,
+                &|rows, _| {
+                    if graph.is_none() && pair.iter().any(|&p| rows == TaskRows::Atoms(p)) {
+                        rendezvous.wait();
+                    }
+                },
+            );
+            exec_for(&f, kind, &ctx, graph.as_ref(), Some(&pairs_metrics)).run(
+                kind,
+                &mut out,
+                &|_, _| Some(PairTerm::symmetric(1.0)),
+            );
+            for m in [&tasks_metrics, &pairs_metrics] {
+                match kind {
+                    StrategyKind::Sdc { .. } => {
+                        assert_eq!(
+                            m.color_barriers.get(),
+                            colors,
+                            "{kind}: one barrier per color"
+                        );
+                        assert_eq!(m.tasks.get(), 0, "{kind}: barriered sweeps count no tasks");
+                    }
+                    _ => {
+                        assert_eq!(m.color_barriers.get(), 0, "{kind}: no color barriers");
+                        assert_eq!(m.tasks.get(), subdomains, "{kind}: every task counted");
+                        assert_eq!(m.ready_latency.count(), subdomains, "{kind}");
+                    }
+                }
+            }
+            if graph.is_none() {
+                for w in 0..2 {
+                    let busy = tasks_metrics.thread_busy_ns[w].get();
+                    assert!(busy > 0, "{kind}: worker {w} recorded no busy time");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not own rows")]
+    fn task_sweep_of_a_baseline_strategy_panics() {
+        let f = fixture();
+        let ctx = ParallelContext::new(1);
+        let mut out = vec![0.0f64; f.pos.len()];
+        exec_for(&f, StrategyKind::Atomic, &ctx, None, None).run_tasks(
+            StrategyKind::Atomic,
+            &mut out,
+            &|_, _| {},
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@
 
 use crate::metrics::{ScatterMetrics, MAX_COLORS};
 use crate::plan::SdcPlan;
-use crate::scatter::{PairTerm, ScatterValue};
+use crate::scatter::{pair_task, PairTerm, ScatterValue, TaskRows};
 use crate::ParallelContext;
 use md_base::pool::{self, SharedSlice};
 use md_neighbor::Csr;
@@ -47,12 +47,7 @@ pub fn scatter_sdc<V: ScatterValue>(
     scatter_sdc_metered(ctx, plan, half, out, kernel, None);
 }
 
-/// [`scatter_sdc`] with optional instrumentation: per-color wall time (the
-/// span of each color's parallel region, whose join is the barrier) and
-/// per-worker busy time (attributed via [`pool::current_worker`], so a
-/// worker's barrier wait is `Σ color walls − busy`). Timing is taken once
-/// per color / per subdomain task — never inside the pair loop — keeping the
-/// enabled-path overhead within the ≤ 1% budget (DESIGN.md §10).
+/// [`scatter_sdc`] with optional instrumentation (see [`sweep_sdc`]).
 pub fn scatter_sdc_metered<V: ScatterValue>(
     ctx: &ParallelContext,
     plan: &SdcPlan,
@@ -61,21 +56,31 @@ pub fn scatter_sdc_metered<V: ScatterValue>(
     kernel: &(impl Fn(usize, usize) -> Option<PairTerm<V>> + Sync),
     metrics: Option<&ScatterMetrics>,
 ) {
-    scatter_sdc_indexed_metered(ctx, plan, half, out, &|_, i, j| kernel(i, j), metrics);
+    // SAFETY: `sweep_sdc` hands `out` to tasks with disjoint footprints.
+    let task = |rows: TaskRows<'_>, out: &SharedSlice<'_, V>| unsafe {
+        pair_task(half, rows, out, kernel)
+    };
+    sweep_sdc(ctx, plan, half, out, &task, metrics);
 }
 
-/// [`scatter_sdc_metered`] whose kernel also receives each pair's **slot** —
-/// its storage index in the half list (`offsets[i] + k`). Within one sweep
-/// every stored pair is visited exactly once and by exactly one task, so an
-/// indexed kernel may write disjoint per-pair scratch entries through a
-/// [`SharedSlice`] (the fused EAM path's phase-1 record store) under the same
-/// footprint-disjointness argument that covers `out`.
-pub fn scatter_sdc_indexed_metered<V: ScatterValue>(
+/// The SDC sweep as a row-owning sweep: `task` runs once per subdomain `s`
+/// on [`TaskRows::Atoms`]`(plan.atoms_of(s))`, color by color, with the
+/// same-color subdomains in parallel and a barrier between colors. A task
+/// may write `out` at its rows and their half-list neighbors (its write
+/// footprint), which no concurrently running task shares.
+///
+/// With `metrics`, records per-color wall time (the span of each color's
+/// parallel region, whose join is the barrier) and per-worker busy time
+/// (attributed via [`pool::current_worker`], so a worker's barrier wait is
+/// `Σ color walls − busy`). Timing is taken once per color and per task,
+/// never inside the pair loop, keeping the metering overhead within the
+/// ≤ 1% budget (DESIGN.md §10).
+pub fn sweep_sdc<V: ScatterValue>(
     ctx: &ParallelContext,
     plan: &SdcPlan,
     half: &Csr,
     out: &mut [V],
-    kernel: &(impl Fn(usize, usize, usize) -> Option<PairTerm<V>> + Sync),
+    task: &(impl Fn(TaskRows<'_>, &SharedSlice<'_, V>) + Sync),
     metrics: Option<&ScatterMetrics>,
 ) {
     debug_assert!(
@@ -83,7 +88,6 @@ pub fn scatter_sdc_indexed_metered<V: ScatterValue>(
         "SDC plan footprints overlap; decomposition range too small for this list"
     );
     let decomp = plan.decomposition();
-    let offsets = half.offsets();
     let shared = SharedSlice::new(out);
     ctx.install(|| {
         for color in 0..decomp.color_count() {
@@ -96,25 +100,11 @@ pub fn scatter_sdc_indexed_metered<V: ScatterValue>(
             // writer per color.
             let tasks = plan.ordered_of_color(color);
             pool::for_each(tasks.len(), |k| {
-                let s = tasks[k];
                 let task_start = metrics.map(|_| Instant::now());
-                let sh = &shared;
-                for &i in plan.atoms_of(s as usize) {
-                    let i = i as usize;
-                    let base = offsets[i] as usize;
-                    for (k, &j) in half.row(i).iter().enumerate() {
-                        if let Some(t) = kernel(base + k, i, j as usize) {
-                            // SAFETY: i is owned by subdomain s; j is a list
-                            // neighbor of i, hence inside s's halo. Same-color
-                            // footprints are disjoint (checked above), so no
-                            // other task touches these elements this color.
-                            unsafe {
-                                sh.get_mut(i).add(t.to_i);
-                                sh.get_mut(j as usize).add(t.to_j);
-                            }
-                        }
-                    }
-                }
+                // Subdomain s owns its atoms; their list neighbors lie in
+                // its halo. Same-color footprints are disjoint (checked
+                // above), so no other task touches them this color.
+                task(TaskRows::Atoms(plan.atoms_of(tasks[k] as usize)), &shared);
                 if let (Some(m), Some(start)) = (metrics, task_start) {
                     m.add_busy_ns(pool::current_worker(), start.elapsed().as_nanos() as u64);
                 }

@@ -5,8 +5,19 @@
 //! updated per pair via Newton's third law / symmetric density flow. All
 //! speedups in the reproduction are measured against this path.
 
-use crate::scatter::{PairTerm, ScatterValue};
+use crate::scatter::{pair_task, PairTerm, ScatterValue, TaskRows};
+use md_base::pool::SharedSlice;
 use md_neighbor::Csr;
+
+/// The serial sweep as a row-owning sweep: one task over every row, in
+/// ascending order, on the calling thread.
+pub fn sweep_serial<V: ScatterValue>(
+    half: &Csr,
+    out: &mut [V],
+    task: &impl Fn(TaskRows<'_>, &SharedSlice<'_, V>),
+) {
+    task(TaskRows::All(half.rows()), &SharedSlice::new(out));
+}
 
 /// Serial scatter over a half list: for each stored pair `(i, j)`,
 /// `out[i] += to_i` and `out[j] += to_j`.
@@ -15,36 +26,10 @@ pub fn scatter_serial<V: ScatterValue>(
     out: &mut [V],
     kernel: &(impl Fn(usize, usize) -> Option<PairTerm<V>> + Sync),
 ) {
-    for (i, row) in half.iter_rows() {
-        for &j in row {
-            if let Some(t) = kernel(i, j as usize) {
-                out[i].add(t.to_i);
-                out[j as usize].add(t.to_j);
-            }
-        }
-    }
-}
-
-/// [`scatter_serial`] variant whose kernel also receives each pair's **slot**
-/// — its storage index in the half list (`offsets[i] + k` for the `k`-th
-/// neighbor of `i`). Every stored pair is visited exactly once per sweep, so
-/// a kernel may address disjoint per-pair scratch entries by slot (the fused
-/// EAM path's phase-1 record store).
-pub fn scatter_serial_indexed<V: ScatterValue>(
-    half: &Csr,
-    out: &mut [V],
-    kernel: &(impl Fn(usize, usize, usize) -> Option<PairTerm<V>> + Sync),
-) {
-    let offsets = half.offsets();
-    for (i, row) in half.iter_rows() {
-        let base = offsets[i] as usize;
-        for (k, &j) in row.iter().enumerate() {
-            if let Some(t) = kernel(base + k, i, j as usize) {
-                out[i].add(t.to_i);
-                out[j as usize].add(t.to_j);
-            }
-        }
-    }
+    // SAFETY: the single task runs alone.
+    sweep_serial(half, out, &|rows, out| unsafe {
+        pair_task(half, rows, out, kernel)
+    });
 }
 
 #[cfg(test)]

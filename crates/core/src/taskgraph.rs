@@ -42,7 +42,7 @@
 
 use crate::metrics::ScatterMetrics;
 use crate::plan::SdcPlan;
-use crate::scatter::{PairTerm, ScatterValue};
+use crate::scatter::{pair_task, PairTerm, ScatterValue, TaskRows};
 use crate::ParallelContext;
 use md_base::pool::{self, SharedSlice};
 use md_geometry::SimBox;
@@ -208,26 +208,27 @@ impl TaskGraph {
     }
 }
 
-/// Dependency-driven scatter over a half list on `ctx`'s workers: the
-/// taskgraph analogue of `scatter_sdc_indexed_metered`, same kernel contract
-/// (each stored pair visited exactly once, slot = its half-list storage
-/// index).
+/// The task-graph sweep as a row-owning sweep: `task` runs once per DAG
+/// task `s` on [`TaskRows::Atoms`]`(plan.atoms_of(s))`, on `ctx`'s workers,
+/// as soon as every lower-id task it conflicts with has finished. A task
+/// may write `out` at its rows and their half-list neighbors (its write
+/// footprint).
 ///
-/// Safety of the unsynchronized [`SharedSlice`] writes: unordered task pairs
-/// have disjoint write footprints (debug builds verify this exhaustively via
-/// [`TaskGraph::validate_independence`]); ordered pairs never run
-/// concurrently, and the completion protocol's release/acquire chain makes
-/// the earlier task's writes visible to the later one.
+/// Safety of those unsynchronized [`SharedSlice`] writes: unordered task
+/// pairs have disjoint write footprints (debug builds verify this
+/// exhaustively via [`TaskGraph::validate_independence`]); ordered pairs
+/// never run concurrently, and the completion protocol's release/acquire
+/// chain makes the earlier task's writes visible to the later one.
 ///
 /// With metrics on, records per-task busy time (by worker index), task and
 /// steal counts, and the ready→start latency histogram.
-pub fn scatter_taskgraph_indexed_metered<V: ScatterValue>(
+pub fn sweep_taskgraph<V: ScatterValue>(
     ctx: &ParallelContext,
     graph: &TaskGraph,
     plan: &SdcPlan,
     half: &Csr,
     out: &mut [V],
-    kernel: &(impl Fn(usize, usize, usize) -> Option<PairTerm<V>> + Sync),
+    task: &(impl Fn(TaskRows<'_>, &SharedSlice<'_, V>) + Sync),
     metrics: Option<&ScatterMetrics>,
 ) {
     debug_assert!(
@@ -235,40 +236,24 @@ pub fn scatter_taskgraph_indexed_metered<V: ScatterValue>(
         "task graph out of sync with the plan: {:?}",
         graph.validate_independence(plan, half)
     );
-    let offsets = half.offsets();
     let shared = SharedSlice::new(out);
-    let task = |s: u32, worker: usize, ready_ns: u64| {
+    let run = |s: u32, worker: usize, ready_ns: u64| {
         let start = metrics.map(|_| Instant::now());
-        let sh = &shared;
-        for &i in plan.atoms_of(s as usize) {
-            let i = i as usize;
-            let base = offsets[i] as usize;
-            for (k, &j) in half.row(i).iter().enumerate() {
-                if let Some(t) = kernel(base + k, i, j as usize) {
-                    // SAFETY: i is owned by task s; j is a list neighbor of
-                    // i, hence inside s's write footprint. Tasks whose
-                    // footprints can overlap are ordered by an edge (checked
-                    // above), so no concurrent task touches these elements.
-                    unsafe {
-                        sh.get_mut(i).add(t.to_i);
-                        sh.get_mut(j as usize).add(t.to_j);
-                    }
-                }
-            }
-        }
+        task(TaskRows::Atoms(plan.atoms_of(s as usize)), &shared);
         if let (Some(m), Some(start)) = (metrics, start) {
             m.ready_latency.record_ns(ready_ns);
             m.add_busy_ns(worker, start.elapsed().as_nanos() as u64);
             m.tasks.inc();
         }
     };
-    let steals = ctx.install(|| pool::run_graph(&graph.indegree, |t| graph.dependents_of(t), task));
+    let steals = ctx.install(|| pool::run_graph(&graph.indegree, |t| graph.dependents_of(t), run));
     if let Some(m) = metrics {
         m.steals.add(steals);
     }
 }
 
-/// [`scatter_taskgraph_indexed_metered`] with a plain (unindexed) kernel.
+/// Dependency-driven per-pair scatter over a half list: [`sweep_taskgraph`]
+/// with a pair kernel, each stored pair visited exactly once.
 pub fn scatter_taskgraph_metered<V: ScatterValue>(
     ctx: &ParallelContext,
     graph: &TaskGraph,
@@ -278,7 +263,12 @@ pub fn scatter_taskgraph_metered<V: ScatterValue>(
     kernel: &(impl Fn(usize, usize) -> Option<PairTerm<V>> + Sync),
     metrics: Option<&ScatterMetrics>,
 ) {
-    scatter_taskgraph_indexed_metered(ctx, graph, plan, half, out, &|_, i, j| kernel(i, j), metrics);
+    // SAFETY: `sweep_taskgraph` runs tasks with overlapping footprints in
+    // edge order, never concurrently.
+    let task = |rows: TaskRows<'_>, out: &SharedSlice<'_, V>| unsafe {
+        pair_task(half, rows, out, kernel)
+    };
+    sweep_taskgraph(ctx, graph, plan, half, out, &task, metrics);
 }
 
 #[cfg(test)]

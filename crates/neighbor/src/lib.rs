@@ -22,14 +22,12 @@
 #![warn(missing_docs)]
 
 pub mod cell_grid;
-pub mod cluster;
 pub mod csr;
 pub mod reorder;
 pub mod stats;
 pub mod verlet;
 
 pub use cell_grid::CellGrid;
-pub use cluster::{cluster_permutation, ClusterList, DEFAULT_CLUSTER_M};
 pub use csr::Csr;
 pub use reorder::Permutation;
 pub use stats::NeighborStats;

@@ -14,19 +14,19 @@ pub struct MachineParams {
     pub pair_cost: f64,
     /// Serial cost of one stored half-pair under the fused path (§II.D):
     /// monomorphized dispatch, Horner-form spline segments, the interleaved
-    /// φ/f table, and the phase-1 scratch that spares phase 3 the
-    /// min_image/sqrt/spline recomputation. Default is `pair_cost / 1.25`,
-    /// the measured single-thread gain on the tabulated iron case
-    /// (EXPERIMENTS.md §fused).
+    /// φ/f table, and the phase-1 φ′/f′ records that spare phase 3 the
+    /// spline recomputation. Default is `pair_cost / 1.25`, the measured
+    /// single-thread gain on the tabulated iron case (EXPERIMENTS.md
+    /// §fused).
     pub fused_pair_cost: f64,
     /// Serial cost of one stored half-pair under the SIMD fused path at
     /// full lane occupancy: the φ/f spline lookups run four pairs per AVX2
-    /// block in the cluster-batched precompute pass, leaving the sweeps as
-    /// pure replays. Real cost is `simd_pair_cost / occupancy` — partially
-    /// filled tail batches pay for their idle lanes — which is the
-    /// [`MachineParams::simd`] view's lane-efficiency term. Default is
-    /// `fused_pair_cost / 1.2`, the measured single-thread gain on the
-    /// tabulated iron case (EXPERIMENTS.md §simd).
+    /// block in the density sweep's row kernel, which batches each task's
+    /// pairs across row boundaries. Real cost is `simd_pair_cost /
+    /// occupancy` — partially filled tail blocks pay for their idle lanes —
+    /// which is the [`MachineParams::simd`] view's lane-efficiency term.
+    /// Default is `fused_pair_cost / 1.2`, the measured single-thread gain
+    /// on the tabulated iron case (EXPERIMENTS.md §simd).
     pub simd_pair_cost: f64,
     /// Shared-bandwidth degradation μ: work cost scales by `1 + μ·ln P`.
     pub mem_contention: f64,
@@ -157,9 +157,9 @@ impl MachineParams {
     }
 
     /// Constants for predicting the SIMD fused path at the given lane
-    /// occupancy (`ClusterList::lane_occupancy` from `md-neighbor`, in
+    /// occupancy (`ForceEngine::lane_occupancy` from `md-sim`, in
     /// `(0, 1]`): the per-pair cost becomes `simd_pair_cost / occupancy` —
-    /// idle lanes in a cluster's tail batch still occupy the vector units —
+    /// idle lanes in a task's tail block still occupy the vector units —
     /// and, like [`MachineParams::fused`], every synchronization,
     /// bandwidth, and rebuild constant is unchanged.
     ///

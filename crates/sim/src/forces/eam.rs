@@ -19,149 +19,242 @@ use crate::system::System;
 use crate::timing::Phase;
 use md_base::pool::{self, SharedSlice};
 use md_geometry::{SimBox, Vec3};
-use md_neighbor::{ClusterList, Csr, NeighborList, DEFAULT_CLUSTER_M};
+use md_neighbor::{Csr, NeighborList};
 use md_potential::EamPotential;
-use sdc_core::{PairTerm, StrategyKind, NO_SLOT};
+use sdc_core::{PairTerm, TaskRows};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Phase-1 record for one stored half-list pair, addressed by its slot
-/// (`offsets[i] + k`): the minimum-image displacement, the separation, both
-/// radial derivatives, and the density contribution `f(r)`. Phase 3 of the
-/// fused path reads this instead of re-deriving it, so `min_image`, `sqrt`
-/// and the pair/density spline evaluations are paid once per pair per step —
-/// the paper's §II.D interpolation optimization. The SIMD path fills each
-/// record span lane-batched from inside the density sweep (see
-/// [`precompute_rows`]), so the sweep replays `f` while the span is still
-/// cache-hot.
-#[derive(Debug, Clone, Copy)]
+/// What the fused density sweep keeps of one stored half-list pair for the
+/// force sweep, addressed by the pair's slot (its CSR storage index
+/// `offsets[i] + k`): the radial derivatives φ′(r) and f′(r). Those are the
+/// costly part of phase 3 — a spline lookup each — so phase 1 evaluates
+/// them together with f(r) (the paper's §II.D interpolation
+/// optimization); the displacement and separation are cheaper to recompute
+/// from the positions than to store and reload. A skin pair's record is
+/// unspecified: the force sweep skips the pair before reading it.
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PairRecord {
-    d: Vec3,
-    r: f64,
     dphi: f64,
     df: f64,
-    f: f64,
 }
 
-impl PairRecord {
-    /// Sentinel for "outside the true cutoff this step" (a Verlet skin
-    /// pair): `r < 0` is unreachable for a real separation.
-    pub(crate) const EMPTY: PairRecord = PairRecord {
-        d: Vec3::ZERO,
-        r: -1.0,
-        dphi: 0.0,
-        df: 0.0,
-        f: 0.0,
-    };
-}
-
-/// Lane-batch size of the SIMD span fill: stored pairs are gathered into
-/// blocks of this many separations before one
-/// [`EamPotential::pair_density_batch`] call (a multiple of the 4-wide
-/// AVX2 blocks, large enough to amortize the call).
+/// Lane-batch size of the density kernel: a task's stored pairs are
+/// gathered into blocks of this many separations for one
+/// [`EamPotential::pair_density_batch`] call (a multiple of the 4-wide AVX2
+/// blocks, large enough to amortize the call).
 const SIMD_BATCH: usize = 64;
 
-/// Fills the slot records of a span of consecutive rows by batched spline
-/// evaluation: walks the rows, gathers stored pairs into
-/// [`SIMD_BATCH`]-wide blocks, evaluates φ/φ'/f/f' for the whole block, and
-/// writes the results into the slot-addressed scratch; skin pairs get the
-/// sentinel. The span is a [`ClusterList`] cluster under the
-/// serial sweep and a single row under the parallel ones (see
-/// [`ForceEngine::eam_density_phase_fused`]); either way row spans of
-/// distinct tasks are disjoint, so every slot has exactly one writer.
+/// Width of one AVX2 block, the unit [`ForceEngine::lane_occupancy`] counts.
+const LANES: usize = 4;
+
+/// Up to [`SIMD_BATCH`] stored pairs of one task, in sweep order, waiting
+/// for their separations to go through the splines.
+struct DensityBlock {
+    n: usize,
+    /// `r²` from the geometry walk, `r` after the flush's square root.
+    r: [f64; SIMD_BATCH],
+    /// The pair is inside the true cutoff (not a Verlet skin pair).
+    live: [bool; SIMD_BATCH],
+    row: [u32; SIMD_BATCH],
+    col: [u32; SIMD_BATCH],
+    slot: [u32; SIMD_BATCH],
+    out: [[f64; 4]; SIMD_BATCH],
+    /// AVX2 blocks evaluated so far.
+    quads: usize,
+}
+
+impl DensityBlock {
+    fn new() -> DensityBlock {
+        DensityBlock {
+            n: 0,
+            r: [0.0; SIMD_BATCH],
+            live: [false; SIMD_BATCH],
+            row: [0; SIMD_BATCH],
+            col: [0; SIMD_BATCH],
+            slot: [0; SIMD_BATCH],
+            out: [[0.0; 4]; SIMD_BATCH],
+            quads: 0,
+        }
+    }
+
+    /// Evaluates φ′, f and f′ for the gathered pairs, writes each pair's
+    /// record, and adds `f` to `rho[i]` and `rho[j]` in sweep order — the
+    /// order of the per-pair scatter, hence the same bits.
+    ///
+    /// `batch` selects [`md_potential::simd::sqrt_batch`] and
+    /// [`EamPotential::pair_density_batch`] over the block, or the scalar
+    /// `sqrt` and [`EamPotential::pair_density`] per live lane; the batched
+    /// evaluators are bit-exact against the scalar ones.
+    ///
+    /// # Safety
+    /// As for [`density_rows`], for every row in the block.
+    unsafe fn flush<P: EamPotential>(
+        &mut self,
+        pot: &P,
+        batch: bool,
+        rho: &SharedSlice<'_, f64>,
+        records: &SharedSlice<'_, PairRecord>,
+    ) {
+        let n = self.n;
+        if batch {
+            md_potential::simd::sqrt_batch(&mut self.r[..n]);
+            // Skin lanes take an in-domain sentinel before the spline batch:
+            // a separation `r ≥ rc` would drop its whole 4-lane block to the
+            // scalar guard path, and ~14% of stored pairs sit in the skin.
+            // Lanes are independent, so live lanes keep their bits; NaN
+            // separations are live (see `density_rows`) and stay NaN.
+            for (r, &live) in self.r[..n].iter_mut().zip(&self.live[..n]) {
+                if !live {
+                    *r = -1.0;
+                }
+            }
+            pot.pair_density_batch(&self.r[..n], &mut self.out[..n]);
+            self.quads += n.div_ceil(LANES);
+        } else {
+            for k in 0..n {
+                if self.live[k] {
+                    let (phi, dphi, f, df) = pot.pair_density(self.r[k].sqrt());
+                    self.out[k] = [phi, dphi, f, df];
+                }
+            }
+        }
+        // `rho[i]` of the current row stays in a register: a half list
+        // stores only `j > i`, so no pair of row `i` writes `rho[i]` through
+        // its `j` side, and no other task touches it while this one owns
+        // row `i`.
+        let mut row = usize::MAX;
+        let mut acc = 0.0;
+        for k in 0..n {
+            let [_, dphi, f, df] = self.out[k];
+            // SAFETY (all three blocks): the slot, `rho[i]` and `rho[j]` of
+            // a row in the block are this task's own (the caller's contract).
+            unsafe { *records.get_mut(self.slot[k] as usize) = PairRecord { dphi, df } };
+            if !self.live[k] {
+                continue;
+            }
+            let (i, j) = (self.row[k] as usize, self.col[k] as usize);
+            debug_assert!(j > i, "half-list pair ({i}, {j}) out of order");
+            if i != row {
+                if row != usize::MAX {
+                    unsafe { *rho.get_mut(row) = acc };
+                }
+                row = i;
+                acc = unsafe { *rho.get_mut(i) };
+            }
+            acc += f;
+            unsafe { *rho.get_mut(j) += f };
+        }
+        if row != usize::MAX {
+            unsafe { *rho.get_mut(row) = acc };
+        }
+        self.n = 0;
+    }
+}
+
+/// Phase 1 of the fused path for one task of a row-owning sweep
+/// ([`sdc_core::ScatterExec::run_tasks`]): walks the task's rows, batches
+/// their stored pairs across row boundaries into [`SIMD_BATCH`]-lane blocks
+/// (min-image geometry, then the splines — see [`DensityBlock::flush`]),
+/// writes one [`PairRecord`] per slot and accumulates `rho`. Returns the
+/// number of AVX2 blocks the batched evaluator ran.
+///
+/// # Safety
+/// While this runs, no other thread may access `records` at the slots of
+/// `rows`, nor `rho` at `rows` or at their stored neighbors — what
+/// `run_tasks` guarantees each task.
 #[allow(clippy::too_many_arguments)]
-fn precompute_rows<P: EamPotential>(
+unsafe fn density_rows<P: EamPotential>(
+    rows: TaskRows<'_>,
     half: &Csr,
-    row_lo: usize,
-    row_hi: usize,
     sim_box: &SimBox,
     pos: &[Vec3],
     rc2: f64,
     pot: &P,
+    batch: bool,
+    rho: &SharedSlice<'_, f64>,
     records: &SharedSlice<'_, PairRecord>,
+) -> usize {
+    let offsets = half.offsets();
+    let indices = half.indices();
+    let mut block = DensityBlock::new();
+    rows.for_each(|i| {
+        let pi = pos[i];
+        let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
+        for (slot, &j) in (lo..hi).zip(&indices[lo..hi]) {
+            let r2 = sim_box.min_image(pi, pos[j as usize]).norm_sq();
+            let k = block.n;
+            block.r[k] = r2;
+            // The cutoff test is the *negated* scalar guard `r2 >= rc2`:
+            // squared, so the rounded sqrt cannot move a boundary pair
+            // across, and negated, so a NaN separation counts as live and
+            // the poison still flows — exactly like the reference kernel.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            {
+                block.live[k] = !(r2 >= rc2);
+            }
+            block.row[k] = i as u32;
+            block.col[k] = j;
+            block.slot[k] = slot as u32;
+            block.n += 1;
+            if block.n == SIMD_BATCH {
+                // SAFETY: the block holds rows of `rows` only.
+                unsafe { block.flush(pot, batch, rho, records) };
+            }
+        }
+    });
+    // SAFETY: as above.
+    unsafe { block.flush(pot, batch, rho, records) };
+    block.quads
+}
+
+/// Phase 3 of the fused path for one task of a row-owning sweep: recomputes
+/// each stored pair's displacement, `r²` and `r` from the positions with
+/// the density sweep's IEEE operations, skips `r² ≥ rc²` (NaN flows
+/// through), reads φ′ and f′ from the pair's record, and scatters
+/// `s = φ′ + (F′(ρ_i) + F′(ρ_j))·f′` as `±s·d/r`. `forces[i]` stays in a
+/// register for the whole row, as `rho[i]` does in [`DensityBlock::flush`].
+///
+/// # Safety
+/// While this runs, no other thread may access `forces` at `rows` or at
+/// their stored neighbors — what `run_tasks` guarantees each task.
+#[allow(clippy::too_many_arguments)]
+unsafe fn force_rows(
+    rows: TaskRows<'_>,
+    half: &Csr,
+    sim_box: &SimBox,
+    pos: &[Vec3],
+    rc2: f64,
+    fp: &[f64],
+    records: &[PairRecord],
+    forces: &SharedSlice<'_, Vec3>,
 ) {
     let offsets = half.offsets();
     let indices = half.indices();
-    let mut rs = [0.0f64; SIMD_BATCH];
-    let mut valid = [false; SIMD_BATCH];
-    let mut out = [[0.0f64; 4]; SIMD_BATCH];
-    // Within a span, stored pairs occupy *consecutive* slots, so lane `k`
-    // of a block is slot `base + k` — no compaction, no slot scatter. Skin
-    // pairs ride through the batch as dead lanes (their outputs are
-    // discarded); evaluating them costs a few percent of lane occupancy
-    // but drops the per-pair gather/scatter bookkeeping a compacting pass
-    // would pay.
-    let mut base = offsets[row_lo] as usize;
-    let mut n = 0;
-    for i in row_lo..row_hi {
-        let lo = offsets[i] as usize;
-        let hi = offsets[i + 1] as usize;
-        for (slot, &j) in (lo..hi).zip(&indices[lo..hi]) {
-            let d = sim_box.min_image(pos[i], pos[j as usize]);
+    rows.for_each(|i| {
+        let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
+        if lo == hi {
+            return;
+        }
+        let (pi, fpi) = (pos[i], fp[i]);
+        // SAFETY (all three blocks): `forces` at `i` and at its neighbors
+        // is this task's own (the caller's contract).
+        let mut acc = unsafe { *forces.get_mut(i) };
+        for (&j, rec) in indices[lo..hi].iter().zip(&records[lo..hi]) {
+            let j = j as usize;
+            let d = sim_box.min_image(pi, pos[j]);
             let r2 = d.norm_sq();
-            rs[n] = r2;
-            // The cutoff test is the *negated* scalar guard `r2 >= rc2`
-            // (not `r < rc`): squared, so the rounded sqrt cannot land a
-            // boundary pair on the other side, and negated, so a NaN
-            // separation counts as valid — exactly like the scalar
-            // kernel's early-out — and the poison still flows.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            {
-                valid[n] = !(r2 >= rc2);
+            if r2 >= rc2 {
+                continue;
             }
-            // SAFETY: slot is inside this span — disjoint from every
-            // other task's writes (see above).
-            unsafe { records.get_mut(slot).d = d };
-            n += 1;
-            if n == SIMD_BATCH {
-                flush_block(pot, &mut rs, &valid, base, n, &mut out, records);
-                base = slot + 1;
-                n = 0;
-            }
+            let r = r2.sqrt();
+            let scalar = rec.dphi + (fpi + fp[j]) * rec.df;
+            // F_i = −dE/dr · r̂, r̂ = (r_i − r_j)/r; Newton gives −F to j.
+            let f = d * (-scalar / r);
+            acc += f;
+            unsafe { *forces.get_mut(j) += -f };
         }
-    }
-    flush_block(pot, &mut rs, &valid, base, n, &mut out, records);
-}
-
-/// One batched r²→r/φ/f evaluation over `n` consecutive slots starting at
-/// `base`, writing the separations and spline outputs back into the
-/// records (whose `d` fields the geometry walk already filled). Dead
-/// (skin) lanes get the `r = −1` sentinel instead of their separation;
-/// their spline outputs are stored too — harmless, since the sentinel
-/// makes every replay skip them.
-fn flush_block<P: EamPotential>(
-    pot: &P,
-    rs: &mut [f64; SIMD_BATCH],
-    valid: &[bool; SIMD_BATCH],
-    base: usize,
-    n: usize,
-    out: &mut [[f64; 4]; SIMD_BATCH],
-    records: &SharedSlice<'_, PairRecord>,
-) {
-    md_potential::simd::sqrt_batch(&mut rs[..n]);
-    // Dead lanes take the sentinel *before* the spline batch: a skin
-    // separation (`r ≥ rc`) would otherwise make
-    // [`EamPotential::pair_density_batch`] drop its whole 4-lane block to
-    // the scalar guard path, and with ~14% of stored pairs in the skin
-    // that is nearly half the blocks. The sentinel is in-domain (clamped
-    // to segment 0), the lane's garbage output is discarded anyway, and
-    // batched evaluation is lane-independent — valid lanes are bitwise
-    // unaffected. NaN separations are `valid` (see above) and stay NaN.
-    for k in 0..n {
-        if !valid[k] {
-            rs[k] = -1.0;
-        }
-    }
-    pot.pair_density_batch(&rs[..n], &mut out[..n]);
-    for (k, o) in out[..n].iter().enumerate() {
-        let [_phi, dphi, f, df] = *o;
-        // SAFETY: consecutive slots of this span — see `precompute_rows`.
-        unsafe {
-            let m = records.get_mut(base + k);
-            m.r = rs[k];
-            m.dphi = dphi;
-            m.df = df;
-            m.f = f;
-        }
-    }
+        unsafe { *forces.get_mut(i) = acc };
+    });
 }
 
 /// EAM phase 2 on the current pool: `fp[i] = F'(rho[i])` in contiguous
@@ -257,27 +350,17 @@ impl ForceEngine {
     /// [`ForceEngine::compute`], so the pair loops pay no virtual calls).
     ///
     /// Arithmetic is identical to the reference path expression for
-    /// expression — bitwise under every deterministic strategy — but phase 1
-    /// evaluates φ and f through [`EamPotential::pair_density`] (one segment
-    /// index into interleaved coefficients for tabulated potentials) and
-    /// stores each in-cutoff pair's [`PairRecord`] in slot-addressed
-    /// scratch; [`ForceEngine::eam_force_phase_fused`] reads the record
-    /// back. Strategies without stable slots (everything but
-    /// Serial/SDC/taskgraph) receive [`NO_SLOT`] and recompute in phase 3,
-    /// exactly like the reference path.
+    /// expression — bitwise under every deterministic strategy — but φ and
+    /// f come from one [`EamPotential::pair_density`] lookup (one segment
+    /// index into interleaved coefficients for tabulated potentials).
     ///
-    /// When SIMD is enabled (the default) *and* the active strategy
-    /// provides slots, the density sweep batch-fills the records span by
-    /// span from inside the kernel — the first executed pair of a span
-    /// evaluates the whole span's φ/f splines four pairs per AVX2 block
-    /// ([`EamPotential::pair_density_batch`]) and every pair then replays
-    /// its slot's stored `f` while it is still cache-hot. Spans are whole
-    /// [`ClusterList`] clusters under the serial sweep and single rows
-    /// under the parallel ones (a subdomain boundary can split a cluster
-    /// between tasks). Because the batched evaluators are bit-exact
-    /// against the scalar ones and the sweep's accumulation order is
-    /// untouched, rho/fp/forces are bitwise identical to the scalar fused
-    /// path at every thread count, with any span grouping.
+    /// Row-owning strategies ([`sdc_core::StrategyKind::owns_rows`]) run
+    /// [`density_rows`] over whole task rows: lane blocks across row
+    /// boundaries, batched through the AVX2 evaluators when SIMD is on (the
+    /// default) and per lane otherwise — same bits either way — and one
+    /// 16-byte [`PairRecord`] per stored pair for
+    /// [`ForceEngine::eam_force_phase_fused`]. The baseline strategies keep
+    /// a per-pair kernel and no records.
     pub(crate) fn eam_density_phase_fused<P: EamPotential>(
         &mut self,
         system: &mut System,
@@ -285,168 +368,104 @@ impl ForceEngine {
     ) {
         let rc2 = pot.cutoff() * pot.cutoff();
         let strategy = self.strategy();
+        let batch = self.simd();
+        // Re-checked every step: a mid-run downgrade can move the engine
+        // onto a baseline strategy.
+        let owns_rows = strategy.owns_rows();
         let entries = self.neighbor_list().csr().entries();
-        // Re-gated every step: a mid-run downgrade can move the engine onto
-        // a strategy whose sweep hands out NO_SLOT, where a precomputed
-        // record would never be read back.
-        let simd = self.simd() && strategy.provides_slots();
-        if simd && self.clusters_mut().is_none() {
-            let cl = ClusterList::build(self.neighbor_list().csr(), DEFAULT_CLUSTER_M);
-            *self.clusters_mut() = Some(cl);
-        }
-        let clusters = self.clusters_mut().take();
         // Timers and scratch are detached so `exec` (borrowing `self`) can
         // coexist with both.
         let mut timers = std::mem::take(self.timers_mut());
         let mut scratch = std::mem::take(self.scratch_mut());
-        if scratch.len() != entries {
-            scratch.clear();
-            scratch.resize(entries, PairRecord::EMPTY);
+        if owns_rows {
+            scratch.resize(entries, PairRecord::default());
+        } else {
+            scratch = Vec::new();
         }
+        let quads = AtomicUsize::new(0);
         {
             let exec = self.exec();
             let ctx = self.ctx();
             let half = self.neighbor_list().csr();
             let (sim_box, pos, rho, fp, _forces) = system.eam_split_mut();
 
-            // Phase 1: densities, recording each pair as a side effect.
+            // Phase 1: densities, and the records for phase 3.
             timers.time(Phase::Density, || {
                 rho.fill(0.0);
-                if let (true, Some(cl)) = (simd, clusters.as_ref()) {
-                    debug_assert_eq!(cl.entries(), entries, "stale cluster grouping");
-                    debug_assert_eq!(cl.m(), DEFAULT_CLUSTER_M, "unexpected cluster height");
-                    let offsets = half.offsets();
-                    let rows = half.rows();
+                if owns_rows {
                     let records = SharedSlice::new(&mut scratch);
-                    // The batch fill happens *inside* the sweep, triggered
-                    // by the first executed pair of each span, so records
-                    // are written and replayed while still cache-hot — a
-                    // separate precompute pass would stream the whole
-                    // record array through memory twice. The trigger
-                    // compares against the span's first slot: empty leading
-                    // rows do not advance CSR offsets, so the span's first
-                    // executed pair always carries it, and no later pair
-                    // can (slots ascend within a row). Accumulation stays
-                    // inside `run_indexed`, in exactly the order of the
-                    // scalar kernel below — hence bitwise-identical rho.
-                    let replay = |rec: &PairRecord| {
-                        if rec.r < 0.0 {
-                            return None;
-                        }
-                        Some(PairTerm::symmetric(rec.f))
+                    // SAFETY: `run_tasks` gives each task its rows' slots and
+                    // footprint to itself.
+                    let task = |rows: TaskRows<'_>, rho: &SharedSlice<'_, f64>| unsafe {
+                        let q =
+                            density_rows(rows, half, sim_box, pos, rc2, pot, batch, rho, &records);
+                        quads.fetch_add(q, Ordering::Relaxed);
                     };
-                    if matches!(strategy, StrategyKind::Serial) {
-                        // One task sweeps all rows in ascending order, so a
-                        // span can be a whole cluster of `cl`'s grouping —
-                        // M consecutive rows, the granularity
-                        // `lane_occupancy` scores.
-                        const M: usize = DEFAULT_CLUSTER_M;
-                        const { assert!(M.is_power_of_two()) };
-                        let kernel = |slot: usize, i: usize, _j: usize| {
-                            let first = i & !(M - 1);
-                            if slot == offsets[first] as usize {
-                                let hi = (first + M).min(rows);
-                                precompute_rows(
-                                    half, first, hi, sim_box, pos, rc2, pot, &records,
-                                );
-                            }
-                            // SAFETY: the span trigger above filled this
-                            // slot earlier in this task's sweep; spans of
-                            // distinct tasks are disjoint.
-                            replay(unsafe { &*records.get_mut(slot) })
-                        };
-                        exec.run_indexed(strategy, rho, &kernel);
-                    } else {
-                        // Parallel strategies own whole rows, but a
-                        // subdomain boundary can split a cluster between
-                        // tasks — so each task batches row-wide spans.
-                        let kernel = |slot: usize, i: usize, _j: usize| {
-                            if slot == offsets[i] as usize {
-                                precompute_rows(
-                                    half,
-                                    i,
-                                    i + 1,
-                                    sim_box,
-                                    pos,
-                                    rc2,
-                                    pot,
-                                    &records,
-                                );
-                            }
-                            // SAFETY: as above — row spans are disjoint.
-                            replay(unsafe { &*records.get_mut(slot) })
-                        };
-                        exec.run_indexed(strategy, rho, &kernel);
-                    }
+                    exec.run_tasks(strategy, rho, &task);
                 } else {
-                    let records = SharedSlice::new(&mut scratch);
-                    let kernel = |slot: usize, i: usize, j: usize| {
-                        let d = sim_box.min_image(pos[i], pos[j]);
-                        let r2 = d.norm_sq();
+                    let kernel = |i: usize, j: usize| {
+                        let r2 = sim_box.min_image(pos[i], pos[j]).norm_sq();
                         if r2 >= rc2 {
-                            if slot != NO_SLOT {
-                                // SAFETY: run_indexed visits each real slot
-                                // exactly once per sweep, from one task.
-                                unsafe { records.get_mut(slot).r = -1.0 };
-                            }
                             return None;
                         }
-                        let r = r2.sqrt();
-                        let (_, dphi, f, df) = pot.pair_density(r);
-                        if slot != NO_SLOT {
-                            // SAFETY: as above — slot writes are disjoint.
-                            unsafe {
-                                *records.get_mut(slot) = PairRecord { d, r, dphi, df, f }
-                            };
-                        }
-                        Some(PairTerm::symmetric(f))
+                        Some(PairTerm::symmetric(pot.pair_density(r2.sqrt()).2))
                     };
-                    exec.run_indexed(strategy, rho, &kernel);
+                    exec.run(strategy, rho, &kernel);
                 }
             });
 
             // Phase 2: embedding derivatives (no dependences), lane-batched
-            // on the SIMD path.
+            // when SIMD is on.
             timers.time(Phase::Embedding, || {
-                ctx.install(|| embedding_phase(pot, rho, fp, simd));
+                ctx.install(|| embedding_phase(pot, rho, fp, batch));
             });
         }
         *self.scratch_mut() = scratch;
         *self.timers_mut() = timers;
-        *self.clusters_mut() = clusters;
+        // Each task's blocks are full but its last, so this is
+        // entries / (4 · Σ_tasks ⌈pairs_t / 4⌉).
+        *self.lane_occupancy_mut() = (owns_rows && batch).then(|| match quads.into_inner() {
+            0 => 1.0,
+            q => entries as f64 / (LANES * q) as f64,
+        });
     }
 
-    /// Phase 3 of the fused path: forces, replaying the records written by
-    /// [`ForceEngine::eam_density_phase_fused`] (which must run first on the
-    /// same neighbor list — [`ForceEngine::compute`] and the shard driver
-    /// both guarantee that ordering).
-    ///
-    /// This phase deliberately stays scalar even on the SIMD path: the
-    /// replay is a handful of cheap flops per record, its per-pair divides
-    /// are independent (so the out-of-order core already overlaps them),
-    /// and a lane-batched variant was measured slower — the extra span
-    /// walk and write-back cost more than the batched divide saved.
+    /// Phase 3 of the fused path: forces. Row-owning strategies run
+    /// [`force_rows`] over whole task rows, reading the φ′/f′ records
+    /// written by [`ForceEngine::eam_density_phase_fused`] (which must run
+    /// first on the same neighbor list and positions —
+    /// [`ForceEngine::compute`] and the shard driver both guarantee that);
+    /// the baseline strategies recompute every pair, like the reference
+    /// path.
     pub(crate) fn eam_force_phase_fused<P: EamPotential>(&mut self, system: &mut System, pot: &P) {
         let rc2 = pot.cutoff() * pot.cutoff();
         let strategy = self.strategy();
-        debug_assert_eq!(
-            self.scratch_mut().len(),
-            self.neighbor_list().csr().entries(),
+        let owns_rows = strategy.owns_rows();
+        debug_assert!(
+            !owns_rows || self.scratch_mut().len() == self.neighbor_list().csr().entries(),
             "fused force phase without a preceding density phase"
         );
         let mut timers = std::mem::take(self.timers_mut());
         let scratch = std::mem::take(self.scratch_mut());
         {
             let exec = self.exec();
+            let half = self.neighbor_list().csr();
             let (sim_box, pos, _rho, fp, forces) = system.eam_split_mut();
 
-            // Phase 3: forces, replaying the phase-1 records.
+            // Phase 3: forces.
             timers.time(Phase::Force, || {
                 forces.fill(Vec3::ZERO);
-                let fp_ro: &[f64] = fp;
-                let records: &[PairRecord] = &scratch;
-                let kernel = |slot: usize, i: usize, j: usize| {
-                    let (d, r, dphi, df) = if slot == NO_SLOT {
+                let fp: &[f64] = fp;
+                if owns_rows {
+                    let records: &[PairRecord] = &scratch;
+                    // SAFETY: `run_tasks` gives each task its footprint to
+                    // itself.
+                    let task = |rows: TaskRows<'_>, forces: &SharedSlice<'_, Vec3>| unsafe {
+                        force_rows(rows, half, sim_box, pos, rc2, fp, records, forces)
+                    };
+                    exec.run_tasks(strategy, forces, &task);
+                } else {
+                    let kernel = |i: usize, j: usize| {
                         let d = sim_box.min_image(pos[i], pos[j]);
                         let r2 = d.norm_sq();
                         if r2 >= rc2 {
@@ -454,19 +473,12 @@ impl ForceEngine {
                         }
                         let r = r2.sqrt();
                         let (_, dphi, _, df) = pot.pair_density(r);
-                        (d, r, dphi, df)
-                    } else {
-                        let rec = records[slot];
-                        if rec.r < 0.0 {
-                            return None;
-                        }
-                        (rec.d, rec.r, rec.dphi, rec.df)
+                        let scalar = dphi + (fp[i] + fp[j]) * df;
+                        // F_i = −dE/dr · r̂, r̂ = (r_i − r_j)/r; Newton gives −F to j.
+                        Some(PairTerm::newton(d * (-scalar / r)))
                     };
-                    let scalar = dphi + (fp_ro[i] + fp_ro[j]) * df;
-                    // F_i = −dE/dr · r̂, r̂ = (r_i − r_j)/r; Newton gives −F to j.
-                    Some(PairTerm::newton(d * (-scalar / r)))
-                };
-                exec.run_indexed(strategy, forces, &kernel);
+                    exec.run(strategy, forces, &kernel);
+                }
             });
         }
         *self.scratch_mut() = scratch;
@@ -563,42 +575,61 @@ mod tests {
         system.wrap();
     }
 
-    /// Tuning probe (not part of the suite): min-of-N per-phase wall time
-    /// of the fused density/force phases at the EXPERIMENTS.md size
-    /// (cells = 26, 35152 atoms), SIMD vs scalar. Much lower-noise than
-    /// timing whole `mdrun` processes. Run with
+    /// Tuning probe (not part of the suite): per-phase wall time of the
+    /// fused density and force phases on the benchmark crystal — 32³-cell
+    /// bcc Fe (65,536 atoms), tabulated, after 10 velocity-Verlet steps —
+    /// serial on 1 thread from 300 K and sdc3d on 2 threads from 3000 K,
+    /// SIMD on and off. Prints the min and median of `PROBE_REPS` reps of
+    /// each phase, in ns per atom. Much lower-noise than timing whole runs;
+    /// run it alternately on two checkouts to compare kernels:
     /// `cargo test -q -p md-sim --release phase_speed -- --ignored --nocapture`.
     #[test]
     #[ignore]
     fn phase_speed_probe() {
+        use crate::integrate::velocity_verlet;
+        use crate::velocity::init_velocities;
         use std::time::Instant;
-        let mut system = System::from_lattice(LatticeSpec::bcc_fe(26), FE_MASS);
-        rattle(&mut system, 0.05);
+        const PROBE_REPS: usize = 15;
+        let stats = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            (v[0], v[v.len() / 2])
+        };
         let src = AnalyticEam::fe();
         let tab = Arc::new(TabulatedEam::standard(&src, src.rho_e()));
-        let pot = PotentialChoice::Eam(tab.clone());
-        let mut eng = ForceEngine::new(&system, pot, StrategyKind::Serial, 1, 0.3).unwrap();
-        eng.rebuild(&system);
-        for &simd in &[false, true] {
-            eng.set_simd(simd);
-            eng.compute(&mut system); // warm caches + scratch
-            let reps = 8;
-            let (mut dmin, mut fmin) = (f64::MAX, f64::MAX);
-            for _ in 0..reps {
-                let t = Instant::now();
-                eng.eam_density_phase_fused(&mut system, &*tab);
-                let d = t.elapsed().as_secs_f64();
-                let t = Instant::now();
-                eng.eam_force_phase_fused(&mut system, &*tab);
-                let f = t.elapsed().as_secs_f64();
-                dmin = dmin.min(d);
-                fmin = fmin.min(f);
+        for (strategy, threads, kelvin) in [
+            (StrategyKind::Serial, 1, 300.0),
+            (StrategyKind::Sdc { dims: 3 }, 2, 3000.0),
+        ] {
+            let mut system = System::from_lattice(LatticeSpec::bcc_fe(32), FE_MASS);
+            init_velocities(&mut system, kelvin, 1);
+            let pot = PotentialChoice::Eam(tab.clone());
+            let mut eng = ForceEngine::new(&system, pot, strategy, threads, 0.3).unwrap();
+            eng.compute(&mut system);
+            for _ in 0..10 {
+                velocity_verlet(&mut system, &mut eng, 1e-3);
             }
-            eprintln!(
-                "simd={simd}: density {:.2} ms  force {:.2} ms",
-                dmin * 1e3,
-                fmin * 1e3
-            );
+            let per_atom = 1e9 / system.len() as f64;
+            for simd in [true, false] {
+                eng.set_simd(simd);
+                eng.compute(&mut system); // warm caches + scratch
+                let (mut density, mut force) = (Vec::new(), Vec::new());
+                for _ in 0..PROBE_REPS {
+                    let t = Instant::now();
+                    eng.eam_density_phase_fused(&mut system, &*tab);
+                    density.push(t.elapsed().as_secs_f64() * per_atom);
+                    let t = Instant::now();
+                    eng.eam_force_phase_fused(&mut system, &*tab);
+                    force.push(t.elapsed().as_secs_f64() * per_atom);
+                }
+                let both: Vec<f64> = density.iter().zip(&force).map(|(d, f)| d + f).collect();
+                let ((dmin, dmed), (fmin, fmed), (bmin, bmed)) =
+                    (stats(density), stats(force), stats(both));
+                eprintln!(
+                    "{strategy} t={threads} {kelvin} K simd={simd}: ns/atom min/median \
+                     density {dmin:.0}/{dmed:.0}  force {fmin:.0}/{fmed:.0}  \
+                     density+force {bmin:.0}/{bmed:.0}"
+                );
+            }
         }
     }
 
@@ -900,7 +931,7 @@ mod tests {
                 eng_s.set_simd(false);
                 eng_v.rebuild(&sys_v);
                 eng_s.rebuild(&sys_s);
-                // Two steps, so the second replays warm scratch/clusters.
+                // Two steps, so the second reuses the warm pair scratch.
                 for step in 0..2 {
                     eng_v.compute(&mut sys_v);
                     eng_s.compute(&mut sys_s);
@@ -918,16 +949,16 @@ mod tests {
                 );
                 assert!(
                     eng_s.lane_occupancy().is_none(),
-                    "scalar engine never builds clusters"
+                    "the scalar setting runs no lane blocks"
                 );
             }
         }
     }
 
     #[test]
-    fn simd_flag_is_inert_on_strategies_without_slots() {
-        // Atomic's sweep hands out NO_SLOT: the flag must gate itself off
-        // and the physics must match the scalar fused path exactly.
+    fn simd_flag_is_inert_on_strategies_without_rows() {
+        // Atomic does not own rows: its fused kernels stay per pair, so no
+        // lane blocks run, and the physics matches the scalar setting.
         let (mut sys_v, mut eng_v) = fe_engine(7, StrategyKind::Atomic, 2);
         rattle(&mut sys_v, 0.05);
         let mut sys_s = sys_v.clone();
@@ -937,9 +968,53 @@ mod tests {
         eng_s.rebuild(&sys_s);
         eng_v.compute(&mut sys_v);
         eng_s.compute(&mut sys_s);
-        assert!(eng_v.lane_occupancy().is_none(), "no clusters without slots");
+        assert!(
+            eng_v.lane_occupancy().is_none(),
+            "no lane blocks without rows"
+        );
         for (a, b) in sys_v.forces().iter().zip(sys_s.forces()) {
             assert!((*a - *b).norm() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn pair_records_are_16_bytes_one_per_stored_pair_on_row_owning_sweeps() {
+        assert_eq!(std::mem::size_of::<super::PairRecord>(), 16);
+        for strategy in StrategyKind::all() {
+            let (mut system, mut eng) = fe_engine(9, strategy, 2);
+            rattle(&mut system, 0.05);
+            eng.rebuild(&system);
+            eng.compute(&mut system);
+            let records = eng.scratch_mut().len();
+            if strategy.owns_rows() {
+                let entries = eng.neighbor_list().csr().entries();
+                assert_eq!(records, entries, "{strategy}: one record per stored pair");
+                let occupancy = eng.lane_occupancy().expect("SIMD row kernel ran");
+                assert!(
+                    occupancy > 0.5 && occupancy <= 1.0,
+                    "{strategy}: {occupancy}"
+                );
+            } else {
+                assert_eq!(
+                    eng.scratch_mut().capacity(),
+                    0,
+                    "{strategy} keeps no records"
+                );
+                assert_eq!(eng.lane_occupancy(), None, "{strategy}");
+            }
+            // A rebuild on moved atoms changes the entry count; the scratch
+            // follows it on the next density pass.
+            rattle(&mut system, 0.2);
+            eng.rebuild(&system);
+            assert_eq!(
+                eng.lane_occupancy(),
+                None,
+                "{strategy}: stale after a rebuild"
+            );
+            eng.compute(&mut system);
+            if strategy.owns_rows() {
+                assert_eq!(eng.scratch_mut().len(), eng.neighbor_list().csr().entries());
+            }
         }
     }
 

@@ -20,7 +20,7 @@ use crate::balance::{BalanceConfig, BalanceState, RebalanceEvent};
 use crate::metrics::SimMetrics;
 use crate::system::System;
 use crate::timing::{Phase, PhaseTimers};
-use md_neighbor::{ClusterList, NeighborList, VerletConfig};
+use md_neighbor::{NeighborList, VerletConfig};
 use md_perfmodel::ObservedImbalance;
 use md_potential::{EamPotential, PairPotential};
 use sdc_core::schedule::{self, PlanChoice};
@@ -115,7 +115,7 @@ pub struct ForceEngine {
     fused: bool,
     simd: bool,
     scratch: Vec<eam::PairRecord>,
-    clusters: Option<ClusterList>,
+    lane_occupancy: Option<f64>,
     sap: SapBuffers,
     balance: Option<BalanceState>,
     taskgraph: Option<TaskGraph>,
@@ -208,7 +208,7 @@ impl ForceEngine {
             fused: true,
             simd: true,
             scratch: Vec::new(),
-            clusters: None,
+            lane_occupancy: None,
             sap: SapBuffers::new(),
             balance: None,
             taskgraph: None,
@@ -665,9 +665,9 @@ impl ForceEngine {
         self.full = full;
         self.plan = plan;
         self.localwrite = localwrite;
-        // The cluster grouping indexes the outgoing list's slot spans; the
-        // SIMD density pass rebuilds it lazily from the fresh list.
-        self.clusters = None;
+        // The occupancy described the outgoing list's tasks; the next
+        // batched density pass measures the fresh one.
+        self.lane_occupancy = None;
         self.rebuilds += 1;
         // Re-schedule (and possibly re-plan) the fresh decomposition, then
         // bring the task graph in line with whatever plan survived.
@@ -769,35 +769,37 @@ impl ForceEngine {
         self.fused = fused;
     }
 
-    /// Whether the fused EAM path batches spline evaluations through the
-    /// lane-parallel kernels (the default). Only takes effect on strategies
-    /// whose indexed sweeps provide real slots
-    /// ([`StrategyKind::provides_slots`]); elsewhere the scalar fused
-    /// kernels run regardless of this flag.
+    /// Whether the fused EAM path evaluates splines through the
+    /// lane-batched kernels (the default): the row kernel of the row-owning
+    /// strategies ([`StrategyKind::owns_rows`]) runs its lane blocks through
+    /// the AVX2 evaluators, and the embedding phase its index blocks.
     #[inline]
     pub fn simd(&self) -> bool {
         self.simd
     }
 
-    /// Selects the lane-batched (default) or scalar fused EAM kernels. Both
-    /// settings produce bitwise-identical physics — the batched spline
-    /// evaluators replicate the scalar operation order exactly — so the
-    /// scalar setting exists for A/B benchmarking, as the conformance
-    /// oracle, and as an escape hatch (`mdrun --no-simd`).
+    /// Selects batched (default) or per-lane scalar spline evaluation
+    /// inside the same fused kernels. Both settings produce
+    /// bitwise-identical physics — the batched evaluators replicate the
+    /// scalar operation order exactly — so the scalar setting exists for
+    /// A/B benchmarking, as the conformance oracle, and as an escape hatch
+    /// (`mdrun --no-simd`).
     pub fn set_simd(&mut self, simd: bool) {
         self.simd = simd;
     }
 
-    /// Fraction of SIMD lanes carrying real pairs under the current cluster
-    /// grouping (the perf model's lane-efficiency term), or `None` before
-    /// the first SIMD density pass on the current neighbor list.
+    /// Fraction of AVX2 lanes that carried real pairs in the last density
+    /// sweep (the perf model's lane-efficiency term):
+    /// `entries / (4 · Σ_tasks ⌈pairs_t / 4⌉)` over the sweep's tasks, since
+    /// each task batches its pairs across row boundaries and only its last
+    /// block can run partly filled. `None` unless that sweep ran the batched
+    /// row kernel on the current neighbor list.
     pub fn lane_occupancy(&self) -> Option<f64> {
-        // Width 4: the AVX2 kernels process four f64 lanes per block.
-        self.clusters.as_ref().map(|c| c.lane_occupancy(4))
+        self.lane_occupancy
     }
 
-    pub(crate) fn clusters_mut(&mut self) -> &mut Option<ClusterList> {
-        &mut self.clusters
+    pub(crate) fn lane_occupancy_mut(&mut self) -> &mut Option<f64> {
+        &mut self.lane_occupancy
     }
 
     /// Largest embedding density the potential defines, when its domain is

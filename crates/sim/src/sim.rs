@@ -437,8 +437,8 @@ impl SimulationBuilder {
     }
 
     /// Selects the fused §II.D EAM evaluation path (default **on**):
-    /// devirtualized kernels, one interleaved φ/f table lookup per pair and
-    /// a phase-1 pair-record scratch that phase 3 replays. Physics is
+    /// devirtualized row kernels, one interleaved φ/f table lookup per pair
+    /// and 16-byte φ′/f′ pair records that phase 3 reads back. Physics is
     /// identical to the reference path (bitwise under deterministic
     /// strategies); turn it off for A/B benchmarking.
     pub fn fused(mut self, on: bool) -> Self {
@@ -446,11 +446,12 @@ impl SimulationBuilder {
         self
     }
 
-    /// Selects the lane-batched (SIMD) spline kernels of the fused path
-    /// (default **on**; `mdrun --no-simd` turns it off). Takes effect only
-    /// on strategies whose sweeps provide pair slots, and is bitwise
-    /// identical to the scalar fused kernels either way — a performance
-    /// knob, kept for A/B benchmarking and as the conformance oracle.
+    /// Selects lane-batched (SIMD) spline evaluation inside the fused
+    /// kernels (default **on**; `mdrun --no-simd` turns it off): the row
+    /// kernel of the row-owning strategies evaluates its lane blocks
+    /// through the AVX2 evaluators instead of per lane. Bitwise identical
+    /// either way — a performance knob, kept for A/B benchmarking and as
+    /// the conformance oracle.
     pub fn simd(mut self, on: bool) -> Self {
         self.simd = on;
         self

@@ -45,22 +45,28 @@
 #      SIMD-vs-scalar fused with every physics counter matching exactly —
 #      the batched kernels may only change how fast the splines evaluate,
 #      never what the physics does)
+#  12. perfbench build            (perfbench/ is a cargo workspace of its
+#      own that names engine APIs — `ForceEngine::lane_occupancy`,
+#      `ScatterExec`'s fields, `WorldSpec.{fused,simd}`, `md_shard::Codec`;
+#      building it against this tree keeps a change from passing tier-1
+#      and only breaking in the benchmark pipeline. The build rewrites
+#      perfbench/Cargo.lock, which is restored on exit)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> [1/11] release build"
+echo "==> [1/12] release build"
 cargo build --release --workspace
 
-echo "==> [2/11] test suite"
+echo "==> [2/12] test suite"
 cargo test --workspace -q
 
-echo "==> [3/11] clippy (deny warnings)"
+echo "==> [3/12] clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> [4/11] debug-assertions test job"
+echo "==> [4/12] debug-assertions test job"
 RUSTFLAGS="-C debug-assertions=on" cargo test --workspace -q --profile dev
 
-echo "==> [5/11] metrics regression gate"
+echo "==> [5/12] metrics regression gate"
 report="$(mktemp /tmp/tier1_metrics.XXXXXX.json)"
 cargo run -q -p sdc-bench --release --bin mdrun -- \
   --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 \
@@ -69,7 +75,7 @@ cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   scripts/metrics_baseline.json "$report" --tol 1.10 --time-tol 50
 rm -f "$report"
 
-echo "==> [6/11] fused-path conformance gate"
+echo "==> [6/12] fused-path conformance gate"
 ref="$(mktemp /tmp/tier1_ref.XXXXXX.json)"
 fus="$(mktemp /tmp/tier1_fused.XXXXXX.json)"
 cargo run -q -p sdc-bench --release --bin mdrun -- \
@@ -82,7 +88,7 @@ cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   "$ref" "$fus" --tol 1.0 --time-tol 50
 rm -f "$ref" "$fus"
 
-echo "==> [7/11] load-balance gate"
+echo "==> [7/12] load-balance gate"
 def="$(mktemp /tmp/tier1_default.XXXXXX.json)"
 bal="$(mktemp /tmp/tier1_balanced.XXXXXX.json)"
 cargo run -q -p sdc-bench --release --bin mdrun -- \
@@ -95,7 +101,7 @@ cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   "$def" "$bal" --tol 1.0 --time-tol 50
 rm -f "$def" "$bal"
 
-echo "==> [8/11] mdserve chaos gate (client storm + kill-and-restart resume)"
+echo "==> [8/12] mdserve chaos gate (client storm + kill-and-restart resume)"
 sd="$(mktemp -d /tmp/tier1_mdserve.XXXXXX)"
 # The server runs in its own process group (setsid): `kill -9` must reach
 # the mdserve process itself, not just the timeout/cargo wrappers — SIGKILL
@@ -127,7 +133,7 @@ wait "$serve2_pid"
 grep -q "re-queued" "$sd/serve2.log" || { echo "restart did not replay the journal"; cat "$sd/serve2.log"; exit 1; }
 rm -rf "$sd"
 
-echo "==> [9/11] task-graph gate (A/B vs barriered SDC)"
+echo "==> [9/12] task-graph gate (A/B vs barriered SDC)"
 sdc="$(mktemp /tmp/tier1_sdc.XXXXXX.json)"
 tg="$(mktemp /tmp/tier1_taskgraph.XXXXXX.json)"
 cargo run -q -p sdc-bench --release --bin mdrun -- \
@@ -140,7 +146,7 @@ cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   "$sdc" "$tg" --ab --tol 1.0 --time-tol 50
 rm -f "$sdc" "$tg"
 
-echo "==> [10/11] shard gate (A/B vs the unsharded engine)"
+echo "==> [10/12] shard gate (A/B vs the unsharded engine)"
 # The conformance battery, the codec fuzz, and the SIGKILL/resume chaos
 # test run in job 2.
 # The process-backend smoke: mdrun needs the worker binary next to it.
@@ -160,7 +166,7 @@ cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   "$flat" "$shrd" --ab --tol 1.0 --time-tol 500
 rm -f "$flat" "$shrd"
 
-echo "==> [11/11] SIMD gate (release + scalar-fallback legs + A/B vs scalar fused)"
+echo "==> [11/12] SIMD gate (release + scalar-fallback legs + A/B vs scalar fused)"
 echo "    release-profile battery (silent spline clamp live)"
 cargo test -q --release --test simd_conformance
 echo "    runtime scalar-fallback leg (MD_SIMD_SCALAR=1)"
@@ -176,5 +182,12 @@ cargo run -q -p sdc-bench --release --bin mdrun -- \
 cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   "$scl" "$smd" --ab --tol 1.0 --time-tol 50
 rm -f "$scl" "$smd"
+
+echo "==> [12/12] perfbench build (the benchmark workspace against this tree)"
+lock_backup="$(mktemp /tmp/tier1_perfbench_lock.XXXXXX)"
+cp perfbench/Cargo.lock "$lock_backup"
+trap 'cp "$lock_backup" perfbench/Cargo.lock; rm -f "$lock_backup"' EXIT
+CARGO_TARGET_DIR=target/perfbench cargo build --release --offline \
+  --manifest-path perfbench/Cargo.toml -p perfbench -p md-shard
 
 echo "tier-1: all green"
