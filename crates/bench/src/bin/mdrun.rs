@@ -62,12 +62,6 @@ usage: mdrun [options]
   --reorder                 enable spatial data reordering
   --tabulated               evaluate the EAM through cubic-spline tables
                             instead of the analytic forms (fe/cu only)
-  --no-fused                use the reference (per-pair dyn-dispatched) EAM
-                            path instead of the fused monomorphized one
-  --no-simd                 evaluate the fused kernels' lane blocks one
-                            lane at a time instead of through the batched
-                            (AVX2) splines; physics is bitwise identical
-                            either way
   --restart PATH            continue from a checkpoint file
   --dump PATH               write an .xyz trajectory
   --log PATH                write a thermo CSV
@@ -103,8 +97,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--thermostat",
     "--reorder",
     "--tabulated",
-    "--no-fused",
-    "--no-simd",
     "--restart",
     "--dump",
     "--log",
@@ -183,8 +175,6 @@ fn run(args: &Args) -> Result<(), String> {
     let thermostat = parse_thermostat(args.get_str("--thermostat").unwrap_or("none"))?;
     let reorder = args.flag("--reorder");
     let tabulated = args.flag("--tabulated");
-    let no_fused = args.flag("--no-fused");
-    let no_simd = args.flag("--no-simd");
     let checkpoint_every: usize = args.try_get_or("--checkpoint-every", 0)?;
     let metrics_out: Option<PathBuf> = args.get_str("--metrics-out").map(PathBuf::from);
     let balance = args.flag("--balance");
@@ -204,8 +194,7 @@ fn run(args: &Args) -> Result<(), String> {
         // Full audit of every flag against the sharded driver. Honored:
         // --potential/--cells/--void/--tabulated/--temperature/--seed (they
         // shape the initial state the driver inherits), --strategy (barriered
-        // kinds), --threads/--steps/--dt/--report, --no-fused/--no-simd
-        // (shipped per shard through the Init wire spec), --dump,
+        // kinds), --threads/--steps/--dt/--report, --dump,
         // --checkpoint/--checkpoint-every (per-shard directory),
         // --metrics-out, --shard-backend. Everything else is a
         // single-process convenience that reaches into the Simulation's
@@ -318,8 +307,6 @@ fn run(args: &Args) -> Result<(), String> {
     };
     let mut sim = builder
         .strategy(strategy)
-        .fused(!no_fused)
-        .simd(!no_simd)
         .threads(threads)
         .dt(dt)
         .seed(seed)
@@ -339,8 +326,10 @@ fn run(args: &Args) -> Result<(), String> {
         let spec = md_shard::WorldSpec {
             potential: potential.clone(),
             tabulated,
-            fused: !no_fused,
-            simd: !no_simd,
+            // Ignored: every shard runs the one EAM path (the fields stay
+            // only because perfbench names them).
+            fused: true,
+            simd: true,
             strategy: sim.engine().strategy().name().to_string(),
             threads,
             skin: 0.3,
@@ -774,6 +763,8 @@ mod tests {
     #[test]
     fn unknown_flags_and_bad_values_are_usage_errors() {
         assert!(err_of(&["--no-simdd"]).contains("unknown flag"));
+        assert!(err_of(&["--no-fused"]).contains("unknown flag"));
+        assert!(err_of(&["--no-simd"]).contains("unknown flag"));
         assert!(err_of(&["--cells", "many"]).contains("--cells"));
         assert!(err_of(&["--strategy", "avx"]).contains("--strategy"));
     }

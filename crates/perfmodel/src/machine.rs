@@ -9,24 +9,21 @@
 /// engine) when absolute times matter.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineParams {
-    /// Serial cost of one stored half-pair in one sweep (density or force)
-    /// on the reference (per-pair dyn-dispatched) evaluation path.
+    /// Serial cost of one stored half-pair in one sweep (density or force),
+    /// the scale every strategy's work term is built on. The default is an
+    /// era-typical per-pair constant (the paper's reproduced curves rest
+    /// on it); hosts override it with a measured value through
+    /// [`MachineParams::calibrated`].
     pub pair_cost: f64,
-    /// Serial cost of one stored half-pair under the fused path (§II.D):
-    /// monomorphized dispatch, Horner-form spline segments, the interleaved
-    /// φ/f table, and the phase-1 φ′/f′ records that spare phase 3 the
-    /// spline recomputation. Default is `pair_cost / 1.25`, the measured
-    /// single-thread gain on the tabulated iron case (EXPERIMENTS.md
-    /// §fused).
-    pub fused_pair_cost: f64,
-    /// Serial cost of one stored half-pair under the SIMD fused path at
-    /// full lane occupancy: the φ/f spline lookups run four pairs per AVX2
-    /// block in the density sweep's row kernel, which batches each task's
-    /// pairs across row boundaries. Real cost is `simd_pair_cost /
-    /// occupancy` — partially filled tail blocks pay for their idle lanes —
-    /// which is the [`MachineParams::simd`] view's lane-efficiency term.
-    /// Default is `fused_pair_cost / 1.2`, the measured single-thread gain
-    /// on the tabulated iron case (EXPERIMENTS.md §simd).
+    /// Serial cost of one stored half-pair at full AVX2 lane occupancy:
+    /// the φ/f spline lookups of the density sweep's row kernel run four
+    /// pairs per block, batched across row boundaries. Real cost is
+    /// `simd_pair_cost / occupancy` — partially filled tail blocks pay for
+    /// their idle lanes — which is the [`MachineParams::simd`] view's
+    /// lane-efficiency term. Default is `pair_cost · 0.8 / 1.2`: the
+    /// measured single-thread gains of the §II.D kernel (1.25×) and of the
+    /// AVX2 splines on top of it (1.2×) on the tabulated iron case
+    /// (EXPERIMENTS.md §II.D-fused, §simd).
     pub simd_pair_cost: f64,
     /// Shared-bandwidth degradation μ: work cost scales by `1 + μ·ln P`.
     pub mem_contention: f64,
@@ -102,7 +99,6 @@ impl Default for MachineParams {
     fn default() -> MachineParams {
         MachineParams {
             pair_cost: 60e-9,
-            fused_pair_cost: 48e-9,
             simd_pair_cost: 40e-9,
             mem_contention: 0.05,
             barrier_base: 4e-6,
@@ -139,29 +135,18 @@ impl MachineParams {
         );
         MachineParams {
             pair_cost,
-            // Keep the measured fused/reference and SIMD/fused ratios of
-            // the defaults.
-            fused_pair_cost: pair_cost * 0.8,
+            // Keep the defaults' measured SIMD/per-pair ratio.
             simd_pair_cost: pair_cost * 0.8 / 1.2,
             ..MachineParams::default()
         }
     }
 
-    /// Constants for predicting the fused evaluation path: the per-pair
-    /// sweep cost drops to [`MachineParams::fused_pair_cost`]; every
-    /// synchronization, bandwidth, and rebuild constant is unchanged (the
-    /// fused path keeps the same strategy-routed scatter).
-    pub fn fused(mut self) -> MachineParams {
-        self.pair_cost = self.fused_pair_cost;
-        self
-    }
-
-    /// Constants for predicting the SIMD fused path at the given lane
+    /// Constants for predicting the AVX2 row kernel at the given lane
     /// occupancy (`ForceEngine::lane_occupancy` from `md-sim`, in
     /// `(0, 1]`): the per-pair cost becomes `simd_pair_cost / occupancy` —
     /// idle lanes in a task's tail block still occupy the vector units —
-    /// and, like [`MachineParams::fused`], every synchronization,
-    /// bandwidth, and rebuild constant is unchanged.
+    /// and every synchronization, bandwidth, and rebuild constant is
+    /// unchanged (the kernel keeps the same strategy-routed scatter).
     ///
     /// # Panics
     /// Panics unless `0 < occupancy ≤ 1`.
@@ -242,32 +227,24 @@ mod tests {
     }
 
     #[test]
-    fn fused_view_swaps_in_the_cheaper_pair_cost() {
-        let m = MachineParams::default();
-        let f = m.fused();
-        assert_eq!(f.pair_cost, m.fused_pair_cost);
-        assert!(f.pair_cost < m.pair_cost, "fused must be cheaper");
-        assert_eq!(f.barrier_base, m.barrier_base, "sync costs unchanged");
-        // Calibration preserves the fused/reference ratio.
-        let c = MachineParams::calibrated(100e-9);
-        assert!((c.fused_pair_cost / c.pair_cost - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
     fn simd_view_scales_with_lane_occupancy() {
         let m = MachineParams::default();
         let full = m.simd(1.0);
         assert_eq!(full.pair_cost, m.simd_pair_cost);
-        assert!(full.pair_cost < m.fused().pair_cost, "SIMD must beat fused");
+        assert!(
+            full.pair_cost < m.pair_cost,
+            "full lanes must beat the per-pair cost"
+        );
         assert_eq!(full.barrier_base, m.barrier_base, "sync costs unchanged");
-        // Half-empty lanes double the effective per-pair cost; occupancy
-        // can degrade the SIMD path below the scalar fused one.
+        // Half-empty lanes double the effective per-pair cost, which can
+        // then exceed the per-pair one.
         let half = m.simd(0.5);
         assert!((half.pair_cost - 2.0 * m.simd_pair_cost).abs() < 1e-18);
-        assert!(half.pair_cost > m.fused().pair_cost);
-        // Calibration preserves the SIMD/fused ratio.
+        assert!(half.pair_cost > m.pair_cost);
+        // Calibration preserves the defaults' SIMD/per-pair ratio.
         let c = MachineParams::calibrated(100e-9);
-        assert!((c.fused_pair_cost / c.simd_pair_cost - 1.2).abs() < 1e-12);
+        assert!((c.simd_pair_cost / c.pair_cost - 0.8 / 1.2).abs() < 1e-12);
+        assert!((m.simd_pair_cost / m.pair_cost - 0.8 / 1.2).abs() < 1e-12);
     }
 
     #[test]

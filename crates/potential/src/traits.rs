@@ -65,7 +65,8 @@ pub trait EamPotential: Send + Sync {
     /// override it with SIMD Horner chains over their interleaved
     /// coefficient rows. Overrides must stay **bitwise identical** to the
     /// per-lane scalar calls for every lane count — the force engine's
-    /// determinism contract (SIMD path ≡ scalar fused path) rests on it.
+    /// determinism contract (its row kernels ≡ per-pair scalar calls)
+    /// rests on it.
     ///
     /// # Panics
     /// Panics if `r` and `out` differ in length.

@@ -4,7 +4,7 @@
 //!
 //! Uses in-process servers on ephemeral localhost ports; jobs are small
 //! Lennard-Jones runs so the suite stays fast in debug builds. The true
-//! kill-`-9`-the-process storm lives in `scripts/tier1.sh` (job 9).
+//! kill-`-9`-the-process storm is `scripts/tier1.sh`'s mdserve chaos gate.
 
 use md_serve::{ChaosSpec, Client, JobSpec, Server, ServerConfig, ServerHandle, ShutdownMode};
 use md_sim::JsonValue;
@@ -182,17 +182,29 @@ fn restart_resumes_interrupted_and_queued_jobs_with_zero_loss() {
     let handle = start(&dir, 1, 8);
     let addr = handle.addr();
     let mut client = Client::connect(addr).unwrap();
-    let busy = client.submit(&small_job("long", 600)).unwrap();
+    // Long enough to still be running at the shutdown below in release
+    // builds too, where a step takes well under a millisecond.
+    let busy = client.submit(&small_job("long", 6000)).unwrap();
     let q1 = client.submit(&small_job("queued-1", 60)).unwrap();
     let q2 = client.submit(&small_job("queued-2", 60)).unwrap();
-    // Let the long job pass at least one checkpoint chunk (20 steps).
+    // Wait on evidence, not elapsed time: the long job is running and has
+    // written its first checkpoint chunk (20 steps).
+    let ckpt = dir.join(format!("job-{busy}.ckpt"));
     let t0 = Instant::now();
     loop {
         let job = client.status(busy).unwrap();
-        if status_of(&job) == "running" && t0.elapsed() > Duration::from_millis(300) {
+        let status = status_of(&job);
+        assert_ne!(
+            status, "completed",
+            "the long job finished before the shutdown: {job}"
+        );
+        if status == "running" && ckpt.exists() {
             break;
         }
-        assert!(t0.elapsed() < WAIT, "busy job never started");
+        assert!(
+            t0.elapsed() < WAIT,
+            "busy job never checkpointed while running: {job}"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
     drop(client);

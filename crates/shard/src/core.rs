@@ -67,8 +67,6 @@ struct CoreState {
     skin: f64,
     reach: f64,
     potential: PotentialChoice,
-    fused: bool,
-    simd: bool,
     strategy: StrategyKind,
     threads: usize,
     step: u64,
@@ -172,8 +170,6 @@ impl CoreState {
             skin: spec.skin,
             reach,
             potential,
-            fused: spec.fused,
-            simd: spec.simd,
             strategy,
             threads: spec.threads,
             step: spec.step,
@@ -441,7 +437,7 @@ impl CoreState {
         // The halo path rebuilds by constructing a fresh engine, so the
         // neighbor-list cost is banked here rather than by maybe_rebuild.
         let rebuild_start = std::time::Instant::now();
-        let mut engine = ForceEngine::with_fallback(
+        let engine = ForceEngine::with_fallback(
             &system,
             self.potential.clone(),
             self.strategy,
@@ -451,8 +447,6 @@ impl CoreState {
         .map_err(|e| format!("engine rebuild failed: {e}"))?;
         self.acc_timers
             .add(Phase::Neighbor, rebuild_start.elapsed());
-        engine.set_fused(self.fused);
-        engine.set_simd(self.simd);
         self.system = Some(system);
         self.engine = Some(engine);
         self.fresh_ghosts = false;

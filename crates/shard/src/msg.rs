@@ -97,10 +97,6 @@ pub struct InitSpec {
     pub potential: String,
     /// Use the tabulated EAM form.
     pub tabulated: bool,
-    /// Use the fused EAM path.
-    pub fused: bool,
-    /// Use the lane-batched (SIMD) spline kernels of the fused path.
-    pub simd: bool,
     /// Scatter strategy name (parsed by `StrategyKind::parse`).
     pub strategy: String,
     /// Worker threads per shard.
@@ -365,8 +361,6 @@ impl Msg {
                 }
                 put_str(&mut out, &s.potential);
                 out.push(u8::from(s.tabulated));
-                out.push(u8::from(s.fused));
-                out.push(u8::from(s.simd));
                 put_str(&mut out, &s.strategy);
                 put_u64(&mut out, s.threads as u64);
                 put_f64(&mut out, s.skin);
@@ -480,8 +474,6 @@ impl Msg {
                 let box_lengths = [c.f64()?, c.f64()?, c.f64()?];
                 let potential = c.str()?;
                 let tabulated = c.bool()?;
-                let fused = c.bool()?;
-                let simd = c.bool()?;
                 let strategy = c.str()?;
                 let threads = c.usize()?;
                 let skin = c.f64()?;
@@ -496,8 +488,6 @@ impl Msg {
                     box_lengths,
                     potential,
                     tabulated,
-                    fused,
-                    simd,
                     strategy,
                     threads,
                     skin,
@@ -595,8 +585,6 @@ mod tests {
                 box_lengths: [10.0, 11.0, 12.0],
                 potential: "fe".to_string(),
                 tabulated: false,
-                fused: true,
-                simd: false,
                 strategy: "sdc2d".to_string(),
                 threads: 2,
                 skin: 0.3,

@@ -96,9 +96,11 @@ pub struct WorldSpec {
     pub potential: String,
     /// Use the tabulated EAM form.
     pub tabulated: bool,
-    /// Use the fused EAM path.
+    /// Ignored: every shard runs the one EAM evaluation path. Kept only
+    /// because perfbench names the field.
     pub fused: bool,
-    /// Use the lane-batched (SIMD) spline kernels of the fused path.
+    /// Ignored, like [`WorldSpec::fused`]: the spline backend is
+    /// md-potential's runtime choice (`md_potential::simd_active`).
     pub simd: bool,
     /// Scatter strategy name.
     pub strategy: String,
@@ -243,8 +245,6 @@ impl ShardWorld {
                 box_lengths: sim_box.lengths().to_array(),
                 potential: spec.potential.clone(),
                 tabulated: spec.tabulated,
-                fused: spec.fused,
-                simd: spec.simd,
                 strategy: spec.strategy.clone(),
                 threads: spec.threads,
                 skin: spec.skin,

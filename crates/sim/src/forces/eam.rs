@@ -24,8 +24,8 @@ use md_potential::EamPotential;
 use sdc_core::{PairTerm, TaskRows};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// What the fused density sweep keeps of one stored half-list pair for the
-/// force sweep, addressed by the pair's slot (its CSR storage index
+/// What the density sweep keeps of one stored half-list pair for the force
+/// sweep, addressed by the pair's slot (its CSR storage index
 /// `offsets[i] + k`): the radial derivatives φ′(r) and f′(r). Those are the
 /// costly part of phase 3 — a spline lookup each — so phase 1 evaluates
 /// them together with f(r) (the paper's §II.D interpolation
@@ -77,47 +77,35 @@ impl DensityBlock {
         }
     }
 
-    /// Evaluates φ′, f and f′ for the gathered pairs, writes each pair's
-    /// record, and adds `f` to `rho[i]` and `rho[j]` in sweep order — the
-    /// order of the per-pair scatter, hence the same bits.
-    ///
-    /// `batch` selects [`md_potential::simd::sqrt_batch`] and
-    /// [`EamPotential::pair_density_batch`] over the block, or the scalar
-    /// `sqrt` and [`EamPotential::pair_density`] per live lane; the batched
-    /// evaluators are bit-exact against the scalar ones.
+    /// Evaluates φ′, f and f′ for the gathered pairs through
+    /// [`md_potential::simd::sqrt_batch`] and
+    /// [`EamPotential::pair_density_batch`] (bit-exact against the scalar
+    /// `sqrt` and per-pair calls), writes each pair's record, and adds `f`
+    /// to `rho[i]` and `rho[j]` in sweep order — the order of the per-pair
+    /// scatter, hence the same bits.
     ///
     /// # Safety
     /// As for [`density_rows`], for every row in the block.
-    unsafe fn flush<P: EamPotential>(
+    unsafe fn flush<P: EamPotential + ?Sized>(
         &mut self,
         pot: &P,
-        batch: bool,
         rho: &SharedSlice<'_, f64>,
         records: &SharedSlice<'_, PairRecord>,
     ) {
         let n = self.n;
-        if batch {
-            md_potential::simd::sqrt_batch(&mut self.r[..n]);
-            // Skin lanes take an in-domain sentinel before the spline batch:
-            // a separation `r ≥ rc` would drop its whole 4-lane block to the
-            // scalar guard path, and ~14% of stored pairs sit in the skin.
-            // Lanes are independent, so live lanes keep their bits; NaN
-            // separations are live (see `density_rows`) and stay NaN.
-            for (r, &live) in self.r[..n].iter_mut().zip(&self.live[..n]) {
-                if !live {
-                    *r = -1.0;
-                }
-            }
-            pot.pair_density_batch(&self.r[..n], &mut self.out[..n]);
-            self.quads += n.div_ceil(LANES);
-        } else {
-            for k in 0..n {
-                if self.live[k] {
-                    let (phi, dphi, f, df) = pot.pair_density(self.r[k].sqrt());
-                    self.out[k] = [phi, dphi, f, df];
-                }
+        md_potential::simd::sqrt_batch(&mut self.r[..n]);
+        // Skin lanes take an in-domain sentinel before the spline batch: a
+        // separation `r ≥ rc` would drop its whole 4-lane block to the
+        // scalar guard path, and ~14% of stored pairs sit in the skin.
+        // Lanes are independent, so live lanes keep their bits; NaN
+        // separations are live (see `density_rows`) and stay NaN.
+        for (r, &live) in self.r[..n].iter_mut().zip(&self.live[..n]) {
+            if !live {
+                *r = -1.0;
             }
         }
+        pot.pair_density_batch(&self.r[..n], &mut self.out[..n]);
+        self.quads += n.div_ceil(LANES);
         // `rho[i]` of the current row stays in a register: a half list
         // stores only `j > i`, so no pair of row `i` writes `rho[i]` through
         // its `j` side, and no other task touches it while this one owns
@@ -151,7 +139,7 @@ impl DensityBlock {
     }
 }
 
-/// Phase 1 of the fused path for one task of a row-owning sweep
+/// Phase 1 for one task of a row-owning sweep
 /// ([`sdc_core::ScatterExec::run_tasks`]): walks the task's rows, batches
 /// their stored pairs across row boundaries into [`SIMD_BATCH`]-lane blocks
 /// (min-image geometry, then the splines — see [`DensityBlock::flush`]),
@@ -163,14 +151,13 @@ impl DensityBlock {
 /// `rows`, nor `rho` at `rows` or at their stored neighbors — what
 /// `run_tasks` guarantees each task.
 #[allow(clippy::too_many_arguments)]
-unsafe fn density_rows<P: EamPotential>(
+unsafe fn density_rows<P: EamPotential + ?Sized>(
     rows: TaskRows<'_>,
     half: &Csr,
     sim_box: &SimBox,
     pos: &[Vec3],
     rc2: f64,
     pot: &P,
-    batch: bool,
     rho: &SharedSlice<'_, f64>,
     records: &SharedSlice<'_, PairRecord>,
 ) -> usize {
@@ -184,10 +171,10 @@ unsafe fn density_rows<P: EamPotential>(
             let r2 = sim_box.min_image(pi, pos[j as usize]).norm_sq();
             let k = block.n;
             block.r[k] = r2;
-            // The cutoff test is the *negated* scalar guard `r2 >= rc2`:
+            // The cutoff test is the *negated* per-pair guard `r2 >= rc2`:
             // squared, so the rounded sqrt cannot move a boundary pair
             // across, and negated, so a NaN separation counts as live and
-            // the poison still flows — exactly like the reference kernel.
+            // the poison still flows — exactly like a per-pair kernel.
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
             {
                 block.live[k] = !(r2 >= rc2);
@@ -198,19 +185,19 @@ unsafe fn density_rows<P: EamPotential>(
             block.n += 1;
             if block.n == SIMD_BATCH {
                 // SAFETY: the block holds rows of `rows` only.
-                unsafe { block.flush(pot, batch, rho, records) };
+                unsafe { block.flush(pot, rho, records) };
             }
         }
     });
     // SAFETY: as above.
-    unsafe { block.flush(pot, batch, rho, records) };
+    unsafe { block.flush(pot, rho, records) };
     block.quads
 }
 
-/// Phase 3 of the fused path for one task of a row-owning sweep: recomputes
-/// each stored pair's displacement, `r²` and `r` from the positions with
-/// the density sweep's IEEE operations, skips `r² ≥ rc²` (NaN flows
-/// through), reads φ′ and f′ from the pair's record, and scatters
+/// Phase 3 for one task of a row-owning sweep: recomputes each stored
+/// pair's displacement, `r²` and `r` from the positions with the density
+/// sweep's IEEE operations, skips `r² ≥ rc²` (NaN flows through), reads φ′
+/// and f′ from the pair's record, and scatters
 /// `s = φ′ + (F′(ρ_i) + F′(ρ_j))·f′` as `±s·d/r`. `forces[i]` stays in a
 /// register for the whole row, as `rho[i]` does in [`DensityBlock::flush`].
 ///
@@ -258,117 +245,40 @@ unsafe fn force_rows(
 }
 
 /// EAM phase 2 on the current pool: `fp[i] = F'(rho[i])` in contiguous
-/// [`SIMD_BATCH`]-wide blocks, lane-batched when `batch` is set. Blocks are
-/// disjoint and the batched evaluator is bit-exact against the scalar one,
-/// so neither the split nor the thread count can be observed in `fp`.
-fn embedding_phase<P: EamPotential + ?Sized>(pot: &P, rho: &[f64], fp: &mut [f64], batch: bool) {
+/// [`SIMD_BATCH`]-wide lane-batched blocks. Blocks are disjoint and the
+/// batched evaluator is bit-exact against the scalar one, so neither the
+/// split nor the thread count can be observed in `fp`.
+fn embedding_phase<P: EamPotential + ?Sized>(pot: &P, rho: &[f64], fp: &mut [f64]) {
     pool::for_each_chunk_mut(fp, SIMD_BATCH, |b, fp| {
-        let rho = &rho[b * SIMD_BATCH..][..fp.len()];
-        if batch {
-            pot.embedding_deriv_batch(rho, fp);
-        } else {
-            for (f, &r) in fp.iter_mut().zip(rho) {
-                *f = pot.embedding(r).1;
-            }
-        }
+        pot.embedding_deriv_batch(&rho[b * SIMD_BATCH..][..fp.len()], fp);
     });
 }
 
 impl ForceEngine {
-    /// EAM phases 1–2 on the reference (dyn-dispatched) path: densities and
-    /// embedding derivatives. Split out so a halo-exchange driver can ship
-    /// ghost `F'(ρ)` values between the embedding and force phases.
-    pub(crate) fn eam_density_phase(&mut self, system: &mut System, pot: &dyn EamPotential) {
-        let rc2 = pot.cutoff() * pot.cutoff();
-        let strategy = self.strategy();
-        // Timers are detached so `exec` (borrowing `self`) and timing
-        // (borrowing `self.timers` mutably) can coexist.
-        let mut timers = std::mem::take(self.timers_mut());
-        {
-            let exec = self.exec();
-            let ctx = self.ctx();
-            let (sim_box, pos, rho, fp, _forces) = system.eam_split_mut();
-
-            // Phase 1: electron densities.
-            timers.time(Phase::Density, || {
-                rho.fill(0.0);
-                let kernel = |i: usize, j: usize| {
-                    let d = sim_box.min_image(pos[i], pos[j]);
-                    let r2 = d.norm_sq();
-                    if r2 >= rc2 {
-                        return None;
-                    }
-                    Some(PairTerm::symmetric(pot.density(r2.sqrt()).0))
-                };
-                exec.run(strategy, rho, &kernel);
-            });
-
-            // Phase 2: embedding derivatives (no dependences).
-            timers.time(Phase::Embedding, || {
-                ctx.install(|| embedding_phase(pot, rho, fp, false));
-            });
-        }
-        *self.timers_mut() = timers;
-    }
-
-    /// EAM phase 3 on the reference path: forces from the `fp` currently in
-    /// the system (normally the output of [`ForceEngine::eam_density_phase`],
-    /// possibly with ghost entries overwritten by a halo exchange).
-    pub(crate) fn eam_force_phase(&mut self, system: &mut System, pot: &dyn EamPotential) {
-        let rc2 = pot.cutoff() * pot.cutoff();
-        let strategy = self.strategy();
-        let mut timers = std::mem::take(self.timers_mut());
-        {
-            let exec = self.exec();
-            let (sim_box, pos, _rho, fp, forces) = system.eam_split_mut();
-
-            // Phase 3: forces.
-            timers.time(Phase::Force, || {
-                forces.fill(Vec3::ZERO);
-                let fp_ro: &[f64] = fp;
-                let kernel = |i: usize, j: usize| {
-                    let d = sim_box.min_image(pos[i], pos[j]);
-                    let r2 = d.norm_sq();
-                    if r2 >= rc2 {
-                        return None;
-                    }
-                    let r = r2.sqrt();
-                    let (_, dphi) = pot.pair(r);
-                    let (_, df) = pot.density(r);
-                    let scalar = dphi + (fp_ro[i] + fp_ro[j]) * df;
-                    // F_i = −dE/dr · r̂, r̂ = (r_i − r_j)/r; Newton gives −F to j.
-                    Some(PairTerm::newton(d * (-scalar / r)))
-                };
-                exec.run(strategy, forces, &kernel);
-            });
-        }
-        *self.timers_mut() = timers;
-    }
-
-    /// Phases 1–2 of the fused §II.D variant, monomorphized over the
-    /// concrete potential `P` (resolved once per step in
-    /// [`ForceEngine::compute`], so the pair loops pay no virtual calls).
+    /// EAM phases 1–2 (the paper's §II.D kernel): densities and embedding
+    /// derivatives. Split from [`ForceEngine::eam_force_phase`] so a
+    /// halo-exchange driver can ship ghost `F'(ρ)` values in between.
     ///
-    /// Arithmetic is identical to the reference path expression for
-    /// expression — bitwise under every deterministic strategy — but φ and
-    /// f come from one [`EamPotential::pair_density`] lookup (one segment
-    /// index into interleaved coefficients for tabulated potentials).
+    /// [`ForceEngine::compute`] resolves the concrete potential once per
+    /// step and monomorphizes this over it, so the pair loops pay no
+    /// virtual calls; any other implementor runs the same code with
+    /// `P = dyn EamPotential`. φ and f come from one
+    /// [`EamPotential::pair_density`] lookup (one segment index into
+    /// interleaved coefficients for tabulated potentials).
     ///
     /// Row-owning strategies ([`sdc_core::StrategyKind::owns_rows`]) run
     /// [`density_rows`] over whole task rows: lane blocks across row
-    /// boundaries, batched through the AVX2 evaluators when SIMD is on (the
-    /// default) and per lane otherwise — same bits either way — and one
-    /// 16-byte [`PairRecord`] per stored pair for
-    /// [`ForceEngine::eam_force_phase_fused`]. The baseline strategies keep
-    /// a per-pair kernel and no records.
-    pub(crate) fn eam_density_phase_fused<P: EamPotential>(
+    /// boundaries through the batched evaluators (AVX2 when the CPU has it,
+    /// a per-lane loop otherwise — same bits either way), and one 16-byte
+    /// [`PairRecord`] per stored pair for [`ForceEngine::eam_force_phase`].
+    /// The baseline strategies keep a per-pair kernel and no records.
+    pub(crate) fn eam_density_phase<P: EamPotential + ?Sized>(
         &mut self,
         system: &mut System,
         pot: &P,
     ) {
         let rc2 = pot.cutoff() * pot.cutoff();
         let strategy = self.strategy();
-        let batch = self.simd();
         // Re-checked every step: a mid-run downgrade can move the engine
         // onto a baseline strategy.
         let owns_rows = strategy.owns_rows();
@@ -397,8 +307,7 @@ impl ForceEngine {
                     // SAFETY: `run_tasks` gives each task its rows' slots and
                     // footprint to itself.
                     let task = |rows: TaskRows<'_>, rho: &SharedSlice<'_, f64>| unsafe {
-                        let q =
-                            density_rows(rows, half, sim_box, pos, rc2, pot, batch, rho, &records);
+                        let q = density_rows(rows, half, sim_box, pos, rc2, pot, rho, &records);
                         quads.fetch_add(q, Ordering::Relaxed);
                     };
                     exec.run_tasks(strategy, rho, &task);
@@ -414,36 +323,39 @@ impl ForceEngine {
                 }
             });
 
-            // Phase 2: embedding derivatives (no dependences), lane-batched
-            // when SIMD is on.
+            // Phase 2: embedding derivatives (no dependences).
             timers.time(Phase::Embedding, || {
-                ctx.install(|| embedding_phase(pot, rho, fp, batch));
+                ctx.install(|| embedding_phase(pot, rho, fp));
             });
         }
         *self.scratch_mut() = scratch;
         *self.timers_mut() = timers;
         // Each task's blocks are full but its last, so this is
         // entries / (4 · Σ_tasks ⌈pairs_t / 4⌉).
-        *self.lane_occupancy_mut() = (owns_rows && batch).then(|| match quads.into_inner() {
+        *self.lane_occupancy_mut() = owns_rows.then(|| match quads.into_inner() {
             0 => 1.0,
             q => entries as f64 / (LANES * q) as f64,
         });
     }
 
-    /// Phase 3 of the fused path: forces. Row-owning strategies run
-    /// [`force_rows`] over whole task rows, reading the φ′/f′ records
-    /// written by [`ForceEngine::eam_density_phase_fused`] (which must run
-    /// first on the same neighbor list and positions —
-    /// [`ForceEngine::compute`] and the shard driver both guarantee that);
-    /// the baseline strategies recompute every pair, like the reference
-    /// path.
-    pub(crate) fn eam_force_phase_fused<P: EamPotential>(&mut self, system: &mut System, pot: &P) {
+    /// EAM phase 3: forces from the `fp` currently in the system (normally
+    /// the output of [`ForceEngine::eam_density_phase`], possibly with ghost
+    /// entries overwritten by a halo exchange). Row-owning strategies run
+    /// [`force_rows`] over whole task rows, reading the φ′/f′ records the
+    /// density phase wrote (it must run first on the same neighbor list and
+    /// positions — [`ForceEngine::compute`] and the shard driver both
+    /// guarantee that); the baseline strategies recompute every pair.
+    pub(crate) fn eam_force_phase<P: EamPotential + ?Sized>(
+        &mut self,
+        system: &mut System,
+        pot: &P,
+    ) {
         let rc2 = pot.cutoff() * pot.cutoff();
         let strategy = self.strategy();
         let owns_rows = strategy.owns_rows();
         debug_assert!(
             !owns_rows || self.scratch_mut().len() == self.neighbor_list().csr().entries(),
-            "fused force phase without a preceding density phase"
+            "force phase without a preceding density phase"
         );
         let mut timers = std::mem::take(self.timers_mut());
         let scratch = std::mem::take(self.scratch_mut());
@@ -576,12 +488,13 @@ mod tests {
     }
 
     /// Tuning probe (not part of the suite): per-phase wall time of the
-    /// fused density and force phases on the benchmark crystal — 32³-cell
-    /// bcc Fe (65,536 atoms), tabulated, after 10 velocity-Verlet steps —
-    /// serial on 1 thread from 300 K and sdc3d on 2 threads from 3000 K,
-    /// SIMD on and off. Prints the min and median of `PROBE_REPS` reps of
-    /// each phase, in ns per atom. Much lower-noise than timing whole runs;
-    /// run it alternately on two checkouts to compare kernels:
+    /// density and force phases on the benchmark crystal — 32³-cell bcc Fe
+    /// (65,536 atoms), tabulated, after 10 velocity-Verlet steps — serial
+    /// on 1 thread from 300 K and sdc3d on 2 threads from 3000 K. Prints
+    /// the min and median of `PROBE_REPS` reps of each phase, in ns per
+    /// atom. Much lower-noise than timing whole runs; run it alternately on
+    /// two checkouts to compare kernels, and with `MD_SIMD_SCALAR=1` for the
+    /// scalar spline backend:
     /// `cargo test -q -p md-sim --release phase_speed -- --ignored --nocapture`.
     #[test]
     #[ignore]
@@ -596,6 +509,7 @@ mod tests {
         };
         let src = AnalyticEam::fe();
         let tab = Arc::new(TabulatedEam::standard(&src, src.rho_e()));
+        let simd = md_potential::simd_active();
         for (strategy, threads, kelvin) in [
             (StrategyKind::Serial, 1, 300.0),
             (StrategyKind::Sdc { dims: 3 }, 2, 3000.0),
@@ -609,27 +523,24 @@ mod tests {
                 velocity_verlet(&mut system, &mut eng, 1e-3);
             }
             let per_atom = 1e9 / system.len() as f64;
-            for simd in [true, false] {
-                eng.set_simd(simd);
-                eng.compute(&mut system); // warm caches + scratch
-                let (mut density, mut force) = (Vec::new(), Vec::new());
-                for _ in 0..PROBE_REPS {
-                    let t = Instant::now();
-                    eng.eam_density_phase_fused(&mut system, &*tab);
-                    density.push(t.elapsed().as_secs_f64() * per_atom);
-                    let t = Instant::now();
-                    eng.eam_force_phase_fused(&mut system, &*tab);
-                    force.push(t.elapsed().as_secs_f64() * per_atom);
-                }
-                let both: Vec<f64> = density.iter().zip(&force).map(|(d, f)| d + f).collect();
-                let ((dmin, dmed), (fmin, fmed), (bmin, bmed)) =
-                    (stats(density), stats(force), stats(both));
-                eprintln!(
-                    "{strategy} t={threads} {kelvin} K simd={simd}: ns/atom min/median \
-                     density {dmin:.0}/{dmed:.0}  force {fmin:.0}/{fmed:.0}  \
-                     density+force {bmin:.0}/{bmed:.0}"
-                );
+            eng.compute(&mut system); // warm caches + scratch
+            let (mut density, mut force) = (Vec::new(), Vec::new());
+            for _ in 0..PROBE_REPS {
+                let t = Instant::now();
+                eng.eam_density_phase(&mut system, &*tab);
+                density.push(t.elapsed().as_secs_f64() * per_atom);
+                let t = Instant::now();
+                eng.eam_force_phase(&mut system, &*tab);
+                force.push(t.elapsed().as_secs_f64() * per_atom);
             }
+            let both: Vec<f64> = density.iter().zip(&force).map(|(d, f)| d + f).collect();
+            let ((dmin, dmed), (fmin, fmed), (bmin, bmed)) =
+                (stats(density), stats(force), stats(both));
+            eprintln!(
+                "{strategy} t={threads} {kelvin} K simd={simd}: ns/atom min/median \
+                 density {dmin:.0}/{dmed:.0}  force {fmin:.0}/{fmed:.0}  \
+                 density+force {bmin:.0}/{bmed:.0}"
+            );
         }
     }
 
@@ -852,128 +763,57 @@ mod tests {
         assert!(t.von_mises() > 1e-4);
     }
 
-    #[test]
-    fn fused_path_is_bitwise_identical_to_reference_under_serial() {
-        let src = AnalyticEam::fe();
-        let pots: [Arc<dyn md_potential::EamPotential>; 2] = [
-            Arc::new(AnalyticEam::fe()),
-            Arc::new(TabulatedEam::standard(&src, src.rho_e())),
-        ];
-        for pot in pots {
-            let mut sys_f = System::from_lattice(LatticeSpec::bcc_fe(5), FE_MASS);
-            rattle(&mut sys_f, 0.05);
-            let mut sys_r = sys_f.clone();
-            let mut eng_f = ForceEngine::new(
-                &sys_f,
-                PotentialChoice::Eam(pot.clone()),
-                StrategyKind::Serial,
-                1,
-                0.3,
-            )
-            .unwrap();
-            let mut eng_r = ForceEngine::new(
-                &sys_r,
-                PotentialChoice::Eam(pot),
-                StrategyKind::Serial,
-                1,
-                0.3,
-            )
-            .unwrap();
-            assert!(eng_f.fused());
-            eng_r.set_fused(false);
-            // Two steps, so the second replays a warm scratch.
-            for _ in 0..2 {
-                eng_f.compute(&mut sys_f);
-                eng_r.compute(&mut sys_r);
-                assert_eq!(sys_f.rho(), sys_r.rho(), "densities must be bitwise equal");
-                assert_eq!(sys_f.fp(), sys_r.fp(), "embedding derivs must be bitwise equal");
-                assert_eq!(sys_f.forces(), sys_r.forces(), "forces must be bitwise equal");
-            }
-            let ef = eng_f.potential_energy(&sys_f);
-            let er = eng_r.potential_energy(&sys_r);
-            assert_eq!(ef, er, "energies must be bitwise equal");
+    /// An implementor the engine cannot downcast: every method forwards to
+    /// [`AnalyticEam`], but `as_analytic`/`as_tabulated` keep their `None`
+    /// defaults.
+    struct Opaque(AnalyticEam);
+
+    impl EamPotential for Opaque {
+        fn cutoff(&self) -> f64 {
+            self.0.cutoff()
+        }
+        fn pair(&self, r: f64) -> (f64, f64) {
+            self.0.pair(r)
+        }
+        fn density(&self, r: f64) -> (f64, f64) {
+            self.0.density(r)
+        }
+        fn embedding(&self, rho: f64) -> (f64, f64) {
+            self.0.embedding(rho)
+        }
+        fn pair_density(&self, r: f64) -> (f64, f64, f64, f64) {
+            self.0.pair_density(r)
+        }
+        fn pair_density_batch(&self, r: &[f64], out: &mut [[f64; 4]]) {
+            self.0.pair_density_batch(r, out)
+        }
+        fn embedding_deriv_batch(&self, rho: &[f64], fp: &mut [f64]) {
+            self.0.embedding_deriv_batch(rho, fp)
+        }
+        fn max_density(&self) -> Option<f64> {
+            self.0.max_density()
         }
     }
 
     #[test]
-    fn simd_path_is_bitwise_identical_to_scalar_fused() {
-        let src = AnalyticEam::fe();
-        let pots: [Arc<dyn md_potential::EamPotential>; 2] = [
-            Arc::new(AnalyticEam::fe()),
-            Arc::new(TabulatedEam::standard(&src, src.rho_e())),
-        ];
-        for pot in pots {
-            for strategy in [
-                StrategyKind::Serial,
-                StrategyKind::Sdc { dims: 3 },
-                StrategyKind::TaskGraph { dims: 3 },
-            ] {
-                let mut sys_v = System::from_lattice(LatticeSpec::bcc_fe(9), FE_MASS);
-                rattle(&mut sys_v, 0.05);
-                let mut sys_s = sys_v.clone();
-                let mut eng_v = ForceEngine::new(
-                    &sys_v,
-                    PotentialChoice::Eam(pot.clone()),
-                    strategy,
-                    2,
-                    0.3,
-                )
-                .unwrap();
-                let mut eng_s = ForceEngine::new(
-                    &sys_s,
-                    PotentialChoice::Eam(pot.clone()),
-                    strategy,
-                    2,
-                    0.3,
-                )
-                .unwrap();
-                assert!(eng_v.simd(), "SIMD is the default");
-                eng_s.set_simd(false);
-                eng_v.rebuild(&sys_v);
-                eng_s.rebuild(&sys_s);
-                // Two steps, so the second reuses the warm pair scratch.
-                for step in 0..2 {
-                    eng_v.compute(&mut sys_v);
-                    eng_s.compute(&mut sys_s);
-                    assert_eq!(sys_v.rho(), sys_s.rho(), "{strategy} step {step}: rho");
-                    assert_eq!(sys_v.fp(), sys_s.fp(), "{strategy} step {step}: fp");
-                    assert_eq!(
-                        sys_v.forces(),
-                        sys_s.forces(),
-                        "{strategy} step {step}: forces"
-                    );
-                }
-                assert!(
-                    eng_v.lane_occupancy().is_some_and(|o| o > 0.5 && o <= 1.0),
-                    "SIMD engine must report its lane occupancy"
-                );
-                assert!(
-                    eng_s.lane_occupancy().is_none(),
-                    "the scalar setting runs no lane blocks"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn simd_flag_is_inert_on_strategies_without_rows() {
-        // Atomic does not own rows: its fused kernels stay per pair, so no
-        // lane blocks run, and the physics matches the scalar setting.
-        let (mut sys_v, mut eng_v) = fe_engine(7, StrategyKind::Atomic, 2);
-        rattle(&mut sys_v, 0.05);
-        let mut sys_s = sys_v.clone();
-        let (_, mut eng_s) = fe_engine(7, StrategyKind::Atomic, 2);
-        eng_s.set_simd(false);
-        eng_v.rebuild(&sys_v);
-        eng_s.rebuild(&sys_s);
-        eng_v.compute(&mut sys_v);
-        eng_s.compute(&mut sys_s);
-        assert!(
-            eng_v.lane_occupancy().is_none(),
-            "no lane blocks without rows"
-        );
-        for (a, b) in sys_v.forces().iter().zip(sys_s.forces()) {
-            assert!((*a - *b).norm() < 1e-12);
+    fn unknown_implementors_run_the_same_row_kernels() {
+        for strategy in [StrategyKind::Serial, StrategyKind::Sdc { dims: 3 }] {
+            let (mut sys_a, mut eng_a) = fe_engine(9, strategy, 2);
+            rattle(&mut sys_a, 0.05);
+            let mut sys_o = sys_a.clone();
+            let opaque = PotentialChoice::Eam(Arc::new(Opaque(AnalyticEam::fe())));
+            let mut eng_o = ForceEngine::new(&sys_o, opaque, strategy, 2, 0.3).unwrap();
+            eng_a.rebuild(&sys_a);
+            eng_o.rebuild(&sys_o);
+            eng_a.compute(&mut sys_a);
+            eng_o.compute(&mut sys_o);
+            assert!(
+                eng_o.lane_occupancy().is_some_and(|o| o > 0.5 && o <= 1.0),
+                "{strategy}: the dyn-dispatched engine must run the row kernel"
+            );
+            assert_eq!(sys_o.rho(), sys_a.rho(), "{strategy}: rho");
+            assert_eq!(sys_o.fp(), sys_a.fp(), "{strategy}: fp");
+            assert_eq!(sys_o.forces(), sys_a.forces(), "{strategy}: forces");
         }
     }
 
@@ -989,7 +829,7 @@ mod tests {
             if strategy.owns_rows() {
                 let entries = eng.neighbor_list().csr().entries();
                 assert_eq!(records, entries, "{strategy}: one record per stored pair");
-                let occupancy = eng.lane_occupancy().expect("SIMD row kernel ran");
+                let occupancy = eng.lane_occupancy().expect("the row kernel ran");
                 assert!(
                     occupancy > 0.5 && occupancy <= 1.0,
                     "{strategy}: {occupancy}"
@@ -1015,33 +855,6 @@ mod tests {
             if strategy.owns_rows() {
                 assert_eq!(eng.scratch_mut().len(), eng.neighbor_list().csr().entries());
             }
-        }
-    }
-
-    #[test]
-    fn fused_path_matches_reference_under_every_strategy() {
-        for strategy in StrategyKind::all() {
-            let (mut sys_f, mut eng_f) = fe_engine(9, strategy, 3);
-            rattle(&mut sys_f, 0.05);
-            let mut sys_r = sys_f.clone();
-            let (_, mut eng_r) = fe_engine(9, strategy, 3);
-            eng_r.set_fused(false);
-            eng_f.rebuild(&sys_f);
-            eng_r.rebuild(&sys_r);
-            eng_f.compute(&mut sys_f);
-            eng_r.compute(&mut sys_r);
-            for (k, (a, b)) in sys_r.forces().iter().zip(sys_f.forces()).enumerate() {
-                assert!(
-                    (*a - *b).norm() < 1e-10,
-                    "{strategy}: force[{k}] {a} vs {b}"
-                );
-            }
-            let ef = eng_f.potential_energy(&sys_f);
-            let er = eng_r.potential_energy(&sys_r);
-            assert!(
-                (ef - er).abs() <= 1e-12 * er.abs(),
-                "{strategy}: energy {ef} vs {er}"
-            );
         }
     }
 

@@ -112,8 +112,6 @@ pub struct ForceEngine {
     rebuilds: usize,
     downgrades: Vec<DowngradeEvent>,
     metrics: Option<Arc<SimMetrics>>,
-    fused: bool,
-    simd: bool,
     scratch: Vec<eam::PairRecord>,
     lane_occupancy: Option<f64>,
     sap: SapBuffers,
@@ -205,8 +203,6 @@ impl ForceEngine {
             rebuilds: 0,
             downgrades: Vec::new(),
             metrics: None,
-            fused: true,
-            simd: true,
             scratch: Vec::new(),
             lane_occupancy: None,
             sap: SapBuffers::new(),
@@ -713,17 +709,13 @@ impl ForceEngine {
         match self.potential.clone() {
             PotentialChoice::Eam(p) => {
                 // Devirtualization happens here, once per step: resolve the
-                // concrete potential and monomorphize the fused kernels over
-                // it, instead of paying two virtual calls per pair. Unknown
-                // implementations keep the dyn-dispatched reference path.
-                if self.fused {
-                    if let Some(a) = p.as_analytic() {
-                        self.eam_density_phase_fused(system, a);
-                    } else if let Some(t) = p.as_tabulated() {
-                        self.eam_density_phase_fused(system, t);
-                    } else {
-                        self.eam_density_phase(system, p.as_ref());
-                    }
+                // concrete potential and monomorphize the kernels over it,
+                // instead of paying virtual calls per pair. Any other
+                // implementation runs the same kernels through `dyn`.
+                if let Some(a) = p.as_analytic() {
+                    self.eam_density_phase(system, a);
+                } else if let Some(t) = p.as_tabulated() {
+                    self.eam_density_phase(system, t);
                 } else {
                     self.eam_density_phase(system, p.as_ref());
                 }
@@ -739,14 +731,10 @@ impl ForceEngine {
     pub fn compute_force_phase(&mut self, system: &mut System) {
         match self.potential.clone() {
             PotentialChoice::Eam(p) => {
-                if self.fused {
-                    if let Some(a) = p.as_analytic() {
-                        self.eam_force_phase_fused(system, a);
-                    } else if let Some(t) = p.as_tabulated() {
-                        self.eam_force_phase_fused(system, t);
-                    } else {
-                        self.eam_force_phase(system, p.as_ref());
-                    }
+                if let Some(a) = p.as_analytic() {
+                    self.eam_force_phase(system, a);
+                } else if let Some(t) = p.as_tabulated() {
+                    self.eam_force_phase(system, t);
                 } else {
                     self.eam_force_phase(system, p.as_ref());
                 }
@@ -755,45 +743,14 @@ impl ForceEngine {
         }
     }
 
-    /// Whether EAM computations take the fused §II.D path (the default).
-    #[inline]
-    pub fn fused(&self) -> bool {
-        self.fused
-    }
-
-    /// Selects the fused (default) or reference EAM path. Both produce
-    /// identical physics — bitwise under deterministic strategies; the
-    /// reference path is kept for A/B benchmarking and as the oracle for
-    /// the conformance tests.
-    pub fn set_fused(&mut self, fused: bool) {
-        self.fused = fused;
-    }
-
-    /// Whether the fused EAM path evaluates splines through the
-    /// lane-batched kernels (the default): the row kernel of the row-owning
-    /// strategies ([`StrategyKind::owns_rows`]) runs its lane blocks through
-    /// the AVX2 evaluators, and the embedding phase its index blocks.
-    #[inline]
-    pub fn simd(&self) -> bool {
-        self.simd
-    }
-
-    /// Selects batched (default) or per-lane scalar spline evaluation
-    /// inside the same fused kernels. Both settings produce
-    /// bitwise-identical physics — the batched evaluators replicate the
-    /// scalar operation order exactly — so the scalar setting exists for
-    /// A/B benchmarking, as the conformance oracle, and as an escape hatch
-    /// (`mdrun --no-simd`).
-    pub fn set_simd(&mut self, simd: bool) {
-        self.simd = simd;
-    }
-
     /// Fraction of AVX2 lanes that carried real pairs in the last density
     /// sweep (the perf model's lane-efficiency term):
     /// `entries / (4 · Σ_tasks ⌈pairs_t / 4⌉)` over the sweep's tasks, since
     /// each task batches its pairs across row boundaries and only its last
-    /// block can run partly filled. `None` unless that sweep ran the batched
-    /// row kernel on the current neighbor list.
+    /// block can run partly filled. `Some` after every EAM density sweep
+    /// under a row-owning strategy ([`StrategyKind::owns_rows`]); `None`
+    /// under the baseline strategies, for pair potentials, and after a
+    /// rebuild until the next density sweep.
     pub fn lane_occupancy(&self) -> Option<f64> {
         self.lane_occupancy
     }

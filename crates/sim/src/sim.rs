@@ -303,8 +303,6 @@ pub struct SimulationBuilder {
     reorder: bool,
     strategy_fallback: bool,
     metrics: bool,
-    fused: bool,
-    simd: bool,
     balance: Option<BalanceConfig>,
     start_step: usize,
 }
@@ -325,8 +323,6 @@ impl SimulationBuilder {
             reorder: false,
             strategy_fallback: true,
             metrics: false,
-            fused: true,
-            simd: true,
             balance: None,
             start_step: 0,
         }
@@ -436,27 +432,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Selects the fused §II.D EAM evaluation path (default **on**):
-    /// devirtualized row kernels, one interleaved φ/f table lookup per pair
-    /// and 16-byte φ′/f′ pair records that phase 3 reads back. Physics is
-    /// identical to the reference path (bitwise under deterministic
-    /// strategies); turn it off for A/B benchmarking.
-    pub fn fused(mut self, on: bool) -> Self {
-        self.fused = on;
-        self
-    }
-
-    /// Selects lane-batched (SIMD) spline evaluation inside the fused
-    /// kernels (default **on**; `mdrun --no-simd` turns it off): the row
-    /// kernel of the row-owning strategies evaluates its lane blocks
-    /// through the AVX2 evaluators instead of per lane. Bitwise identical
-    /// either way — a performance knob, kept for A/B benchmarking and as
-    /// the conformance oracle.
-    pub fn simd(mut self, on: bool) -> Self {
-        self.simd = on;
-        self
-    }
-
     /// Enables the cost-guided SDC load balancer (default **off**): LPT
     /// task ordering within colors, a decomposition search minimizing the
     /// predicted makespan, and mid-run re-planning at neighbor-list rebuilds
@@ -502,8 +477,6 @@ impl SimulationBuilder {
         if self.metrics {
             engine.enable_metrics();
         }
-        engine.set_fused(self.fused);
-        engine.set_simd(self.simd);
         if let Some(config) = self.balance {
             engine.enable_balance(&system, config);
         }

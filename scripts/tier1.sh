@@ -16,57 +16,54 @@
 #   5. metrics regression gate    (short metered mdrun, diffed against the
 #      checked-in golden report; counters must match, timings may only
 #      grow within a deliberately generous tolerance)
-#   6. fused-path conformance     (the same short metered mdrun on the
-#      reference and the fused EAM paths; every counter must match
-#      *exactly* — the fused path may only change how fast the physics
-#      runs, never what it does)
-#   7. load-balance gate          (a balanced metered mdrun against the
+#   6. load-balance gate          (a balanced metered mdrun against the
 #      plain run of the plan the search deterministically picks for the
 #      gate case — sdc1d on the 9³ box, fewest barriers wins — with every
 #      counter matching *exactly*: the balancer may only reorder and
 #      re-split, never change the physics or the scatter bookkeeping)
-#   8. mdserve chaos gate         (boots the job server, hammers it with a
+#   7. mdserve chaos gate         (boots the job server, hammers it with a
 #      concurrent client storm, then kill -9s it with jobs in flight and
 #      restarts it on the same state directory: the journal replay must
 #      re-queue the interrupted work and every job accepted before the
 #      kill must complete from its checkpoint — zero accepted jobs lost)
-#   9. task-graph gate            (an A/B metered mdrun of
+#   8. task-graph gate            (an A/B metered mdrun of
 #      taskgraph-vs-barriered SDC on the carved-void case with every
 #      physics counter matching exactly — only the scheduling regime, and
 #      therefore the scatter.* counters, may differ)
-#  10. shard gate                 (the peer-mesh halo-exchange: an A/B
+#   9. shard gate                 (the peer-mesh halo-exchange: an A/B
 #      metered mdrun of a 2-shard process-backend run, on the binary wire
 #      codec, against the unsharded engine — the physics counters must
 #      match exactly; slabbing may only change where the work runs)
-#  11. SIMD gate                  (the lane-batched fused EAM kernels: the
-#      conformance battery in release so the silent `UniformSpline::locate`
-#      clamp is live, a MD_SIMD_SCALAR=1 leg so the runtime scalar fallback
-#      stays conformant on any host, then an A/B metered mdrun of
-#      SIMD-vs-scalar fused with every physics counter matching exactly —
-#      the batched kernels may only change how fast the splines evaluate,
-#      never what the physics does)
-#  12. perfbench build            (perfbench/ is a cargo workspace of its
+#  10. SIMD gate                  (the lane-batched EAM row kernels: the
+#      oracle battery in release so the silent `UniformSpline::locate`
+#      clamp is live, a MD_SIMD_SCALAR=1 leg so the scalar spline backend
+#      is held to the same oracle on any host, then an A/B metered mdrun of
+#      the AVX2 backend against MD_SIMD_SCALAR=1 with every physics counter
+#      matching exactly — the spline backend may only change how fast the
+#      splines evaluate, never what the physics does)
+#  11. perfbench build            (perfbench/ is a cargo workspace of its
 #      own that names engine APIs — `ForceEngine::lane_occupancy`,
 #      `ScatterExec`'s fields, `WorldSpec.{fused,simd}`, `md_shard::Codec`;
 #      building it against this tree keeps a change from passing tier-1
-#      and only breaking in the benchmark pipeline. The build rewrites
-#      perfbench/Cargo.lock, which is restored on exit)
+#      and only breaking in the benchmark pipeline. `WorldSpec.{fused,simd}`
+#      are ignored and stay only because perfbench names them. The build
+#      rewrites perfbench/Cargo.lock, which is restored on exit)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> [1/12] release build"
+echo "==> [1/11] release build"
 cargo build --release --workspace
 
-echo "==> [2/12] test suite"
+echo "==> [2/11] test suite"
 cargo test --workspace -q
 
-echo "==> [3/12] clippy (deny warnings)"
+echo "==> [3/11] clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> [4/12] debug-assertions test job"
+echo "==> [4/11] debug-assertions test job"
 RUSTFLAGS="-C debug-assertions=on" cargo test --workspace -q --profile dev
 
-echo "==> [5/12] metrics regression gate"
+echo "==> [5/11] metrics regression gate"
 report="$(mktemp /tmp/tier1_metrics.XXXXXX.json)"
 cargo run -q -p sdc-bench --release --bin mdrun -- \
   --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 \
@@ -75,20 +72,7 @@ cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   scripts/metrics_baseline.json "$report" --tol 1.10 --time-tol 50
 rm -f "$report"
 
-echo "==> [6/12] fused-path conformance gate"
-ref="$(mktemp /tmp/tier1_ref.XXXXXX.json)"
-fus="$(mktemp /tmp/tier1_fused.XXXXXX.json)"
-cargo run -q -p sdc-bench --release --bin mdrun -- \
-  --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 \
-  --no-fused --metrics-out "$ref" > /dev/null
-cargo run -q -p sdc-bench --release --bin mdrun -- \
-  --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 \
-  --metrics-out "$fus" > /dev/null
-cargo run -q -p sdc-bench --release --bin metrics_diff -- \
-  "$ref" "$fus" --tol 1.0 --time-tol 50
-rm -f "$ref" "$fus"
-
-echo "==> [7/12] load-balance gate"
+echo "==> [6/11] load-balance gate"
 def="$(mktemp /tmp/tier1_default.XXXXXX.json)"
 bal="$(mktemp /tmp/tier1_balanced.XXXXXX.json)"
 cargo run -q -p sdc-bench --release --bin mdrun -- \
@@ -101,7 +85,7 @@ cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   "$def" "$bal" --tol 1.0 --time-tol 50
 rm -f "$def" "$bal"
 
-echo "==> [8/12] mdserve chaos gate (client storm + kill-and-restart resume)"
+echo "==> [7/11] mdserve chaos gate (client storm + kill-and-restart resume)"
 sd="$(mktemp -d /tmp/tier1_mdserve.XXXXXX)"
 # The server runs in its own process group (setsid): `kill -9` must reach
 # the mdserve process itself, not just the timeout/cargo wrappers — SIGKILL
@@ -133,7 +117,7 @@ wait "$serve2_pid"
 grep -q "re-queued" "$sd/serve2.log" || { echo "restart did not replay the journal"; cat "$sd/serve2.log"; exit 1; }
 rm -rf "$sd"
 
-echo "==> [9/12] task-graph gate (A/B vs barriered SDC)"
+echo "==> [8/11] task-graph gate (A/B vs barriered SDC)"
 sdc="$(mktemp /tmp/tier1_sdc.XXXXXX.json)"
 tg="$(mktemp /tmp/tier1_taskgraph.XXXXXX.json)"
 cargo run -q -p sdc-bench --release --bin mdrun -- \
@@ -146,7 +130,7 @@ cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   "$sdc" "$tg" --ab --tol 1.0 --time-tol 50
 rm -f "$sdc" "$tg"
 
-echo "==> [10/12] shard gate (A/B vs the unsharded engine)"
+echo "==> [9/11] shard gate (A/B vs the unsharded engine)"
 # The conformance battery, the codec fuzz, and the SIGKILL/resume chaos
 # test run in job 2.
 # The process-backend smoke: mdrun needs the worker binary next to it.
@@ -166,16 +150,16 @@ cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   "$flat" "$shrd" --ab --tol 1.0 --time-tol 500
 rm -f "$flat" "$shrd"
 
-echo "==> [11/12] SIMD gate (release + scalar-fallback legs + A/B vs scalar fused)"
+echo "==> [10/11] SIMD gate (release + scalar-backend legs + A/B vs MD_SIMD_SCALAR=1)"
 echo "    release-profile battery (silent spline clamp live)"
 cargo test -q --release --test simd_conformance
-echo "    runtime scalar-fallback leg (MD_SIMD_SCALAR=1)"
+echo "    scalar spline backend leg (MD_SIMD_SCALAR=1)"
 MD_SIMD_SCALAR=1 cargo test -q --test simd_conformance
 scl="$(mktemp /tmp/tier1_scalar.XXXXXX.json)"
 smd="$(mktemp /tmp/tier1_simd.XXXXXX.json)"
-cargo run -q -p sdc-bench --release --bin mdrun -- \
+MD_SIMD_SCALAR=1 cargo run -q -p sdc-bench --release --bin mdrun -- \
   --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 \
-  --no-simd --metrics-out "$scl" > /dev/null
+  --metrics-out "$scl" > /dev/null
 cargo run -q -p sdc-bench --release --bin mdrun -- \
   --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 \
   --metrics-out "$smd" > /dev/null
@@ -183,7 +167,7 @@ cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   "$scl" "$smd" --ab --tol 1.0 --time-tol 50
 rm -f "$scl" "$smd"
 
-echo "==> [12/12] perfbench build (the benchmark workspace against this tree)"
+echo "==> [11/11] perfbench build (the benchmark workspace against this tree)"
 lock_backup="$(mktemp /tmp/tier1_perfbench_lock.XXXXXX)"
 cp perfbench/Cargo.lock "$lock_backup"
 trap 'cp "$lock_backup" perfbench/Cargo.lock; rm -f "$lock_backup"' EXIT

@@ -1,26 +1,18 @@
-//! Numerical-gradient force consistency and fused-path conformance.
+//! Numerical-gradient force consistency and conformance to the oracle.
 //!
 //! The net that catches sign/factor bugs in the EAM kernels: analytic
 //! forces must equal the negative central-difference gradient of
 //! `eam_energy`, per atom, for both potential backends, under Serial and
-//! SDC, on both the fused and reference evaluation paths. A second suite
-//! pins the fused path to the reference oracle on a rattled 8k-atom crystal
-//! under every strategy — bitwise under Serial.
+//! SDC. A second suite pins the engine to the per-pair oracle of
+//! `common::reference_eam` on a rattled 8k-atom crystal — bitwise under
+//! Serial, and every strategy agrees with it to 1e-10.
 
+mod common;
+
+use common::{rattle, reference_eam};
 use sdc_md::prelude::*;
 use sdc_md::sim::units::FE_MASS;
 use std::sync::Arc;
-
-/// Perturb the perfect crystal deterministically so forces are non-zero.
-fn rattle(system: &mut System, amplitude: f64) {
-    for (k, p) in system.positions_mut().iter_mut().enumerate() {
-        let k = k as f64;
-        p.x += amplitude * (0.917 * k).sin();
-        p.y += amplitude * (1.311 * k).cos();
-        p.z += amplitude * (2.113 * k).sin();
-    }
-    system.wrap();
-}
 
 fn analytic() -> PotentialChoice {
     PotentialChoice::Eam(Arc::new(AnalyticEam::fe()))
@@ -42,13 +34,11 @@ fn check_force_consistency(
     pot: PotentialChoice,
     strategy: StrategyKind,
     threads: usize,
-    fused: bool,
     cells: usize,
 ) {
     let mut system = System::from_lattice(LatticeSpec::bcc_fe(cells), FE_MASS);
     rattle(&mut system, 0.05);
     let mut eng = ForceEngine::new(&system, pot, strategy, threads, 0.3).unwrap();
-    eng.set_fused(fused);
     eng.compute(&mut system);
     let forces: Vec<Vec3> = system.forces().to_vec();
     let h = 1e-5;
@@ -76,54 +66,50 @@ fn check_force_consistency(
 #[test]
 fn forces_match_numerical_gradient_serial() {
     for (pot_name, pot) in [("analytic", analytic()), ("tabulated", tabulated())] {
-        for fused in [true, false] {
-            check_force_consistency(
-                &format!("{pot_name}/serial/fused={fused}"),
-                pot.clone(),
-                StrategyKind::Serial,
-                1,
-                fused,
-                5,
-            );
-        }
+        check_force_consistency(
+            &format!("{pot_name}/serial"),
+            pot,
+            StrategyKind::Serial,
+            1,
+            5,
+        );
     }
 }
 
 #[test]
 fn forces_match_numerical_gradient_sdc() {
     for (pot_name, pot) in [("analytic", analytic()), ("tabulated", tabulated())] {
-        for fused in [true, false] {
-            check_force_consistency(
-                &format!("{pot_name}/sdc2d/fused={fused}"),
-                pot.clone(),
-                StrategyKind::Sdc { dims: 2 },
-                2,
-                fused,
-                9,
-            );
-        }
+        check_force_consistency(
+            &format!("{pot_name}/sdc2d"),
+            pot,
+            StrategyKind::Sdc { dims: 2 },
+            2,
+            9,
+        );
     }
 }
 
 #[test]
 fn fused_path_matches_reference_on_8k_atom_crystal_under_every_strategy() {
     for (pot_name, pot) in [("analytic", analytic()), ("tabulated", tabulated())] {
+        let PotentialChoice::Eam(eam) = &pot else {
+            unreachable!()
+        };
         // 2·16³ = 8192 atoms, rattled off the lattice.
-        let mut sys_ref = System::from_lattice(LatticeSpec::bcc_fe(16), FE_MASS);
-        rattle(&mut sys_ref, 0.05);
-        let base = sys_ref.clone();
-        // Oracle: the reference (dyn-dispatched) path under Serial.
-        let mut eng_ref =
-            ForceEngine::new(&sys_ref, pot.clone(), StrategyKind::Serial, 1, 0.3).unwrap();
-        eng_ref.set_fused(false);
-        eng_ref.compute(&mut sys_ref);
+        let mut base = System::from_lattice(LatticeSpec::bcc_fe(16), FE_MASS);
+        rattle(&mut base, 0.05);
+        // The oracle under Serial; its energy is `eam_energy` over the
+        // oracle's densities.
+        let eng_ref = ForceEngine::new(&base, pot.clone(), StrategyKind::Serial, 1, 0.3).unwrap();
+        let (rho_ref, _, f_ref) = reference_eam(&base, &eng_ref, eam.as_ref());
+        let mut sys_ref = base.clone();
+        sys_ref.rho_mut().copy_from_slice(&rho_ref);
         let e_ref = eng_ref.potential_energy(&sys_ref);
         for strategy in StrategyKind::all() {
             let mut sys = base.clone();
             let mut eng = ForceEngine::new(&sys, pot.clone(), strategy, 3, 0.3).unwrap();
-            assert!(eng.fused(), "fused must be the default");
             eng.compute(&mut sys);
-            for (k, (a, b)) in sys_ref.forces().iter().zip(sys.forces()).enumerate() {
+            for (k, (a, b)) in f_ref.iter().zip(sys.forces()).enumerate() {
                 assert!(
                     (*a - *b).norm() < 1e-10,
                     "{pot_name}/{strategy}: force[{k}] {a} vs {b}"
@@ -136,11 +122,11 @@ fn fused_path_matches_reference_on_8k_atom_crystal_under_every_strategy() {
             );
             if strategy == StrategyKind::Serial {
                 assert_eq!(
-                    sys_ref.forces(),
                     sys.forces(),
-                    "{pot_name}: fused Serial must be bitwise identical"
+                    &f_ref[..],
+                    "{pot_name}: Serial forces bitwise"
                 );
-                assert_eq!(sys_ref.rho(), sys.rho(), "{pot_name}: densities bitwise");
+                assert_eq!(sys.rho(), &rho_ref[..], "{pot_name}: densities bitwise");
                 assert_eq!(e, e_ref, "{pot_name}: energy bitwise");
             }
         }

@@ -1,50 +1,44 @@
-//! Conformance battery for the fused EAM row kernels and their SIMD lane
-//! blocks.
+//! Conformance battery for the EAM row kernels and their SIMD lane blocks.
 //!
 //! The determinism contract under test: the row kernels of the row-owning
 //! strategies (Serial, SDC, task graph) give rho, fp and forces **bit for
-//! bit** equal to the reference (dyn-dispatched, per-pair) path, with the
-//! lane-batched spline evaluation on or off, at every thread count, on both
-//! potential backends, on uniform and carved-void crystals; SIMD and scalar
-//! trajectories stay bitwise identical across checkpoint round-trips and
-//! in both build profiles (tier-1's SIMD gate runs this file in release and
-//! again with `MD_SIMD_SCALAR=1` so the runtime scalar fallback is
-//! exercised on any host). Physics-level nets: central-difference force
-//! consistency on the SIMD path, NaN positions poisoning the same atoms as
-//! on the reference path, and the out-of-table density guard surfacing
-//! through the watchdog as the structured root cause.
+//! bit** equal to the per-pair oracle of `common::reference_eam`, which
+//! replays each strategy's summation order with the potential's separate
+//! scalar calls. It holds at every step, at every thread count, on both
+//! potential backends, on uniform and carved-void crystals, and in both
+//! build profiles; tier-1's SIMD gate runs this file in release and again
+//! with `MD_SIMD_SCALAR=1`, so both spline backends are held to the same
+//! oracle on any host. Physics-level nets: central-difference force
+//! consistency, NaN positions poisoning the same atoms as in the oracle,
+//! and the out-of-table density guard surfacing through the watchdog as
+//! the structured root cause.
 
+mod common;
+
+use common::{rattle, reference_eam};
 use sdc_md::prelude::*;
-use sdc_md::sim::checkpoint::{load_checkpoint, save_checkpoint};
-use std::path::PathBuf;
 
-/// Perturb the perfect crystal deterministically so forces are non-zero.
-fn rattle(system: &mut System, amplitude: f64) {
-    for (k, p) in system.positions_mut().iter_mut().enumerate() {
-        let k = k as f64;
-        p.x += amplitude * (0.917 * k).sin();
-        p.y += amplitude * (1.311 * k).cos();
-        p.z += amplitude * (2.113 * k).sin();
-    }
-    system.wrap();
+/// Asserts that `system`'s rho, fp and forces, as `engine` last computed
+/// them, equal the oracle's bit for bit.
+fn assert_matches_oracle(system: &System, engine: &ForceEngine, pot: &PotentialChoice, what: &str) {
+    let PotentialChoice::Eam(pot) = pot else {
+        panic!("{what}: the oracle evaluates EAM potentials");
+    };
+    let (rho, fp, forces) = reference_eam(system, engine, pot.as_ref());
+    assert_eq!(system.rho(), &rho[..], "{what}: rho");
+    assert_eq!(system.fp(), &fp[..], "{what}: fp");
+    assert_eq!(system.forces(), &forces[..], "{what}: forces");
 }
 
 /// A seeded 9³-cell iron simulation with every knob pinned except the ones
 /// under test.
-fn sim_with(tabulated: bool, strategy: StrategyKind, threads: usize, simd: bool) -> Simulation {
-    let builder = Simulation::builder(LatticeSpec::bcc_fe(9));
-    let builder = if tabulated {
-        let src = AnalyticEam::fe();
-        builder.potential(TabulatedEam::standard(&src, src.rho_e()))
-    } else {
-        builder.potential(AnalyticEam::fe())
-    };
-    builder
+fn sim_with(tabulated: bool, strategy: StrategyKind, threads: usize) -> Simulation {
+    Simulation::builder(LatticeSpec::bcc_fe(9))
+        .potential_choice(eam(tabulated))
         .strategy(strategy)
         .threads(threads)
         .temperature(320.0)
         .seed(7)
-        .simd(simd)
         .build()
         .expect("buildable configuration")
 }
@@ -72,30 +66,28 @@ fn assert_states_bitwise(a: &Simulation, b: &Simulation, what: &str) {
     );
 }
 
-/// Multi-step trajectories under the SIMD path are bitwise identical to the
-/// scalar fused path for every row-owning strategy and the whole thread
-/// matrix, on both potential backends.
+/// Multi-step trajectories equal the oracle at every step, the initial
+/// forces included, for every row-owning strategy and the whole thread
+/// matrix, on both potential backends: each step's forces are the
+/// oracle's, so the trajectory is the one the per-pair reference
+/// arithmetic integrates.
 #[test]
-fn simd_trajectories_are_bitwise_identical_to_scalar_fused() {
+fn trajectories_match_the_oracle_at_every_step() {
     for tabulated in [false, true] {
+        let pot = eam(tabulated);
         for strategy in [
             StrategyKind::Serial,
             StrategyKind::Sdc { dims: 3 },
             StrategyKind::TaskGraph { dims: 3 },
         ] {
             for threads in [1, 2, 4, 8] {
-                let mut on = sim_with(tabulated, strategy, threads, true);
-                let mut off = sim_with(tabulated, strategy, threads, false);
-                assert!(on.engine().simd(), "SIMD must be the default");
-                assert!(!off.engine().simd());
-                for round in 0..3 {
-                    on.run(4);
-                    off.run(4);
-                    assert_states_bitwise(
-                        &on,
-                        &off,
-                        &format!("tab={tabulated} {strategy} t={threads} round {round}"),
-                    );
+                let mut sim = sim_with(tabulated, strategy, threads);
+                for step in 0..=12 {
+                    if step > 0 {
+                        sim.run(1);
+                    }
+                    let what = format!("tab={tabulated} {strategy} t={threads} step {step}");
+                    assert_matches_oracle(sim.system(), sim.engine(), &pot, &what);
                 }
             }
         }
@@ -145,34 +137,12 @@ fn crystals() -> [(&'static str, System); 2] {
     [("rattled", rattled), ("void", void_system(9))]
 }
 
-/// `system` after two velocity-Verlet steps from 320 K.
-fn two_steps(
-    system: &System,
-    pot: &PotentialChoice,
-    strategy: StrategyKind,
-    threads: usize,
-    fused: bool,
-    simd: bool,
-) -> Simulation {
-    let mut sim = Simulation::from_system(system.clone())
-        .potential_choice(pot.clone())
-        .strategy(strategy)
-        .threads(threads)
-        .temperature(320.0)
-        .seed(7)
-        .fused(fused)
-        .simd(simd)
-        .build()
-        .expect("buildable configuration");
-    sim.run(2);
-    sim
-}
-
 /// The tentpole contract: the row kernels — batched across row boundaries
 /// in lane blocks, 16-byte φ′/f′ records, `d` and `r` recomputed in the
-/// force sweep — leave rho, fp and forces bit for bit equal to the
-/// reference path, for every row-owning strategy, thread count, SIMD
-/// setting and potential backend, on uniform and non-uniform crystals.
+/// force sweep — leave rho, fp and forces bit for bit equal to the oracle
+/// at the start and after each of two velocity-Verlet steps from 320 K,
+/// for every row-owning strategy, thread count and potential backend, on
+/// uniform and non-uniform crystals.
 #[test]
 fn row_kernels_match_the_reference_path_bit_for_bit() {
     for (crystal, system) in crystals() {
@@ -180,17 +150,22 @@ fn row_kernels_match_the_reference_path_bit_for_bit() {
             let pot = eam(tabulated);
             for strategy in ROW_OWNING {
                 for threads in [1, 2, 4] {
-                    let reference = two_steps(&system, &pot, strategy, threads, false, false);
-                    for simd in [true, false] {
-                        let fused = two_steps(&system, &pot, strategy, threads, true, simd);
+                    let mut sim = Simulation::from_system(system.clone())
+                        .potential_choice(pot.clone())
+                        .strategy(strategy)
+                        .threads(threads)
+                        .temperature(320.0)
+                        .seed(7)
+                        .build()
+                        .expect("buildable configuration");
+                    for step in 0..=2 {
+                        if step > 0 {
+                            sim.run(1);
+                        }
                         let what =
-                            format!("{crystal} tab={tabulated} {strategy} t={threads} simd={simd}");
-                        assert_eq!(fused.engine().strategy(), strategy, "{what}: strategy");
-                        let (a, b) = (fused.system(), reference.system());
-                        assert_eq!(a.rho(), b.rho(), "{what}: rho");
-                        assert_eq!(a.fp(), b.fp(), "{what}: fp");
-                        assert_eq!(a.forces(), b.forces(), "{what}: forces");
-                        assert_eq!(a.positions(), b.positions(), "{what}: positions");
+                            format!("{crystal} tab={tabulated} {strategy} t={threads} step {step}");
+                        assert_eq!(sim.engine().strategy(), strategy, "{what}: strategy");
+                        assert_matches_oracle(sim.system(), sim.engine(), &pot, &what);
                     }
                 }
             }
@@ -198,17 +173,25 @@ fn row_kernels_match_the_reference_path_bit_for_bit() {
     }
 }
 
-/// A NaN position must poison exactly the atoms it poisons on the
-/// reference path: the row kernels' cutoff tests are the negated
-/// `r² ≥ rc²`, so a NaN separation is never skipped as a skin pair. Runs in
-/// release builds (tier-1's SIMD gate), where the potentials do not
-/// debug-assert finite arguments.
+/// A NaN position must poison exactly the atoms it poisons in the oracle:
+/// the row kernels' cutoff tests are the negated `r² ≥ rc²`, so a NaN
+/// separation is never skipped as a skin pair. Runs in release builds
+/// (tier-1's SIMD gate), where the potentials do not debug-assert finite
+/// arguments.
 #[test]
 fn nan_positions_poison_the_same_atoms_as_the_reference_path() {
     if cfg!(debug_assertions) {
         return;
     }
-    let nan_bits = |v: f64| if v.is_nan() { u64::MAX } else { v.to_bits() };
+    let nan_bits = |v: &[f64]| -> Vec<u64> {
+        v.iter()
+            .map(|&v| if v.is_nan() { u64::MAX } else { v.to_bits() })
+            .collect()
+    };
+    let flat = |f: &[Vec3]| -> Vec<f64> { f.iter().flat_map(|f| [f.x, f.y, f.z]).collect() };
+    let PotentialChoice::Eam(pot) = eam(true) else {
+        unreachable!()
+    };
     let mut system = System::from_lattice(LatticeSpec::bcc_fe(9), sdc_md::sim::units::FE_MASS);
     rattle(&mut system, 0.05);
     for strategy in [
@@ -216,33 +199,27 @@ fn nan_positions_poison_the_same_atoms_as_the_reference_path() {
         StrategyKind::Sdc { dims: 3 },
         StrategyKind::TaskGraph { dims: 3 },
     ] {
-        let run = |fused: bool, simd: bool| {
-            let mut sys = system.clone();
-            let mut eng = ForceEngine::new(&sys, eam(true), strategy, 2, 0.3).unwrap();
-            eng.set_fused(fused);
-            eng.set_simd(simd);
-            sys.positions_mut()[5].x = f64::NAN;
-            eng.compute(&mut sys);
-            let rho: Vec<u64> = sys.rho().iter().map(|&v| nan_bits(v)).collect();
-            let forces: Vec<u64> = sys
-                .forces()
-                .iter()
-                .flat_map(|f| [f.x, f.y, f.z])
-                .map(nan_bits)
-                .collect();
-            (rho, forces)
-        };
-        let reference = run(false, false);
+        let mut sys = system.clone();
+        let mut eng = ForceEngine::new(&sys, eam(true), strategy, 2, 0.3).unwrap();
+        sys.positions_mut()[5].x = f64::NAN;
+        eng.compute(&mut sys);
+        let (rho, fp, forces) = reference_eam(&sys, &eng, pot.as_ref());
         assert!(
-            reference.0.contains(&u64::MAX),
+            rho.iter().any(|v| v.is_nan()),
             "{strategy}: the NaN must reach rho"
         );
-        for simd in [true, false] {
-            assert!(
-                run(true, simd) == reference,
-                "{strategy} simd={simd}: NaN pattern differs"
-            );
-        }
+        assert!(
+            nan_bits(sys.rho()) == nan_bits(&rho),
+            "{strategy}: rho NaN pattern differs"
+        );
+        assert!(
+            nan_bits(sys.fp()) == nan_bits(&fp),
+            "{strategy}: fp NaN pattern differs"
+        );
+        assert!(
+            nan_bits(&flat(sys.forces())) == nan_bits(&flat(&forces)),
+            "{strategy}: force NaN pattern differs"
+        );
     }
 }
 
@@ -251,8 +228,8 @@ fn nan_positions_poison_the_same_atoms_as_the_reference_path() {
 #[test]
 fn simd_runs_are_deterministic_run_to_run() {
     for threads in [2, 4] {
-        let mut a = sim_with(true, StrategyKind::Sdc { dims: 3 }, threads, true);
-        let mut b = sim_with(true, StrategyKind::Sdc { dims: 3 }, threads, true);
+        let mut a = sim_with(true, StrategyKind::Sdc { dims: 3 }, threads);
+        let mut b = sim_with(true, StrategyKind::Sdc { dims: 3 }, threads);
         a.run(8);
         b.run(8);
         assert_states_bitwise(&a, &b, &format!("run-to-run t={threads}"));
@@ -281,7 +258,6 @@ fn simd_forces_match_numerical_gradient() {
         rattle(&mut system, 0.05);
         let mut eng =
             ForceEngine::new(&system, pot, StrategyKind::Sdc { dims: 3 }, 2, 0.3).unwrap();
-        assert!(eng.simd(), "SIMD must be the default");
         eng.compute(&mut system);
         assert!(
             eng.lane_occupancy().is_some_and(|o| o > 0.5 && o <= 1.0),
@@ -312,56 +288,6 @@ fn simd_forces_match_numerical_gradient() {
     }
 }
 
-/// Lane batching must not leak into observable state. The
-/// checkpoint a SIMD run writes mid-run is byte-identical to the scalar
-/// run's, and resuming that checkpoint with SIMD off continues bitwise
-/// identically to resuming with SIMD on.
-#[test]
-fn checkpoint_roundtrip_is_bitwise_across_simd_settings() {
-    let dir = std::env::temp_dir();
-    let ckpt_on: PathBuf = dir.join(format!("simd-conf-on-{}.ckpt", std::process::id()));
-    let ckpt_off: PathBuf = dir.join(format!("simd-conf-off-{}.ckpt", std::process::id()));
-
-    let mut on = sim_with(true, StrategyKind::Sdc { dims: 2 }, 2, true);
-    let mut off = sim_with(true, StrategyKind::Sdc { dims: 2 }, 2, false);
-    on.run(6);
-    off.run(6);
-    save_checkpoint(&ckpt_on, on.system(), on.step_count()).expect("save simd-on checkpoint");
-    save_checkpoint(&ckpt_off, off.system(), off.step_count()).expect("save simd-off checkpoint");
-    let bytes_on = std::fs::read(&ckpt_on).expect("read simd-on checkpoint");
-    let bytes_off = std::fs::read(&ckpt_off).expect("read simd-off checkpoint");
-    assert_eq!(
-        bytes_on, bytes_off,
-        "a mid-run checkpoint must be byte-identical with SIMD on or off"
-    );
-
-    let resume = |simd: bool| -> Simulation {
-        let (system, step) = load_checkpoint(&ckpt_on).expect("load checkpoint");
-        let src = AnalyticEam::fe();
-        let mut sim = Simulation::from_system(system)
-            .potential(TabulatedEam::standard(&src, src.rho_e()))
-            .strategy(StrategyKind::Sdc { dims: 2 })
-            .threads(2)
-            .simd(simd)
-            .start_step(step)
-            .build()
-            .expect("resumable");
-        sim.run(4);
-        sim
-    };
-    let resumed_off = resume(false);
-    let resumed_on = resume(true);
-    assert_states_bitwise(
-        &resumed_on,
-        &resumed_off,
-        "resume from a SIMD-on checkpoint under SIMD off",
-    );
-    assert_eq!(resumed_off.step_count(), 10);
-
-    let _ = std::fs::remove_file(&ckpt_on);
-    let _ = std::fs::remove_file(&ckpt_off);
-}
-
 /// The density fault, exercised through the batched path and meaningful in
 /// release builds (where `UniformSpline::locate` clamps silently instead of
 /// debug-asserting): driving an atom into another's core pushes the host
@@ -380,7 +306,10 @@ fn out_of_table_density_surfaces_through_the_simd_path() {
         .seed(11)
         .build()
         .expect("buildable");
-    assert!(sim.engine().simd(), "the default path is under test");
+    assert!(
+        sim.engine().lane_occupancy().is_some(),
+        "the row kernel is under test"
+    );
     let cfg = RecoveryConfig {
         checkpoint_every: 10,
         ..RecoveryConfig::default()
