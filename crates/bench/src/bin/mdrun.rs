@@ -19,9 +19,10 @@
 //!
 //! Potentials: `fe` (BCC iron EAM), `cu` (FCC copper EAM), `lj` (argon).
 //! Strategies: serial, sdc1d, sdc2d, sdc3d, taskgraph1d, taskgraph2d,
-//! taskgraph3d, cs, atomic, locks, localwrite, sap, rc (`--taskgraph` maps
-//! an SDC strategy onto the dependency-graph scheduler). Thermostats:
-//! `none`, `rescale:T:N`, `berendsen:T:tau`, `langevin:T:tau`.
+//! taskgraph3d, cs, atomic, locks, localwrite, sap, rc (`taskgraphNd` runs
+//! the `sdcNd` plan on the dependency-graph scheduler, with the same
+//! results bit for bit). Thermostats: `none`, `rescale:T:N`,
+//! `berendsen:T:tau`, `langevin:T:tau`.
 //!
 //! Bad arguments never panic: the process prints what was wrong with which
 //! flag, shows the usage summary, and exits with status 2.
@@ -47,9 +48,6 @@ usage: mdrun [options]
                             taskgraph2d|taskgraph3d|cs|atomic|locks|
                             localwrite|sap|rc (default sdc3d; infeasible
                             SDC degrades automatically)
-  --taskgraph               run the SDC plan through the dependency-graph
-                            work-stealing scheduler instead of the per-color
-                            barriers (same dims as the chosen SDC strategy)
   --void                    carve a spherical void out of the fresh lattice
                             (the non-uniform-density benchmark workload)
   --threads N               worker threads (default 4)
@@ -72,7 +70,7 @@ usage: mdrun [options]
                             machine-readable JSON run report
   --balance                 cost-guided SDC load balancing: LPT task order,
                             plan search over dims/caps, mid-run re-planning
-                            (SDC strategies only)
+                            (sdcNd and taskgraphNd only; keeps the regime)
   --recover                 run under fault supervision: roll back to the
                             last checkpoint and retry with a smaller dt
   --max-retries N           fault retries before giving up (default 3)
@@ -86,7 +84,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--potential",
     "--cells",
     "--strategy",
-    "--taskgraph",
     "--void",
     "--threads",
     "--temperature",
@@ -151,20 +148,6 @@ fn run(args: &Args) -> Result<(), String> {
             format!("unknown strategy '{s}' for flag '--strategy' (serial|sdc1d|sdc2d|sdc3d|taskgraph1d|taskgraph2d|taskgraph3d|cs|atomic|locks|localwrite|sap|rc)")
         })?,
         None => StrategyKind::Sdc { dims: 3 },
-    };
-    let strategy = if args.flag("--taskgraph") {
-        match strategy {
-            StrategyKind::Sdc { dims } | StrategyKind::TaskGraph { dims } => {
-                StrategyKind::TaskGraph { dims }
-            }
-            other => {
-                return Err(format!(
-                    "--taskgraph needs an SDC-family strategy to derive the plan from, got '{other}'"
-                ))
-            }
-        }
-    } else {
-        strategy
     };
     let threads: usize = args.try_get_or("--threads", 4)?;
     let temperature: f64 = args.try_get_or("--temperature", 300.0)?;
@@ -741,18 +724,9 @@ mod tests {
     }
 
     #[test]
-    fn shards_reject_the_taskgraph_scheduler_in_both_spellings() {
-        for flags in [
-            vec!["--shards", "2", "--taskgraph"],
-            vec!["--shards", "2", "--strategy", "taskgraph2d"],
-            vec!["--shards", "2", "--strategy", "sdc2d", "--taskgraph"],
-        ] {
-            let e = err_of(&flags);
-            assert!(
-                e.contains("task-graph") && e.contains("--shards"),
-                "{flags:?}: {e}"
-            );
-        }
+    fn shards_reject_the_taskgraph_scheduler() {
+        let e = err_of(&["--shards", "2", "--strategy", "taskgraph2d"]);
+        assert!(e.contains("task-graph") && e.contains("--shards"), "{e}");
     }
 
     #[test]
@@ -765,6 +739,7 @@ mod tests {
         assert!(err_of(&["--no-simdd"]).contains("unknown flag"));
         assert!(err_of(&["--no-fused"]).contains("unknown flag"));
         assert!(err_of(&["--no-simd"]).contains("unknown flag"));
+        assert!(err_of(&["--taskgraph"]).contains("unknown flag"));
         assert!(err_of(&["--cells", "many"]).contains("--cells"));
         assert!(err_of(&["--strategy", "avx"]).contains("--strategy"));
     }

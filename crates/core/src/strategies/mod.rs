@@ -182,9 +182,9 @@ impl StrategyKind {
         match self {
             StrategyKind::Sdc { dims } if *dims > 1 => Some(StrategyKind::Sdc { dims: dims - 1 }),
             StrategyKind::Sdc { .. } => Some(StrategyKind::Locks),
-            // The taskgraph scheduler's safe harbor is the barriered SDC
-            // reference at the same decomposition (same plan, coarser
-            // ordering), from which the SDC chain continues.
+            // The taskgraph scheduler's safe harbor is barriered SDC at the
+            // same decomposition (same plan, same summation order), from
+            // which the SDC chain continues.
             StrategyKind::TaskGraph { dims } => Some(StrategyKind::Sdc { dims: *dims }),
             _ => None,
         }
@@ -306,8 +306,9 @@ impl ScatterExec<'_> {
     /// * Serial runs all rows as one task.
     /// * SDC runs each subdomain's [`SdcPlan::atoms_of`], color by color,
     ///   with a barrier between colors.
-    /// * The task graph runs each DAG task once its conflicting
-    ///   lower-id tasks are done.
+    /// * The task graph runs each DAG task once its conflicting tasks of
+    ///   earlier colors are done: SDC's order without the barrier, so the
+    ///   two sweeps give bitwise-equal results on the same plan.
     ///
     /// A task may write `out` at its rows and at their half-list neighbors,
     /// and nowhere else; no concurrently running task shares any of those
@@ -557,8 +558,8 @@ mod tests {
 
     /// The density kernel of [`run_density`] replayed on one thread in
     /// `kind`'s task order: rows ascending for Serial, subdomains color by
-    /// color for SDC, subdomains by ascending id for the task graph — the
-    /// order in which the parallel sweeps add into every shared element.
+    /// color for SDC and the task graph — the order in which the parallel
+    /// sweeps add into every shared element.
     fn replay_task_order(f: &Fixture, kind: StrategyKind) -> Vec<f64> {
         let kernel = |i: usize, j: usize| {
             let r2 = f.sim_box.distance_sq(f.pos[i], f.pos[j]);
@@ -570,15 +571,9 @@ mod tests {
             return out;
         };
         let plan = &f.plans[dims - 1];
-        let decomp = plan.decomposition();
-        let order: Vec<usize> = match kind {
-            StrategyKind::Sdc { .. } => (0..decomp.color_count())
-                .flat_map(|c| plan.ordered_of_color(c).iter().map(|&s| s as usize))
-                .collect(),
-            _ => (0..decomp.subdomain_count()).collect(),
-        };
-        for s in order {
-            for &i in plan.atoms_of(s) {
+        let order = (0..plan.decomposition().color_count()).flat_map(|c| plan.ordered_of_color(c));
+        for &s in order {
+            for &i in plan.atoms_of(s as usize) {
                 let i = i as usize;
                 for &j in f.half.row(i) {
                     if let Some(t) = kernel(i, j as usize) {
@@ -649,9 +644,26 @@ mod tests {
         }
     }
 
+    /// Marks task `me` of a pair started, then waits for the other one to
+    /// start. `false` when the deadline passes first: the two never ran at
+    /// once.
+    fn meet(started: &[std::sync::atomic::AtomicBool; 2], me: usize) -> bool {
+        use std::sync::atomic::Ordering;
+        use std::time::{Duration, Instant};
+        started[me].store(true, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !started[1 - me].load(Ordering::SeqCst) {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
     #[test]
     fn metered_two_thread_task_sweeps_keep_busy_time_and_counters() {
-        use std::sync::Barrier;
+        use std::sync::atomic::{AtomicBool, Ordering};
         let f = fixture();
         let ctx = ParallelContext::new(2);
         for kind in ROW_OWNING.into_iter().filter(|k| k.needs_plan()) {
@@ -660,13 +672,13 @@ mod tests {
             let decomp = plan.decomposition();
             let (colors, subdomains) =
                 (decomp.color_count() as u64, decomp.subdomain_count() as u64);
-            // Under SDC the first and last task of color 0 wait for each
-            // other, so each worker runs one of them. (The task graph gets
-            // no such pair: consecutive subdomain ids are always
-            // neighbors on a periodic box, so its DAG orders every task.)
+            // The first and last task of color 0 wait for each other to
+            // start, so each worker runs one of them: both sweeps run
+            // same-color tasks at once.
             let first = plan.ordered_of_color(0);
             let pair = [first[0], first[first.len() - 1]].map(|s| plan.atoms_of(s as usize));
-            let rendezvous = Barrier::new(2);
+            let started = [AtomicBool::new(false), AtomicBool::new(false)];
+            let met = [AtomicBool::new(false), AtomicBool::new(false)];
             let tasks_metrics = ScatterMetrics::new(2);
             let pairs_metrics = ScatterMetrics::new(2);
             let mut out = vec![0.0f64; f.half.rows()];
@@ -674,10 +686,15 @@ mod tests {
                 kind,
                 &mut out,
                 &|rows, _| {
-                    if graph.is_none() && pair.iter().any(|&p| rows == TaskRows::Atoms(p)) {
-                        rendezvous.wait();
+                    if let Some(me) = pair.iter().position(|&p| rows == TaskRows::Atoms(p)) {
+                        met[me].store(meet(&started, me), Ordering::SeqCst);
                     }
                 },
+            );
+            assert_eq!(
+                met.map(AtomicBool::into_inner),
+                [true, true],
+                "{kind}: two color-0 tasks never ran at once"
             );
             exec_for(&f, kind, &ctx, graph.as_ref(), Some(&pairs_metrics)).run(
                 kind,
@@ -701,11 +718,9 @@ mod tests {
                     }
                 }
             }
-            if graph.is_none() {
-                for w in 0..2 {
-                    let busy = tasks_metrics.thread_busy_ns[w].get();
-                    assert!(busy > 0, "{kind}: worker {w} recorded no busy time");
-                }
+            for w in 0..2 {
+                let busy = tasks_metrics.thread_busy_ns[w].get();
+                assert!(busy > 0, "{kind}: worker {w} recorded no busy time");
             }
         }
     }

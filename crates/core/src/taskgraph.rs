@@ -6,10 +6,10 @@
 //! color even when most of the box has long gone idle — the residual cost on
 //! non-uniform densities that the per-color wall metrics expose.
 //!
-//! This module derives a finer ordering from the same geometric invariant.
-//! Two subdomain tasks **conflict** exactly when their write footprints can
-//! share an atom: a task writes its own atoms plus their list neighbors, all
-//! of which lie inside the subdomain's AABB expanded by the interaction range
+//! This module keeps SDC's order and drops its barrier. Two subdomain tasks
+//! **conflict** exactly when their write footprints can share an atom: a
+//! task writes its own atoms plus their list neighbors, all of which lie
+//! inside the subdomain's AABB expanded by the interaction range
 //! (`cutoff + skin`, the list radius). So tasks `a` and `b` conflict iff
 //!
 //! ```text
@@ -17,22 +17,22 @@
 //! ```
 //!
 //! — the identical predicate `ColoredDecomposition::validate` uses to prove
-//! the color scheme sound. Every conflicting pair gets a dependency edge
-//! directed from the lower to the higher subdomain id, which makes the graph
-//! acyclic by construction. A task becomes runnable the moment its last
-//! conflicting lower-id neighbor finishes; independent tasks never wait on
-//! each other at all. The only full join left is one per sweep.
+//! the color scheme sound, so same-color tasks never conflict. Every
+//! conflicting pair gets a dependency edge from the earlier task to the
+//! later one in **color-major order**, `(color_of(s), s)`. Edges therefore
+//! only climb colors: the graph is acyclic, and its longest chain is at most
+//! the color count (2, 4 or 8), however many tasks there are. A task becomes
+//! runnable the moment its conflicting tasks of earlier colors finish;
+//! independent tasks never wait on each other at all. The only full join
+//! left is one per sweep.
 //!
-//! **Determinism.** The edge direction is the whole argument: every pair of
-//! tasks that write a common output element is ordered low-id → high-id, so
-//! the additions into each element arrive in ascending task-id order under
-//! *any* worker interleaving, at *any* thread count — the same fixed order a
-//! serial loop over tasks by id would produce. Together with the fixed atom
-//! and neighbor-row order inside each task, trajectories are bitwise
-//! reproducible (DESIGN.md §14). Note this fixed order is the *id* order,
-//! not the SDC *color* order, so taskgraph results agree with the barriered
-//! reference to floating-point reassociation (≤ 1e-10 in practice), not
-//! bitwise — the barriered path stays the deterministic reference.
+//! **Determinism.** Each output element has at most one writer per color,
+//! and every pair of tasks that write a common element is ordered by an
+//! edge that follows the colors. So the additions into each element arrive
+//! color by color under *any* worker interleaving, at *any* thread count —
+//! exactly barriered SDC's order. Together with the fixed atom and
+//! neighbor-row order inside each task, the graph's results are bitwise
+//! equal to barriered SDC's on the same plan (DESIGN.md §14).
 //!
 //! Execution is [`md_base::pool::run_graph`] on the engine's pool: one
 //! deque per worker, owners pop the front, thieves steal from the back,
@@ -42,7 +42,7 @@
 
 use crate::metrics::ScatterMetrics;
 use crate::plan::SdcPlan;
-use crate::scatter::{pair_task, PairTerm, ScatterValue, TaskRows};
+use crate::scatter::{ScatterValue, TaskRows};
 use crate::ParallelContext;
 use md_base::pool::{self, SharedSlice};
 use md_geometry::SimBox;
@@ -51,15 +51,16 @@ use std::time::Instant;
 
 /// The conflict DAG over one plan's subdomain tasks (see module docs).
 ///
-/// Edges run from lower to higher subdomain id between every pair of tasks
-/// whose range-expanded AABBs intersect under periodic boundary conditions;
-/// stored as a dependents CSR plus per-task indegrees.
+/// Edges run between every pair of tasks whose range-expanded AABBs
+/// intersect under periodic boundary conditions, from the earlier task to
+/// the later one in color-major order; stored as a dependents CSR plus
+/// per-task indegrees.
 #[derive(Debug, Clone)]
 pub struct TaskGraph {
     /// CSR offsets into `dependents`, one slot per task plus a tail.
     dep_offsets: Vec<u32>,
-    /// For task `t`: the higher-id tasks whose pending count drops when `t`
-    /// completes, ascending.
+    /// For task `t`: the tasks of later colors whose pending count drops
+    /// when `t` completes, ascending by id.
     dependents: Vec<u32>,
     /// Incoming-edge count per task (the initial pending count).
     indegree: Vec<u32>,
@@ -73,32 +74,31 @@ impl TaskGraph {
     pub fn build(decomp: &crate::decomposition::ColoredDecomposition, sim_box: &SimBox) -> TaskGraph {
         let n = decomp.subdomain_count();
         let range = decomp.range();
-        let mut indegree = vec![0u32; n];
-        let mut counts = vec![0u32; n];
-        let mut edges: Vec<(u32, u32)> = Vec::new();
         let halos: Vec<_> = (0..n).map(|s| decomp.aabb(s).expanded(range)).collect();
+        let before = |a: usize, b: usize| (decomp.color_of(a), a) < (decomp.color_of(b), b);
+        let mut edges: Vec<(u32, u32)> = Vec::new();
         for (a, halo_a) in halos.iter().enumerate() {
             for (off, halo_b) in halos[a + 1..].iter().enumerate() {
                 let b = a + 1 + off;
                 if halo_a.intersects_periodic(halo_b, sim_box) {
-                    edges.push((a as u32, b as u32));
-                    counts[a] += 1;
-                    indegree[b] += 1;
+                    let (from, to) = if before(a, b) { (a, b) } else { (b, a) };
+                    edges.push((from as u32, to as u32));
                 }
             }
         }
+        // Sorted by source, then target: each task's dependents come out
+        // contiguous and ascending.
+        edges.sort_unstable();
         let mut dep_offsets = vec![0u32; n + 1];
+        let mut indegree = vec![0u32; n];
+        for &(from, to) in &edges {
+            dep_offsets[from as usize + 1] += 1;
+            indegree[to as usize] += 1;
+        }
         for t in 0..n {
-            dep_offsets[t + 1] = dep_offsets[t] + counts[t];
+            dep_offsets[t + 1] += dep_offsets[t];
         }
-        let mut dependents = vec![0u32; edges.len()];
-        let mut cursor = dep_offsets.clone();
-        // `edges` is generated in ascending (a, b) order, so each task's
-        // dependent list comes out ascending too.
-        for (a, b) in edges {
-            dependents[cursor[a as usize] as usize] = b;
-            cursor[a as usize] += 1;
-        }
+        let dependents = edges.into_iter().map(|(_, to)| to).collect();
         TaskGraph { dep_offsets, dependents, indegree }
     }
 
@@ -114,7 +114,8 @@ impl TaskGraph {
         self.dependents.len()
     }
 
-    /// The higher-id tasks depending on `t`, ascending.
+    /// The tasks depending on `t` — its conflicting tasks of later colors —
+    /// ascending by id.
     #[inline]
     pub fn dependents_of(&self, t: usize) -> &[u32] {
         let lo = self.dep_offsets[t] as usize;
@@ -128,37 +129,10 @@ impl TaskGraph {
         &self.indegree
     }
 
-    /// True when the DAG orders `a` before `b` by a direct edge
-    /// (`a < b` and `b` in `a`'s dependent list).
+    /// True when the DAG orders `a` before `b` by a direct edge (`b` in
+    /// `a`'s dependent list).
     pub fn has_edge(&self, a: usize, b: usize) -> bool {
-        a < b && self.dependents_of(a).binary_search(&(b as u32)).is_ok()
-    }
-
-    /// Longest path through the DAG in cost units — the makespan lower bound
-    /// no amount of parallelism can beat. `costs[t]` is task `t`'s work
-    /// (typically its stored-pair count).
-    ///
-    /// Edges run low id → high id, so ascending id order is topological and
-    /// a single forward DP pass suffices.
-    ///
-    /// # Panics
-    /// Panics if `costs` is shorter than the task count.
-    pub fn critical_path_units(&self, costs: &[f64]) -> f64 {
-        let n = self.task_count();
-        assert!(costs.len() >= n, "need one cost per task: {} < {n}", costs.len());
-        let mut longest_to = vec![0.0f64; n]; // longest path *into* t, excl. t
-        let mut cp = 0.0f64;
-        for t in 0..n {
-            let finish = longest_to[t] + costs[t];
-            cp = cp.max(finish);
-            for &d in self.dependents_of(t) {
-                let d = d as usize;
-                if finish > longest_to[d] {
-                    longest_to[d] = finish;
-                }
-            }
-        }
-        cp
+        self.dependents_of(a).binary_search(&(b as u32)).is_ok()
     }
 
     /// Exhaustively verifies the safety contract against a real plan and
@@ -190,7 +164,7 @@ impl TaskGraph {
         }
         for a in 0..n {
             for b in (a + 1)..n {
-                if self.has_edge(a, b) {
+                if self.has_edge(a, b) || self.has_edge(b, a) {
                     continue;
                 }
                 let overlap = footprints[a]
@@ -210,9 +184,11 @@ impl TaskGraph {
 
 /// The task-graph sweep as a row-owning sweep: `task` runs once per DAG
 /// task `s` on [`TaskRows::Atoms`]`(plan.atoms_of(s))`, on `ctx`'s workers,
-/// as soon as every lower-id task it conflicts with has finished. A task
-/// may write `out` at its rows and their half-list neighbors (its write
-/// footprint).
+/// as soon as every conflicting task of an earlier color has finished. A
+/// task may write `out` at its rows and their half-list neighbors (its write
+/// footprint). Every element receives its additions in barriered SDC's
+/// color order, so the result is bitwise equal to [`sweep_sdc`]'s on the
+/// same plan.
 ///
 /// Safety of those unsynchronized [`SharedSlice`] writes: unordered task
 /// pairs have disjoint write footprints (debug builds verify this
@@ -222,6 +198,8 @@ impl TaskGraph {
 ///
 /// With metrics on, records per-task busy time (by worker index), task and
 /// steal counts, and the ready→start latency histogram.
+///
+/// [`sweep_sdc`]: crate::strategies::sdc::sweep_sdc
 pub fn sweep_taskgraph<V: ScatterValue>(
     ctx: &ParallelContext,
     graph: &TaskGraph,
@@ -252,29 +230,11 @@ pub fn sweep_taskgraph<V: ScatterValue>(
     }
 }
 
-/// Dependency-driven per-pair scatter over a half list: [`sweep_taskgraph`]
-/// with a pair kernel, each stored pair visited exactly once.
-pub fn scatter_taskgraph_metered<V: ScatterValue>(
-    ctx: &ParallelContext,
-    graph: &TaskGraph,
-    plan: &SdcPlan,
-    half: &Csr,
-    out: &mut [V],
-    kernel: &(impl Fn(usize, usize) -> Option<PairTerm<V>> + Sync),
-    metrics: Option<&ScatterMetrics>,
-) {
-    // SAFETY: `sweep_taskgraph` runs tasks with overlapping footprints in
-    // edge order, never concurrently.
-    let task = |rows: TaskRows<'_>, out: &SharedSlice<'_, V>| unsafe {
-        pair_task(half, rows, out, kernel)
-    };
-    sweep_taskgraph(ctx, graph, plan, half, out, &task, metrics);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomposition::DecompositionConfig;
+    use crate::decomposition::{ColoredDecomposition, DecompositionConfig};
+    use crate::scatter::{pair_task, PairTerm};
     use md_geometry::LatticeSpec;
     use md_neighbor::{NeighborList, VerletConfig};
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -299,19 +259,20 @@ mod tests {
             let graph = TaskGraph::build(decomp, &bx);
             let n = decomp.subdomain_count();
             assert_eq!(graph.task_count(), n);
+            let rank = |s: usize| (decomp.color_of(s), s);
             let mut expect = 0usize;
             for a in 0..n {
                 let ha = decomp.aabb(a).expanded(decomp.range());
                 for b in (a + 1)..n {
                     let hb = decomp.aabb(b).expanded(decomp.range());
                     let conflict = ha.intersects_periodic(&hb, &bx);
-                    assert_eq!(
-                        graph.has_edge(a, b),
-                        conflict,
-                        "dims {dims}: edge ({a},{b})"
-                    );
-                    assert!(!graph.has_edge(b, a), "edge must point low → high");
+                    // Upward means color-major: the earlier of the pair in
+                    // (color, id) order is the edge's source.
+                    let (lo, hi) = if rank(a) < rank(b) { (a, b) } else { (b, a) };
+                    assert_eq!(graph.has_edge(lo, hi), conflict, "dims {dims}: edge ({lo},{hi})");
+                    assert!(!graph.has_edge(hi, lo), "dims {dims}: edge {hi}→{lo} points down");
                     if conflict {
+                        assert_ne!(rank(a).0, rank(b).0, "dims {dims}: same-color edge {a}, {b}");
                         expect += 1;
                     }
                 }
@@ -339,30 +300,43 @@ mod tests {
         }
     }
 
+    /// The DAG's longest path in tasks: a Kahn pass that puts every task
+    /// one level past its deepest predecessor.
+    fn depth(graph: &TaskGraph) -> usize {
+        let mut pending = graph.indegree().to_vec();
+        let mut level = vec![1usize; graph.task_count()];
+        let mut ready: Vec<usize> = (0..pending.len()).filter(|&t| pending[t] == 0).collect();
+        let mut depth = 0;
+        while let Some(t) = ready.pop() {
+            depth = depth.max(level[t]);
+            for &d in graph.dependents_of(t) {
+                let d = d as usize;
+                level[d] = level[d].max(level[t] + 1);
+                pending[d] -= 1;
+                if pending[d] == 0 {
+                    ready.push(d);
+                }
+            }
+        }
+        depth
+    }
+
     #[test]
-    fn critical_path_bounds() {
-        let (bx, _, nl, plan) = fixture(17, 2);
-        let graph = TaskGraph::build(plan.decomposition(), &bx);
-        let costs: Vec<f64> = plan.pair_counts(nl.csr()).iter().map(|&c| c as f64).collect();
-        let cp = graph.critical_path_units(&costs);
-        let max = costs.iter().cloned().fold(0.0, f64::max);
-        let total: f64 = costs.iter().sum();
-        assert!(cp >= max, "critical path {cp} below heaviest task {max}");
-        assert!(cp <= total, "critical path {cp} above serial total {total}");
-        // A chain graph degenerates to the serial total.
-        let chain = TaskGraph {
-            dep_offsets: vec![0, 1, 2, 2],
-            dependents: vec![1, 2],
-            indegree: vec![0, 1, 1],
-        };
-        assert_eq!(chain.critical_path_units(&[1.0, 2.0, 4.0]), 7.0);
-        // Fully independent tasks: the heaviest one.
-        let free = TaskGraph {
-            dep_offsets: vec![0, 0, 0, 0],
-            dependents: vec![],
-            indegree: vec![0, 0, 0],
-        };
-        assert_eq!(free.critical_path_units(&[1.0, 2.0, 4.0]), 4.0);
+    fn longest_chain_is_the_color_count() {
+        for cells in [17, 26, 32, 40] {
+            let bx = LatticeSpec::bcc_fe(cells).sim_box();
+            for dims in 1..=3 {
+                let config = DecompositionConfig::new(dims, RANGE);
+                let decomp = ColoredDecomposition::new(&bx, config).unwrap();
+                let graph = TaskGraph::build(&decomp, &bx);
+                assert_eq!(
+                    depth(&graph),
+                    decomp.color_count(),
+                    "{cells} cells, dims {dims}: {} tasks",
+                    graph.task_count()
+                );
+            }
+        }
     }
 
     #[test]
@@ -401,33 +375,29 @@ mod tests {
     }
 
     #[test]
-    fn scatter_matches_sdc_within_reassociation_and_is_bitwise_stable() {
-        let (bx, pos, nl, plan) = fixture(17, 2);
-        let kernel = |i: usize, j: usize| {
-            let r2 = bx.distance_sq(pos[i], pos[j]);
-            (r2 < CUTOFF * CUTOFF).then(|| PairTerm::symmetric(1.0 / (1.0 + r2)))
-        };
-        let mut reference = vec![0.0f64; pos.len()];
-        crate::strategies::serial::scatter_serial(nl.csr(), &mut reference, &kernel);
-        let mut baseline: Option<Vec<f64>> = None;
-        for threads in [1usize, 2, 4, 8] {
-            let ctx = ParallelContext::new(threads);
+    fn scatter_is_bitwise_equal_to_barriered_sdc_at_every_thread_count() {
+        for dims in 1..=3 {
+            let (bx, pos, nl, plan) = fixture(17, dims);
+            let half = nl.csr();
+            let kernel = |i: usize, j: usize| {
+                let r2 = bx.distance_sq(pos[i], pos[j]);
+                (r2 < CUTOFF * CUTOFF).then(|| PairTerm::symmetric(1.0 / (1.0 + r2)))
+            };
+            // SAFETY: `sweep_taskgraph` runs tasks with overlapping
+            // footprints in edge order, never concurrently.
+            let task = |rows: TaskRows<'_>, out: &SharedSlice<'_, f64>| unsafe {
+                pair_task(half, rows, out, &kernel)
+            };
+            let mut barriered = vec![0.0f64; pos.len()];
+            let serial_ctx = ParallelContext::new(1);
+            crate::strategies::sdc::scatter_sdc(&serial_ctx, &plan, half, &mut barriered, &kernel);
             let graph = TaskGraph::build(plan.decomposition(), &bx);
-            for _ in 0..2 {
-                let mut got = vec![0.0f64; pos.len()];
-                scatter_taskgraph_metered(&ctx, &graph, &plan, nl.csr(), &mut got, &kernel, None);
-                for (k, (a, b)) in reference.iter().zip(&got).enumerate() {
-                    assert!(
-                        (a - b).abs() < 1e-12,
-                        "t{threads}: atom {k}: {a} vs {b}"
-                    );
-                }
-                match &baseline {
-                    None => baseline = Some(got),
-                    Some(expect) => assert_eq!(
-                        expect, &got,
-                        "t{threads}: taskgraph scatter is not bitwise deterministic"
-                    ),
+            for threads in [1usize, 2, 4, 8] {
+                let ctx = ParallelContext::new(threads);
+                for _ in 0..2 {
+                    let mut got = vec![0.0f64; pos.len()];
+                    sweep_taskgraph(&ctx, &graph, &plan, half, &mut got, &task, None);
+                    assert_eq!(barriered, got, "dims {dims} t{threads}: graph differs from SDC");
                 }
             }
         }
@@ -439,15 +409,12 @@ mod tests {
         let graph = TaskGraph::build(plan.decomposition(), &bx);
         let metrics = ScatterMetrics::new(4);
         let mut out = vec![0.0f64; pos.len()];
-        scatter_taskgraph_metered(
-            &ParallelContext::new(4),
-            &graph,
-            &plan,
-            nl.csr(),
-            &mut out,
-            &|_, _| Some(PairTerm::symmetric(1.0)),
-            Some(&metrics),
-        );
+        // SAFETY: as in `sweep_taskgraph`'s contract.
+        let task = |rows: TaskRows<'_>, out: &SharedSlice<'_, f64>| unsafe {
+            pair_task(nl.csr(), rows, out, &|_, _| Some(PairTerm::symmetric(1.0)))
+        };
+        let ctx = ParallelContext::new(4);
+        sweep_taskgraph(&ctx, &graph, &plan, nl.csr(), &mut out, &task, Some(&metrics));
         let n = plan.decomposition().subdomain_count() as u64;
         assert_eq!(metrics.tasks.get(), n, "every task completion counted");
         assert_eq!(metrics.ready_latency.count(), n);

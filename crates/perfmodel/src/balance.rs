@@ -25,28 +25,6 @@ pub fn makespan_params(machine: &MachineParams, threads: usize) -> MakespanParam
     }
 }
 
-/// Predicted wall seconds per step for a *dependency-graph* execution of a
-/// plan — the greedy-scheduler (Graham) bound with one pool join per sweep
-/// instead of one barrier per color:
-///
-/// `sweeps · (max(critical_path, total/P) · task_unit + barrier)`
-///
-/// `cp_units` is the graph's critical path and `total_units` the total task
-/// cost, both in the same units the LPT schedule uses (pair counts), so the
-/// result is directly comparable to [`predicted_schedule_seconds`] /
-/// `ColorSchedule::predicted_seconds` when `balance.rs` chooses
-/// graph-vs-barrier per plan.
-pub fn predicted_graph_seconds(
-    cp_units: f64,
-    total_units: f64,
-    threads: usize,
-    params: &MakespanParams,
-) -> f64 {
-    let p = threads.max(1) as f64;
-    let span = cp_units.max(total_units / p);
-    params.sweeps * (span * params.task_unit_seconds + params.barrier_seconds)
-}
-
 /// Predicted wall seconds per step for an LPT schedule under the machine
 /// model — `sweeps · Σ_colors (max-thread-bin · task + barrier)`.
 pub fn predicted_schedule_seconds(
@@ -147,42 +125,6 @@ mod tests {
         assert!(t4 < t1, "4 threads predicted slower than 1: {t4} vs {t1}");
         let expensive = MachineParams::calibrated(m.pair_cost * 10.0);
         assert!(predicted_schedule_seconds(&expensive, &s4, 4) > t4);
-    }
-
-    #[test]
-    fn graph_prediction_is_bounded_by_work_and_span() {
-        let params = makespan_params(&MachineParams::default(), 4);
-        // Work-dominated: 100 equal units, cp 10 → span = 100/4 = 25.
-        let t = predicted_graph_seconds(10.0, 100.0, 4, &params);
-        let expect = params.sweeps * (25.0 * params.task_unit_seconds + params.barrier_seconds);
-        assert!((t - expect).abs() < 1e-18, "{t} vs {expect}");
-        // Span-dominated: a long chain cannot go faster than its critical
-        // path no matter the thread count.
-        let chain = predicted_graph_seconds(90.0, 100.0, 16, &params);
-        let floor = params.sweeps * 90.0 * params.task_unit_seconds;
-        assert!(chain >= floor);
-        // More threads never predict slower.
-        let params1 = makespan_params(&MachineParams::default(), 1);
-        assert!(t < predicted_graph_seconds(10.0, 100.0, 1, &params1));
-    }
-
-    #[test]
-    fn graph_beats_the_barriered_schedule_on_a_free_graph() {
-        // Same plan, same costs: with no dependencies the graph pays one
-        // barrier per sweep where the colored schedule pays one per color.
-        let s = schedule(4);
-        let params = makespan_params(&MachineParams::default(), 4);
-        let (bx, pos) = LatticeSpec::bcc_fe(17).build();
-        let nl = NeighborList::build(&bx, &pos, VerletConfig::half(CUTOFF, SKIN));
-        let plan = SdcPlan::build(&bx, &pos, DecompositionConfig::new(2, CUTOFF + SKIN)).unwrap();
-        let costs: Vec<f64> = plan.pair_counts(nl.csr()).iter().map(|&c| c as f64).collect();
-        let total: f64 = costs.iter().sum();
-        let cp = costs.iter().cloned().fold(0.0, f64::max);
-        let graph = predicted_graph_seconds(cp, total, 4, &params);
-        assert!(
-            graph < s.predicted_seconds(&params),
-            "free graph must beat the color-barriered schedule"
-        );
     }
 
     #[test]

@@ -52,9 +52,7 @@ pub mod rebuild;
 pub mod shard;
 pub mod table;
 
-pub use balance::{
-    makespan_params, predicted_graph_seconds, predicted_schedule_seconds, ObservedMakespan,
-};
+pub use balance::{makespan_params, predicted_schedule_seconds, ObservedMakespan};
 pub use case::CaseGeometry;
 pub use machine::MachineParams;
 pub use observed::ObservedImbalance;

@@ -117,37 +117,14 @@ pub struct ForceEngine {
     sap: SapBuffers,
     balance: Option<BalanceState>,
     taskgraph: Option<TaskGraph>,
-    graph_requested: bool,
 }
 
-/// Graph-vs-barrier chooser, consulted only when the taskgraph strategy was
-/// requested: predicted makespan of a dependency-graph execution of `plan`
-/// (the Graham bound over its critical path, one pool join per sweep) vs the
-/// barriered LPT schedule's `barrier_seconds` prediction. The barriered
-/// reference wins ties, so on uniform crystals — where the color barriers are
-/// cheap — the deterministic reference stays in charge.
-#[allow(clippy::too_many_arguments)]
-fn choose_scatter_kind(
-    graph_requested: bool,
-    plan: &SdcPlan,
-    sim_box: &md_geometry::SimBox,
-    costs: &[f64],
-    dims: usize,
-    barrier_seconds: f64,
-    threads: usize,
-    params: &schedule::MakespanParams,
-) -> StrategyKind {
-    if !graph_requested {
-        return StrategyKind::Sdc { dims };
-    }
-    let graph = TaskGraph::build(plan.decomposition(), sim_box);
-    let cp = graph.critical_path_units(costs);
-    let total: f64 = costs.iter().sum();
-    let graph_seconds = md_perfmodel::predicted_graph_seconds(cp, total, threads, params);
-    if graph_seconds < barrier_seconds {
-        StrategyKind::TaskGraph { dims }
-    } else {
-        StrategyKind::Sdc { dims }
+/// Plan-backed `kind` on a `dims`-axis plan: the balancer may change a
+/// plan's dims, never whether it runs barriered or as a task graph.
+fn with_dims(kind: StrategyKind, dims: usize) -> StrategyKind {
+    match kind {
+        StrategyKind::TaskGraph { .. } => StrategyKind::TaskGraph { dims },
+        _ => StrategyKind::Sdc { dims },
     }
 }
 
@@ -208,7 +185,6 @@ impl ForceEngine {
             sap: SapBuffers::new(),
             balance: None,
             taskgraph: None,
-            graph_requested: matches!(strategy, StrategyKind::TaskGraph { .. }),
         };
         engine.sync_taskgraph(system);
         Ok(engine)
@@ -331,9 +307,8 @@ impl ForceEngine {
     /// plan-backed (SDC or taskgraph; nothing to schedule otherwise) or no
     /// feasible decomposition exists. Results are bitwise-identical to the
     /// unbalanced path for the same decomposition; changing dims changes
-    /// nothing but task grouping. When the taskgraph strategy was requested,
-    /// the balancer additionally chooses graph-vs-barrier per plan from the
-    /// critical-path makespan predictor.
+    /// nothing but task grouping. The balancer keeps the requested regime,
+    /// barriered SDC or task graph, and changes only its dims.
     pub fn enable_balance(&mut self, system: &System, config: BalanceConfig) -> bool {
         let Some(dims) = self.strategy.plan_dims() else {
             return false;
@@ -356,22 +331,7 @@ impl ForceEngine {
         ) else {
             return false;
         };
-        let costs: Vec<f64> = best
-            .plan
-            .pair_counts(self.half.csr())
-            .iter()
-            .map(|&c| c as f64)
-            .collect();
-        self.strategy = choose_scatter_kind(
-            self.graph_requested,
-            &best.plan,
-            system.sim_box(),
-            &costs,
-            best.choice.dims,
-            best.choice.predicted_seconds,
-            threads,
-            &params,
-        );
+        self.strategy = with_dims(self.strategy, best.choice.dims);
         let (mut last_busy_ns, mut last_barriers) = (0, 0);
         if let Some(m) = &self.metrics {
             m.scatter.planned_imbalance.set(best.choice.predicted_imbalance);
@@ -510,22 +470,7 @@ impl ForceEngine {
                 let adopted = best.choice.dims != dims
                     || best.choice.counts != plan.decomposition().counts();
                 if adopted {
-                    let new_costs: Vec<f64> = best
-                        .plan
-                        .pair_counts(self.half.csr())
-                        .iter()
-                        .map(|&c| c as f64)
-                        .collect();
-                    let to = choose_scatter_kind(
-                        self.graph_requested,
-                        &best.plan,
-                        system.sim_box(),
-                        &new_costs,
-                        best.choice.dims,
-                        best.choice.predicted_seconds,
-                        threads,
-                        &params,
-                    );
+                    let to = with_dims(self.strategy, best.choice.dims);
                     state.events.push(RebalanceEvent {
                         rebuild: self.rebuilds,
                         observed_imbalance: trigger,
@@ -552,33 +497,6 @@ impl ForceEngine {
             state.choice.predicted_seconds = schedule.predicted_seconds(&params);
             state.choice.predicted_imbalance = schedule.imbalance();
             plan.set_schedule(schedule);
-            // The fresh pair counts can still flip graph-vs-barrier for the
-            // unchanged decomposition; a flip is a rebalance event too.
-            let to = choose_scatter_kind(
-                self.graph_requested,
-                plan,
-                system.sim_box(),
-                &costs,
-                dims,
-                state.choice.predicted_seconds,
-                threads,
-                &params,
-            );
-            if to != self.strategy {
-                state.events.push(RebalanceEvent {
-                    rebuild: self.rebuilds,
-                    observed_imbalance: trigger,
-                    from: self.strategy,
-                    to,
-                    from_counts: plan.decomposition().counts(),
-                    to_counts: plan.decomposition().counts(),
-                    predicted_seconds: state.choice.predicted_seconds,
-                });
-                self.strategy = to;
-                if let Some(m) = &self.metrics {
-                    m.scatter.rebalances.inc();
-                }
-            }
         }
         if let Some(m) = &self.metrics {
             m.scatter.planned_imbalance.set(state.choice.predicted_imbalance);
@@ -672,8 +590,9 @@ impl ForceEngine {
     }
 
     /// Re-derives the dependency graph from the current plan when the
-    /// taskgraph strategy is active (a rebalance may just have switched the
-    /// engine onto the graph path), and drops it otherwise.
+    /// taskgraph strategy is active (the plan is fresh after every rebuild
+    /// and rebalance), and drops it otherwise (a downgrade leaves the graph
+    /// for barriered SDC).
     fn sync_taskgraph(&mut self, system: &System) {
         self.taskgraph = match (self.strategy, &self.plan) {
             (StrategyKind::TaskGraph { .. }, Some(plan)) => {
@@ -1040,11 +959,9 @@ mod tests {
             ForceEngine::new(&reference.clone(), pot, StrategyKind::Sdc { dims: 2 }, 4, 0.3)
                 .unwrap();
         sdc.compute(&mut reference);
-        for (a, b) in sys.forces().iter().zip(reference.forces()) {
-            assert!((a.x - b.x).abs() <= 1e-10, "{a:?} vs {b:?}");
-            assert!((a.y - b.y).abs() <= 1e-10);
-            assert!((a.z - b.z).abs() <= 1e-10);
-        }
+        // Same plan, same color-major summation order: the same bits.
+        assert_eq!(sys.forces(), reference.forces());
+        assert_eq!(sys.rho(), reference.rho());
     }
 
     #[test]
@@ -1069,10 +986,11 @@ mod tests {
         let mut eng =
             ForceEngine::new(&sys, pot, StrategyKind::TaskGraph { dims: 3 }, 2, 0.3).unwrap();
         assert!(eng.enable_balance(&sys, crate::BalanceConfig::default()));
-        // Whatever the chooser picked, it stays on the searched plan's dims
-        // and the engine remains computable with a consistent runner.
+        // The balancer keeps the graph regime and moves it onto the
+        // searched plan's dims, with a graph built for that plan.
         let choice = eng.plan_choice().expect("balance is on");
-        assert_eq!(eng.strategy().plan_dims(), Some(choice.dims));
+        assert_eq!(eng.strategy(), StrategyKind::TaskGraph { dims: choice.dims });
+        assert!(eng.exec().taskgraph.is_some());
         let mut s = sys.clone();
         eng.compute(&mut s);
         assert!(s.forces().iter().all(|f| f.norm().is_finite()));

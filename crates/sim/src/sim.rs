@@ -436,7 +436,8 @@ impl SimulationBuilder {
     /// task ordering within colors, a decomposition search minimizing the
     /// predicted makespan, and mid-run re-planning at neighbor-list rebuilds
     /// when the observed imbalance exceeds the plan's prediction (see
-    /// [`crate::balance`]). Only affects `Sdc` strategies; results are
+    /// [`crate::balance`]). Only affects `Sdc` and `TaskGraph` strategies,
+    /// and changes their dims, never their regime; results are
     /// bitwise-identical to the unbalanced path for a fixed decomposition
     /// and agree to FP-roundoff across decompositions.
     pub fn balance(mut self, on: bool) -> Self {

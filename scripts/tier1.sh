@@ -26,10 +26,12 @@
 #      restarts it on the same state directory: the journal replay must
 #      re-queue the interrupted work and every job accepted before the
 #      kill must complete from its checkpoint — zero accepted jobs lost)
-#   8. task-graph gate            (an A/B metered mdrun of
-#      taskgraph-vs-barriered SDC on the carved-void case with every
-#      physics counter matching exactly — only the scheduling regime, and
-#      therefore the scatter.* counters, may differ)
+#   8. task-graph gate            (an A/B metered mdrun of taskgraph2d
+#      against barriered sdc2d on the carved-void case with every physics
+#      counter matching exactly — only the scheduling regime, and
+#      therefore the scatter.* counters, may differ — and the two final
+#      checkpoints byte-identical: the graph adds in SDC's color order,
+#      so its trajectory is barriered SDC's bit for bit)
 #   9. shard gate                 (the peer-mesh halo-exchange: an A/B
 #      metered mdrun of a 2-shard process-backend run, on the binary wire
 #      codec, against the unsharded engine — the physics counters must
@@ -117,18 +119,21 @@ wait "$serve2_pid"
 grep -q "re-queued" "$sd/serve2.log" || { echo "restart did not replay the journal"; cat "$sd/serve2.log"; exit 1; }
 rm -rf "$sd"
 
-echo "==> [8/11] task-graph gate (A/B vs barriered SDC)"
+echo "==> [8/11] task-graph gate (A/B vs barriered SDC, byte-equal checkpoints)"
 sdc="$(mktemp /tmp/tier1_sdc.XXXXXX.json)"
 tg="$(mktemp /tmp/tier1_taskgraph.XXXXXX.json)"
+sdc_ckpt="$(mktemp /tmp/tier1_sdc.XXXXXX.ckpt)"
+tg_ckpt="$(mktemp /tmp/tier1_taskgraph.XXXXXX.ckpt)"
 cargo run -q -p sdc-bench --release --bin mdrun -- \
   --cells 9 --void --strategy sdc2d --threads 2 --steps 20 --report 20 \
-  --metrics-out "$sdc" > /dev/null
+  --metrics-out "$sdc" --checkpoint "$sdc_ckpt" > /dev/null
 cargo run -q -p sdc-bench --release --bin mdrun -- \
-  --cells 9 --void --strategy sdc2d --taskgraph --threads 2 --steps 20 --report 20 \
-  --metrics-out "$tg" > /dev/null
+  --cells 9 --void --strategy taskgraph2d --threads 2 --steps 20 --report 20 \
+  --metrics-out "$tg" --checkpoint "$tg_ckpt" > /dev/null
 cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   "$sdc" "$tg" --ab --tol 1.0 --time-tol 50
-rm -f "$sdc" "$tg"
+cmp "$sdc_ckpt" "$tg_ckpt"
+rm -f "$sdc" "$tg" "$sdc_ckpt" "$tg_ckpt"
 
 echo "==> [9/11] shard gate (A/B vs the unsharded engine)"
 # The conformance battery, the codec fuzz, and the SIGKILL/resume chaos

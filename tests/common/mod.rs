@@ -1,7 +1,7 @@
 //! Helpers shared by the EAM conformance batteries: the rattled crystal and
 //! the bit-for-bit oracle of the engine's EAM kernels.
 
-use sdc_md::core::{PairTerm, TaskGraph};
+use sdc_md::core::PairTerm;
 use sdc_md::prelude::*;
 
 /// Perturb the perfect crystal deterministically so forces are non-zero.
@@ -21,11 +21,12 @@ pub fn rattle(system: &mut System, amplitude: f64) {
 /// `dyn` — no pair records, no lane blocks, no fused lookups.
 ///
 /// The sweeps are [`ScatterExec::run`] under `engine`'s strategy, over its
-/// own half list and plan (and a task graph rebuilt from that plan). A
-/// row-owning strategy fixes the order in which contributions reach each
-/// atom — rows in order for Serial, colour by colour for SDC, the DAG's
-/// low→high edges for the task graph — so this replays the engine's
-/// summation order, and equality can be exact.
+/// own half list and plan. A row-owning strategy fixes the order in which
+/// contributions reach each atom — rows in order for Serial, colour by
+/// colour for SDC and the task graph alike — so this replays the engine's
+/// summation order, and equality can be exact. A `TaskGraph { dims }`
+/// engine is replayed by the barriered `Sdc { dims }` sweep of the same
+/// plan, which holds the graph to barriered SDC's bits.
 ///
 /// # Panics
 /// Panics unless the engine's strategy owns rows (Serial, SDC, task
@@ -35,16 +36,15 @@ pub fn reference_eam(
     engine: &ForceEngine,
     pot: &dyn EamPotential,
 ) -> (Vec<f64>, Vec<f64>, Vec<Vec3>) {
-    let strategy = engine.strategy();
+    let strategy = match engine.strategy() {
+        StrategyKind::TaskGraph { dims } => StrategyKind::Sdc { dims },
+        other => other,
+    };
     assert!(
         strategy.owns_rows(),
         "{strategy}: no fixed summation order to replay"
     );
     let ctx = ParallelContext::new(engine.threads());
-    let graph = matches!(strategy, StrategyKind::TaskGraph { .. }).then(|| {
-        let plan = engine.plan().expect("the task graph runs a plan");
-        TaskGraph::build(plan.decomposition(), system.sim_box())
-    });
     let exec = ScatterExec {
         ctx: &ctx,
         half: engine.neighbor_list().csr(),
@@ -53,7 +53,7 @@ pub fn reference_eam(
         localwrite: None,
         metrics: None,
         sap: None,
-        taskgraph: graph.as_ref(),
+        taskgraph: None,
     };
     let rc2 = pot.cutoff() * pot.cutoff();
     let (sim_box, pos) = (system.sim_box(), system.positions());

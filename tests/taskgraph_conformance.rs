@@ -5,16 +5,19 @@
 //!
 //! 1. **DAG safety/liveness (random cases)**: on random atom clouds and
 //!    decomposition dimensionalities, the dependency graph (a) has exactly
-//!    the edges a brute-force periodic halo-overlap oracle predicts, (b)
-//!    never leaves two tasks with overlapping write footprints unordered,
-//!    and (c) lets every task become runnable (Kahn's algorithm drains it).
+//!    the edges a brute-force periodic halo-overlap oracle predicts, each
+//!    pointing up in color-major order, (b) never leaves two tasks with
+//!    overlapping write footprints unordered, and (c) lets every task
+//!    become runnable (Kahn's algorithm drains it) along chains no longer
+//!    than the color count.
 //! 2. **Determinism battery**: taskgraph trajectories are bitwise-identical
 //!    across thread counts and repeated runs on the carved-void and
-//!    impact-cluster workloads, and within 1e-10 of the barriered SDC
-//!    reference (the two orders differ — id order vs color order — so
-//!    bitwise equality across engines is not expected, only conformance).
+//!    impact-cluster workloads, and bitwise-identical to barriered SDC at
+//!    the same dims (both add into every element color by color), and
+//!    within 1e-10 of Serial.
 //! 3. **Stress/soak**: a 500-step melt with mid-run rebuilds and a
-//!    hair-trigger rebalance threshold loses no task completions.
+//!    hair-trigger rebalance threshold loses no task completions and never
+//!    leaves the graph regime.
 
 use md_base::rng::Rng;
 use md_geometry::{LatticeSpec, SimBox, Vec3};
@@ -68,7 +71,9 @@ fn dag_matches_the_halo_overlap_oracle_and_is_safe_and_live() {
 
         // (a) Edge oracle: a conflict edge exists iff the two subdomains'
         // range-expanded AABBs intersect under periodic wrap — the same
-        // predicate that defines SDC color safety.
+        // predicate that defines SDC color safety — and it points from the
+        // earlier task to the later one in (color, id) order.
+        let rank = |s: usize| (d.color_of(s), s);
         let mut expected_edges = 0usize;
         for a in 0..n {
             for c in (a + 1)..n {
@@ -76,10 +81,15 @@ fn dag_matches_the_halo_overlap_oracle_and_is_safe_and_live() {
                     .aabb(a)
                     .expanded(range)
                     .intersects_periodic(&d.aabb(c).expanded(range), &b);
+                let (lo, hi) = if rank(a) < rank(c) { (a, c) } else { (c, a) };
                 assert_eq!(
-                    graph.has_edge(a, c),
+                    graph.has_edge(lo, hi),
                     overlap,
-                    "case {case}: tasks {a} and {c}: edge vs oracle mismatch"
+                    "case {case}: tasks {lo} and {hi}: edge vs oracle mismatch"
+                );
+                assert!(
+                    !graph.has_edge(hi, lo),
+                    "case {case}: edge {hi}→{lo} points down the color-major order"
                 );
                 if overlap {
                     expected_edges += 1;
@@ -96,43 +106,46 @@ fn dag_matches_the_halo_overlap_oracle_and_is_safe_and_live() {
             .unwrap_or_else(|e| panic!("case {case}: {e}"));
 
         // (c) Liveness: Kahn's algorithm drains the whole graph — every
-        // task becomes runnable exactly once, no deadlock or starvation.
+        // task becomes runnable exactly once, no deadlock or starvation —
+        // and its levels show the parallelism: the longest chain is the
+        // color count, not the task count.
         let mut indeg = graph.indegree().to_vec();
+        let mut level = vec![1usize; n];
         let mut ready: Vec<usize> = (0..n).filter(|&t| indeg[t] == 0).collect();
         assert!(!ready.is_empty() || n == 0, "case {case}: nothing is initially runnable");
-        let mut done = 0usize;
+        let (mut done, mut depth) = (0usize, 0usize);
         while let Some(t) = ready.pop() {
             done += 1;
+            depth = depth.max(level[t]);
             for &dep in graph.dependents_of(t) {
-                indeg[dep as usize] -= 1;
-                if indeg[dep as usize] == 0 {
-                    ready.push(dep as usize);
+                let dep = dep as usize;
+                level[dep] = level[dep].max(level[t] + 1);
+                indeg[dep] -= 1;
+                if indeg[dep] == 0 {
+                    ready.push(dep);
                 }
             }
         }
         assert_eq!(done, n, "case {case}: some task never became runnable");
+        assert_eq!(depth, d.color_count(), "case {case}: longest chain of {n} tasks");
     }
 }
 
-fn taskgraph_trajectory(
+fn trajectory(
     system: &System,
-    dims: usize,
+    strategy: StrategyKind,
     threads: usize,
     steps: usize,
 ) -> (Vec<Vec3>, Vec<Vec3>) {
     let mut sim = Simulation::from_system(system.clone())
         .potential_choice(fe())
-        .strategy(StrategyKind::TaskGraph { dims })
+        .strategy(strategy)
         .threads(threads)
         .temperature(300.0)
         .seed(23)
         .build()
         .expect("build");
-    assert_eq!(
-        sim.engine().strategy(),
-        StrategyKind::TaskGraph { dims },
-        "taskgraph must not have downgraded"
-    );
+    assert_eq!(sim.engine().strategy(), strategy, "{strategy} must not have downgraded");
     sim.run(steps);
     (
         sim.system().positions().to_vec(),
@@ -142,20 +155,24 @@ fn taskgraph_trajectory(
 
 #[test]
 fn taskgraph_trajectories_are_bitwise_identical_across_thread_counts() {
-    // The accumulation order is fixed by the conflict DAG (ascending task
-    // id between every overlapping pair), so the trajectory must not depend
-    // on the worker count or on scheduling noise between repeated runs.
+    // The accumulation order is fixed by the conflict DAG (color-major
+    // between every overlapping pair), so the trajectory must not depend on
+    // the worker count or on scheduling noise between repeated runs, and
+    // it is barriered SDC's trajectory.
     let system = void_system(9);
     for dims in [2usize, 3] {
-        let reference = taskgraph_trajectory(&system, dims, 1, 3);
+        let graph = StrategyKind::TaskGraph { dims };
+        let reference = trajectory(&system, graph, 1, 3);
+        let barriered = trajectory(&system, StrategyKind::Sdc { dims }, 2, 3);
+        assert_eq!(reference, barriered, "graph differs from barriered SDC at d{dims}");
         for threads in [2usize, 4, 8] {
-            let got = taskgraph_trajectory(&system, dims, threads, 3);
+            let got = trajectory(&system, graph, threads, 3);
             assert_eq!(reference.0, got.0, "positions differ at t{threads} d{dims}");
             assert_eq!(reference.1, got.1, "velocities differ at t{threads} d{dims}");
         }
         // Repeated runs at the same thread count: scheduling noise between
         // runs must not leak into the physics either.
-        let again = taskgraph_trajectory(&system, dims, 4, 3);
+        let again = trajectory(&system, graph, 4, 3);
         assert_eq!(reference.0, again.0, "repeat run diverged at d{dims}");
     }
 }
@@ -177,14 +194,9 @@ fn taskgraph_conforms_to_the_barriered_reference_on_the_carved_void() {
         for threads in [1usize, 2, 4, 8] {
             let sdc = forces_of(StrategyKind::Sdc { dims }, threads);
             let graph = forces_of(StrategyKind::TaskGraph { dims }, threads);
-            for (i, ((s, a), b)) in serial.iter().zip(&sdc).zip(&graph).enumerate() {
+            assert_eq!(sdc, graph, "d{dims} t{threads}: graph differs from barriered SDC");
+            for (i, (s, b)) in serial.iter().zip(&graph).enumerate() {
                 for d in 0..3 {
-                    assert!(
-                        (a[d] - b[d]).abs() <= 1e-10,
-                        "d{dims} t{threads} atom {i}.{d}: sdc {} vs graph {}",
-                        a[d],
-                        b[d]
-                    );
                     assert!(
                         (s[d] - b[d]).abs() <= 1e-10,
                         "d{dims} t{threads} atom {i}.{d}: serial {} vs graph {}",
@@ -223,16 +235,24 @@ fn taskgraph_tracks_serial_through_the_impact_heated_cluster() {
         sim.run(5);
         sim
     };
-    let reference = build(StrategyKind::Serial, 1, );
+    let reference = build(StrategyKind::Serial, 1);
     let bitwise_ref = build(StrategyKind::TaskGraph { dims: 3 }, 1);
     for threads in [2usize, 4, 8] {
         let graph = build(StrategyKind::TaskGraph { dims: 3 }, threads);
-        // Bitwise vs the single-threaded taskgraph run…
+        // Bitwise vs the single-threaded taskgraph run and vs barriered SDC
+        // at the same dims and thread count…
         assert_eq!(
             bitwise_ref.system().positions(),
             graph.system().positions(),
             "taskgraph t{threads} not bitwise-deterministic on the impact workload"
         );
+        let barriered = build(StrategyKind::Sdc { dims: 3 }, threads);
+        assert_eq!(
+            barriered.system().positions(),
+            graph.system().positions(),
+            "taskgraph t{threads} differs from barriered SDC on the impact workload"
+        );
+        assert_eq!(barriered.system().velocities(), graph.system().velocities());
         // …and ≤ 1e-10 vs the serial oracle.
         for (i, (a, b)) in reference
             .system()
@@ -269,19 +289,20 @@ fn five_hundred_step_melt_loses_no_task_completions() {
     assert!(sim.engine().downgrades().is_empty(), "unexpected downgrade");
 
     // build() ran one initial force compute under the post-balance plan.
+    // The balancer may change the dims, never the regime.
     let tasks_per_compute = |sim: &Simulation| -> u64 {
-        match sim.engine().strategy() {
-            StrategyKind::TaskGraph { .. } => {
-                let subdomains = sim
-                    .engine()
-                    .plan()
-                    .expect("taskgraph keeps a plan")
-                    .decomposition()
-                    .subdomain_count() as u64;
-                2 * subdomains // density + force sweeps
-            }
-            _ => 0,
-        }
+        let strategy = sim.engine().strategy();
+        assert!(
+            matches!(strategy, StrategyKind::TaskGraph { .. }),
+            "the balancer left the graph regime for {strategy}"
+        );
+        let subdomains = sim
+            .engine()
+            .plan()
+            .expect("taskgraph keeps a plan")
+            .decomposition()
+            .subdomain_count() as u64;
+        2 * subdomains // density + force sweeps
     };
     let mut expected = tasks_per_compute(&sim);
     for _ in 0..500 {
@@ -308,11 +329,15 @@ fn five_hundred_step_melt_loses_no_task_completions() {
         "melt produced too few rebuilds ({}) to stress the graph rebuild path",
         sim.engine().rebuilds()
     );
-    // The balancer stayed live throughout, and any rebalance it adopted
-    // moved between plan-backed strategies only.
+    // The balancer stayed live throughout, and every rebalance it adopted
+    // moved from one task graph to another.
     assert!(sim.engine().plan_choice().is_some());
     for ev in sim.rebalances() {
-        assert!(ev.from.plan_dims().is_some() && ev.to.plan_dims().is_some());
+        assert!(
+            matches!(ev.from, StrategyKind::TaskGraph { .. })
+                && matches!(ev.to, StrategyKind::TaskGraph { .. }),
+            "rebalance left the graph regime: {ev:?}"
+        );
     }
     // Physics stayed finite through the melt.
     assert!(sim
