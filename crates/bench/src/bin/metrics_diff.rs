@@ -57,6 +57,7 @@ const WATCHED: &[(&str, Kind)] = &[
     ("spans.step.count", Kind::Count),
     ("spans.force_compute.count", Kind::Count),
     ("spans.integrate.count", Kind::Count),
+    ("spans.rebuild.count", Kind::Count),
     ("scatter.lock_acquisitions", Kind::Count),
     ("scatter.lock_crossings", Kind::Count),
     ("scatter.duplicate_pairs", Kind::Count),
@@ -79,6 +80,7 @@ const WATCHED: &[(&str, Kind)] = &[
     ("spans.step.mean_ns", Kind::Time),
     ("spans.force_compute.mean_ns", Kind::Time),
     ("spans.integrate.mean_ns", Kind::Time),
+    ("spans.rebuild.mean_ns", Kind::Time),
     ("scatter.merge_seconds", Kind::Time),
     ("scatter.imbalance.factor", Kind::Time),
 ];

@@ -111,8 +111,8 @@ fn main() {
 }
 
 /// End-to-end SDC speedup with the amortized neighbor-rebuild cost: the
-/// serial list build is an Amdahl term that caps every column; the parallel
-/// build (`NeighborList::build_parallel`) removes the cap.
+/// serial list build is an Amdahl term that caps every column; building on
+/// the engine's pool (`NeighborList::build`) removes the cap.
 fn run_rebuild(case_names: &[&str; 4]) {
     let machine = MachineParams::default();
     println!("TABLE 1 with amortized neighbor rebuild (modeled; every {} steps)", machine.rebuild_every);

@@ -26,9 +26,11 @@ fn half_graph(n: usize, raw: &[(u32, u32)]) -> Csr {
         .collect();
     pairs.sort_unstable();
     pairs.dedup();
-    let mut csr = Csr::from_pairs(n, &pairs);
-    csr.sort_rows();
-    csr
+    let mut rows = vec![Vec::new(); n];
+    for (a, b) in pairs {
+        rows[a as usize].push(b);
+    }
+    Csr::from_rows(&rows)
 }
 
 /// Fewer than `max_len` random pairs with both ends below `bound`.

@@ -94,6 +94,13 @@ impl CellGrid {
         self.cells.row(c)
     }
 
+    /// All cells as one CSR: row `c` lists cell `c`'s atoms in ascending
+    /// order, and the rows lie back to back in cell order.
+    #[inline]
+    pub(crate) fn cells(&self) -> &Csr {
+        &self.cells
+    }
+
     /// Cell id of atom `a`.
     #[inline]
     pub fn cell_of_atom(&self, a: usize) -> usize {
@@ -113,28 +120,6 @@ impl CellGrid {
         let iy = (c / self.dims[2]) % self.dims[1];
         let ix = c / (self.dims[1] * self.dims[2]);
         [ix, iy, iz]
-    }
-
-    /// The *unique* cells in the 3×3×3 stencil around cell `c`, with periodic
-    /// wrap. When the grid has fewer than three cells along some axis the
-    /// wrapped stencil would repeat cells; duplicates are removed so that a
-    /// pair of cells appears at most once.
-    pub fn stencil(&self, c: usize) -> Vec<usize> {
-        let [ix, iy, iz] = self.cell_coords(c);
-        let mut out = Vec::with_capacity(27);
-        for dx in -1i64..=1 {
-            for dy in -1i64..=1 {
-                for dz in -1i64..=1 {
-                    let nx = wrap(ix as i64 + dx, self.dims[0]);
-                    let ny = wrap(iy as i64 + dy, self.dims[1]);
-                    let nz = wrap(iz as i64 + dz, self.dims[2]);
-                    out.push(self.cell_id(nx, ny, nz));
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// Iterates all atoms in cell order (used by the spatial-sort reordering).
@@ -208,12 +193,6 @@ impl GridGeometry {
 }
 
 #[inline]
-fn wrap(i: i64, n: usize) -> usize {
-    let n = n as i64;
-    (((i % n) + n) % n) as usize
-}
-
-#[inline]
 fn cell_of(p: Vec3, inv_cell: Vec3, dims: [usize; 3]) -> usize {
     let mut idx = [0usize; 3];
     for d in 0..3 {
@@ -271,33 +250,6 @@ mod tests {
             let [ix, iy, iz] = g.cell_coords(c);
             assert_eq!(g.cell_id(ix, iy, iz), c);
         }
-    }
-
-    #[test]
-    fn stencil_full_grid_has_27_unique_cells() {
-        let bx = SimBox::cubic(12.0);
-        let g = CellGrid::build(&bx, &[Vec3::splat(0.5)], 3.0); // 4×4×4
-        let s = g.stencil(g.cell_id(1, 1, 1));
-        assert_eq!(s.len(), 27);
-    }
-
-    #[test]
-    fn stencil_wraps_at_boundary() {
-        let bx = SimBox::cubic(12.0);
-        let g = CellGrid::build(&bx, &[Vec3::splat(0.5)], 3.0); // 4×4×4
-        let s = g.stencil(g.cell_id(0, 0, 0));
-        assert_eq!(s.len(), 27);
-        // The wrapped neighbor (3,3,3) must be present.
-        assert!(s.contains(&g.cell_id(3, 3, 3)));
-    }
-
-    #[test]
-    fn stencil_dedups_on_small_grids() {
-        let bx = SimBox::cubic(4.0);
-        let g = CellGrid::build(&bx, &[Vec3::splat(0.5)], 2.0); // 2×2×2 grid
-        let s = g.stencil(0);
-        // With 2 cells per axis the 27-stencil collapses to all 8 cells.
-        assert_eq!(s.len(), 8);
     }
 
     #[test]

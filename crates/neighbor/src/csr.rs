@@ -50,59 +50,9 @@ impl Csr {
         Csr { offsets, indices }
     }
 
-    /// Builds a *square* CSR adjacency with `rows` rows from `(row, value)`
-    /// pairs in any order, by counting sort. Within each row, values keep
-    /// their input order (the sort is stable).
-    ///
-    /// Both the row and the value of every pair are validated against
-    /// `rows`: a neighbor index pointing past the atom count is a
-    /// correctness bug in the producer, and letting it through would only
-    /// surface later as an out-of-bounds panic (or silent garbage) deep in
-    /// a force kernel. Use [`Csr::from_pairs_rect`] for non-square maps
-    /// (e.g. cells × atoms).
-    ///
-    /// # Panics
-    /// Panics if any row or value is `≥ rows`.
-    pub fn from_pairs(rows: usize, pairs: &[(u32, u32)]) -> Csr {
-        for &(_, v) in pairs {
-            assert!(
-                (v as usize) < rows,
-                "value {v} out of range for square adjacency (rows = {rows})"
-            );
-        }
-        Csr::from_pairs_rect(rows, rows, pairs)
-    }
-
-    /// Builds a *rectangular* CSR with `rows` rows from `(row, value)`
-    /// pairs, by stable counting sort; values are validated against `cols`.
-    ///
-    /// # Panics
-    /// Panics if any row is `≥ rows` or any value is `≥ cols`.
-    pub fn from_pairs_rect(rows: usize, cols: usize, pairs: &[(u32, u32)]) -> Csr {
-        let mut counts = vec![0u32; rows + 1];
-        for &(r, v) in pairs {
-            assert!((r as usize) < rows, "row {r} out of range (rows = {rows})");
-            assert!((v as usize) < cols, "value {v} out of range (cols = {cols})");
-            counts[r as usize + 1] += 1;
-        }
-        for i in 0..rows {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts.clone();
-        let mut cursor = counts;
-        let mut indices = vec![0u32; pairs.len()];
-        for &(r, v) in pairs {
-            let at = cursor[r as usize];
-            indices[at as usize] = v;
-            cursor[r as usize] += 1;
-        }
-        Csr { offsets, indices }
-    }
-
     /// Groups the value `i` under row `keys[i]` for every `i`: the CSR whose
     /// row `r` lists, in ascending order, the positions where `keys` equals
-    /// `r`. Equivalent to `from_pairs_rect(rows, keys.len(), [(keys[i], i)])`
-    /// — the one-pass stable counting sort linked-cell binning uses.
+    /// `r`: the one-pass stable counting sort linked-cell binning uses.
     ///
     /// # Panics
     /// Panics if any key is `≥ rows`.
@@ -251,16 +201,6 @@ impl Csr {
         (0..self.rows()).map(move |i| (i, self.row(i)))
     }
 
-    /// Sorts every row ascending in place (the paper's §II.D.1 neighbor
-    /// reordering, which makes the inner-loop reads of `rho[j]` sweep memory
-    /// monotonically).
-    pub fn sort_rows(&mut self) {
-        for i in 0..self.rows() {
-            let (s, e) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
-            self.indices[s..e].sort_unstable();
-        }
-    }
-
     /// Returns the *mirrored* CSR: entry `j ∈ row(i)` becomes `i ∈ row(j)`.
     ///
     /// Applied to a half neighbor list this yields "the other half"; the
@@ -289,20 +229,35 @@ impl Csr {
         Csr { offsets, indices }
     }
 
-    /// Union of `self` and its mirror: the full (symmetric) adjacency.
-    /// Rows of the result are sorted ascending.
+    /// The full (symmetric) adjacency of a half one: `self` united with its
+    /// mirror.
+    ///
+    /// `self` must be strictly upper triangular with ascending rows (every
+    /// `j` in row `i` is above `i`), as a half neighbor list is. Full row
+    /// `i` is then the mirror row — the ids below `i`, ascending because
+    /// [`Csr::mirrored`] visits rows in order — followed by the half row,
+    /// so both are copied straight into place and the result's rows are
+    /// ascending.
     pub fn symmetrized(&self) -> Csr {
+        debug_assert!(
+            self.iter_rows()
+                .all(|(i, r)| r.first().is_none_or(|&j| j as usize > i)
+                    && r.windows(2).all(|w| w[0] < w[1])),
+            "symmetrized needs a strictly upper-triangular CSR with ascending rows"
+        );
         let mirror = self.mirrored();
-        let n = self.rows();
-        let mut rows: Vec<Vec<u32>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut r: Vec<u32> = self.row(i).to_vec();
-            r.extend_from_slice(mirror.row(i));
-            r.sort_unstable();
-            r.dedup();
-            rows.push(r);
+        let offsets: Vec<u32> = self
+            .offsets
+            .iter()
+            .zip(&mirror.offsets)
+            .map(|(&a, &b)| a.checked_add(b).expect("CSR entry count overflows u32"))
+            .collect();
+        let mut indices = Vec::with_capacity(2 * self.entries());
+        for i in 0..self.rows() {
+            indices.extend_from_slice(mirror.row(i));
+            indices.extend_from_slice(self.row(i));
         }
-        Csr::from_rows(&rows)
+        Csr { offsets, indices }
     }
 
     /// Heap bytes used by the structure (for memory-overhead reporting; the
@@ -346,33 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn from_pairs_matches_from_rows() {
-        let pairs = [(0, 1), (3, 0), (0, 2), (1, 2)];
-        let c = Csr::from_pairs(4, &pairs);
-        assert_eq!(c, sample());
-    }
-
-    #[test]
-    fn from_pairs_is_stable_within_rows() {
-        let pairs = [(0, 5), (0, 3), (0, 4)];
-        let c = Csr::from_pairs_rect(1, 6, &pairs);
-        assert_eq!(c.row(0), &[5, 3, 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range for square adjacency")]
-    fn from_pairs_rejects_out_of_range_value() {
-        // Row index fits but the stored value 7 names a nonexistent column.
-        let _ = Csr::from_pairs(4, &[(0, 1), (2, 7)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn from_pairs_rect_rejects_out_of_range_value() {
-        let _ = Csr::from_pairs_rect(2, 3, &[(1, 3)]);
-    }
-
-    #[test]
     fn group_by_key_groups_stably() {
         let keys = [2u32, 0, 2, 1, 0];
         let c = Csr::group_by_key(3, &keys);
@@ -412,14 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_rows_sorts_each_row() {
-        let mut c = Csr::from_rows(&[vec![3, 1, 2], vec![9, 0]]);
-        c.sort_rows();
-        assert_eq!(c.row(0), &[1, 2, 3]);
-        assert_eq!(c.row(1), &[0, 9]);
-    }
-
-    #[test]
     fn mirror_reverses_all_edges() {
         let c = sample();
         let m = c.mirrored();
@@ -439,7 +359,7 @@ mod tests {
 
     #[test]
     fn symmetrized_contains_both_directions() {
-        let c = Csr::from_rows(&[vec![1], vec![], vec![1]]);
+        let c = Csr::from_rows(&[vec![1], vec![2], vec![]]);
         let s = c.symmetrized();
         assert_eq!(s.row(0), &[1]);
         assert_eq!(s.row(1), &[0, 2]);

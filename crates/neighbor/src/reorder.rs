@@ -9,14 +9,14 @@
 //!    `j` in the inner loops then read `rho[j]` / `pos[j]` from nearby cache
 //!    lines.
 //! 2. **Regularized neighbor arrays** — the CSR layout of [`crate::Csr`]
-//!    replaces the irregular `neighindex[]`/`neighlen[]` pair, and
-//!    [`crate::Csr::sort_rows`] makes each row's reads monotone in memory.
+//!    replaces the irregular `neighindex[]`/`neighlen[]` pair, and the list
+//!    builder emits every row in ascending order, so each row's reads are
+//!    monotone in memory.
 //!
 //! The permutation type is explicit about direction: `new_to_old[new] = old`.
 
 use crate::cell_grid::CellGrid;
-use crate::csr::{Csr, PAR_MIN_CHUNK};
-use crate::verlet::{NeighborList, NeighborListKind};
+use crate::csr::PAR_MIN_CHUNK;
 use md_base::pool;
 use md_geometry::{SimBox, Vec3};
 
@@ -132,61 +132,9 @@ pub fn spatial_permutation(sim_box: &SimBox, positions: &[Vec3], cell_size: f64)
     Permutation::from_new_to_old(order)
 }
 
-/// Remaps a CSR adjacency under an atom relabeling, re-canonicalizing each
-/// stored pair so that half-list invariants (owner = lower index, rows
-/// ascending) survive the relabeling.
-pub fn remap_csr(csr: &Csr, perm: &Permutation, kind: NeighborListKind) -> Csr {
-    let n = csr.rows();
-    assert_eq!(n, perm.len(), "CSR rows != permutation length");
-    let old_to_new = perm.inverse();
-    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(csr.entries());
-    match kind {
-        NeighborListKind::Half => {
-            for (i_old, row) in csr.iter_rows() {
-                let i_new = old_to_new.new_to_old[i_old];
-                for &j_old in row {
-                    let j_new = old_to_new.new_to_old[j_old as usize];
-                    let (a, b) = if i_new < j_new { (i_new, j_new) } else { (j_new, i_new) };
-                    pairs.push((a, b));
-                }
-            }
-        }
-        NeighborListKind::Full => {
-            for (i_old, row) in csr.iter_rows() {
-                let i_new = old_to_new.new_to_old[i_old];
-                for &j_old in row {
-                    pairs.push((i_new, old_to_new.new_to_old[j_old as usize]));
-                }
-            }
-        }
-    }
-    let mut out = Csr::from_pairs(n, &pairs);
-    out.sort_rows();
-    out
-}
-
-/// Applies an atom relabeling to a whole neighbor list (CSR + reference
-/// positions), preserving its kind and configuration.
-pub fn reorder_neighbor_list(nl: &NeighborList, perm: &Permutation) -> NeighborList {
-    let csr = remap_csr(nl.csr(), perm, nl.kind());
-    NeighborList::from_parts(nl.config(), csr, perm.apply(nl.ref_positions_raw()))
-}
-
-impl NeighborList {
-    /// Reassembles a list from parts (used by the reordering transform).
-    pub(crate) fn from_parts(
-        config: crate::verlet::VerletConfig,
-        csr: Csr,
-        ref_positions: Vec<Vec3>,
-    ) -> NeighborList {
-        NeighborList::assemble_from_parts(config, csr, ref_positions)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verlet::VerletConfig;
     use md_geometry::LatticeSpec;
 
     #[test]
@@ -276,66 +224,5 @@ mod tests {
         let serial = spatial_permutation(&bx, &pos, 2.9);
         let parallel = pool::Pool::new(4).install(|| spatial_permutation(&bx, &pos, 2.9));
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn remap_preserves_pair_set_half() {
-        let (bx, pos) = LatticeSpec::bcc_fe(2).build();
-        let nl = NeighborList::build(&bx, &pos, VerletConfig::half(2.5, 0.0));
-        let p = Permutation::from_new_to_old({
-            // reverse order — a maximally disruptive relabeling
-            (0..pos.len() as u32).rev().collect()
-        });
-        let remapped = remap_csr(nl.csr(), &p, NeighborListKind::Half);
-        // The set of unordered pairs (translated back) must be identical.
-        let to_old = |x: u32| p.new_to_old()[x as usize];
-        let mut orig: Vec<(u32, u32)> = nl
-            .csr()
-            .iter_rows()
-            .flat_map(|(i, r)| r.iter().map(move |&j| (i as u32, j)))
-            .collect();
-        let mut back: Vec<(u32, u32)> = remapped
-            .iter_rows()
-            .flat_map(|(i, r)| {
-                r.iter().map(move |&j| {
-                    let (a, b) = (to_old(i as u32), to_old(j));
-                    if a < b {
-                        (a, b)
-                    } else {
-                        (b, a)
-                    }
-                })
-            })
-            .collect();
-        orig.sort_unstable();
-        back.sort_unstable();
-        assert_eq!(orig, back);
-        // Half invariants hold after remap.
-        for (i, row) in remapped.iter_rows() {
-            for &j in row {
-                assert!(j as usize > i);
-            }
-        }
-    }
-
-    #[test]
-    fn reordered_list_agrees_with_rebuild() {
-        // Reordering the list must equal rebuilding from reordered positions.
-        let (bx, pos) = LatticeSpec::bcc_fe(2).build();
-        let cfg = VerletConfig::half(2.5, 0.2);
-        let nl = NeighborList::build(&bx, &pos, cfg);
-        let p = spatial_permutation(&bx, &pos, cfg.reach());
-        let reordered = reorder_neighbor_list(&nl, &p);
-        let rebuilt = NeighborList::build(&bx, &p.apply(&pos), cfg);
-        let pairs = |l: &NeighborList| {
-            let mut v: Vec<(u32, u32)> = l
-                .csr()
-                .iter_rows()
-                .flat_map(|(i, r)| r.iter().map(move |&j| (i as u32, j)))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(pairs(&reordered), pairs(&rebuilt));
     }
 }

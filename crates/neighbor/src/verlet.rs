@@ -22,9 +22,10 @@ use crate::csr::{Csr, PAR_MIN_CHUNK};
 use crate::stats::NeighborStats;
 use md_base::pool::{self, SharedSlice};
 use md_geometry::{SimBox, Vec3};
+use std::ops::Range;
 
-/// Cell blocks per worker in the parallel list build: enough for dynamic
-/// balancing, few enough that each block's row buffer stays large.
+/// Cell blocks per worker in the list build: enough for dynamic balancing,
+/// few enough that each block's row buffer stays large.
 const BLOCKS_PER_WORKER: usize = 8;
 
 /// Whether each pair is stored once (half) or twice (full).
@@ -113,178 +114,46 @@ impl NeighborList {
     /// Builds a neighbor list with linked-cell binning: O(N) for homogeneous
     /// systems.
     ///
+    /// Runs on the current pool: inside `Pool::install` the cells are spread
+    /// over the pool's workers, outside one the build runs on the calling
+    /// thread. Either way the list is byte for byte the one
+    /// [`NeighborList::build_brute_force`] returns; `half_rows` below holds
+    /// the argument. A full list is the half list passed through
+    /// [`NeighborList::to_full`].
+    ///
     /// `positions` must be wrapped into the primary image of `sim_box`, and
     /// every periodic box edge must be at least `2 · (cutoff + skin)` so the
     /// minimum-image convention resolves each pair to a unique image.
     ///
     /// # Panics
-    /// Panics on invalid config or if the box is too small for the reach.
+    /// Panics on invalid config, if the box is too small for the reach, or
+    /// if an open box edge is shorter than the binning cell,
+    /// `(cutoff + skin) · (1 + 1e-9)`.
     pub fn build(sim_box: &SimBox, positions: &[Vec3], config: VerletConfig) -> NeighborList {
         config.validate();
         sim_box
             .validate_cutoff(config.reach())
             .expect("box too small for cutoff + skin");
-        let reach_sq = config.reach() * config.reach();
-        let grid = CellGrid::build(sim_box, positions, config.reach());
-
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(positions.len() * 16);
-        for c in 0..grid.cell_count() {
-            let atoms_c = grid.cell_atoms(c);
-            if atoms_c.is_empty() {
-                continue;
-            }
-            for nc in grid.stencil(c) {
-                // Visit each unordered cell pair once (self-pairs allowed).
-                if nc < c {
-                    continue;
-                }
-                let atoms_n = grid.cell_atoms(nc);
-                for &ia in atoms_c {
-                    for &ja in atoms_n {
-                        // Within the same cell, take each atom pair once.
-                        if nc == c && ja <= ia {
-                            continue;
-                        }
-                        let (i, j) = if ia < ja { (ia, ja) } else { (ja, ia) };
-                        let d = sim_box.min_image(positions[i as usize], positions[j as usize]);
-                        if d.norm_sq() < reach_sq {
-                            pairs.push((i, j));
-                        }
-                    }
-                }
-            }
-        }
-
-        let csr = assemble(positions.len(), &pairs, config.kind);
-        NeighborList {
+        NeighborList::from_half(
             config,
-            csr,
-            ref_positions: positions.to_vec(),
-        }
+            half_rows(sim_box, positions, config.reach()),
+            positions,
+        )
     }
 
-    /// [`NeighborList::build`] with parallel binning and pair generation,
-    /// **bitwise-identical** to the serial build (same `offsets`, same
-    /// `indices`) for every thread count.
-    ///
-    /// Works on blocks of consecutive cells: a block emits, for every atom
-    /// `i` in its cells, atom `i`'s complete neighbor row — `{j > i}` for
-    /// the half list, `{j ≠ i}` for the full list — sorted ascending, into
-    /// one buffer per block, then copies the rows into their CSR windows. Row
-    /// contents are *sets* selected by a symmetric predicate (minimum-image
-    /// distance, evaluated in canonical `(min, max)` index order so both
-    /// sides of a pair see the exact same floating-point value), so neither
-    /// the cell schedule nor the thread count can change a row; the CSR
-    /// offsets are prefix sums of row lengths and inherit that invariance.
-    /// The serial build stores the same sets sorted ascending, hence
-    /// byte-for-byte equality.
-    ///
-    /// Runs on the current pool — call it inside `Pool::install`. On a
-    /// one-worker pool or a small system it delegates to the serial builder
-    /// outright.
-    ///
-    /// # Panics
-    /// As [`NeighborList::build`].
+    /// [`NeighborList::build`] under its former name.
+    #[doc(hidden)]
     pub fn build_parallel(
         sim_box: &SimBox,
         positions: &[Vec3],
         config: VerletConfig,
     ) -> NeighborList {
-        config.validate();
-        sim_box
-            .validate_cutoff(config.reach())
-            .expect("box too small for cutoff + skin");
-        let workers = pool::current_threads();
-        if workers <= 1 || positions.len() < PAR_MIN_CHUNK {
-            return NeighborList::build(sim_box, positions, config);
-        }
-        let reach_sq = config.reach() * config.reach();
-        let grid = &CellGrid::build_parallel(sim_box, positions, config.reach());
-        let n_cells = grid.cell_count();
-        let half = config.kind == NeighborListKind::Half;
-        let per_block = n_cells.div_ceil(workers * BLOCKS_PER_WORKER);
-        let n_blocks = n_cells.div_ceil(per_block);
-        let cells_of = |b: usize| b * per_block..((b + 1) * per_block).min(n_cells);
-        let atoms_of = |b: usize| cells_of(b).flat_map(move |c| grid.cell_atoms(c).iter().copied());
-
-        // Per block: its atoms' rows back to back, and each row's length, in
-        // the block's cell order. The stencil is computed once per cell and
-        // its atom slices stay hot in cache across the cell's atoms (the
-        // same locality the serial cell-pair walk enjoys).
-        let blocks: Vec<(Vec<u32>, Vec<u32>)> = pool::map_collect(n_blocks, |b| {
-            let (mut rows, mut lens) = (Vec::new(), Vec::new());
-            for c in cells_of(b) {
-                let atoms_c = grid.cell_atoms(c);
-                if atoms_c.is_empty() {
-                    continue;
-                }
-                let stencil = grid.stencil(c);
-                for &ia in atoms_c {
-                    let start = rows.len();
-                    for &nc in &stencil {
-                        for &ja in grid.cell_atoms(nc) {
-                            let skip = if half { ja <= ia } else { ja == ia };
-                            if skip {
-                                continue;
-                            }
-                            // Canonical order: the serial build evaluates
-                            // every pair as (min, max); do the same so the
-                            // accept/reject decision is the identical FP
-                            // comparison.
-                            let (lo, hi) = if ia < ja { (ia, ja) } else { (ja, ia) };
-                            let d = sim_box.min_image(positions[lo as usize], positions[hi as usize]);
-                            if d.norm_sq() < reach_sq {
-                                rows.push(ja);
-                            }
-                        }
-                    }
-                    rows[start..].sort_unstable();
-                    lens.push((rows.len() - start) as u32);
-                }
-            }
-            (rows, lens)
-        });
-
-        // Offsets are the prefix sum of the row lengths in atom order (cells
-        // partition the atoms, so every atom gets exactly one length).
-        let n = positions.len();
-        let mut row_len = vec![0u32; n];
-        for (b, (_, lens)) in blocks.iter().enumerate() {
-            for (ia, &len) in atoms_of(b).zip(lens) {
-                row_len[ia as usize] = len;
-            }
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut total = 0u32;
-        offsets.push(0u32);
-        for len in row_len {
-            total = total
-                .checked_add(len)
-                .expect("CSR entry count overflows u32");
-            offsets.push(total);
-        }
-        let mut indices = vec![0u32; total as usize];
-        let out = SharedSlice::new(&mut indices);
-        pool::for_each(n_blocks, |b| {
-            let rows = &blocks[b].0;
-            let mut at = 0;
-            for ia in atoms_of(b) {
-                let (lo, hi) = (offsets[ia as usize] as usize, offsets[ia as usize + 1] as usize);
-                // SAFETY: lo..hi is atom ia's row window; the windows of
-                // distinct atoms are disjoint, and every atom belongs to
-                // exactly one block.
-                unsafe { out.slice_mut(lo, hi) }.copy_from_slice(&rows[at..at + (hi - lo)]);
-                at += hi - lo;
-            }
-        });
-        NeighborList {
-            config,
-            csr: Csr::from_raw(offsets, indices),
-            ref_positions: positions.to_vec(),
-        }
+        NeighborList::build(sim_box, positions, config)
     }
 
-    /// Reference O(N²) builder; used by tests to validate [`NeighborList::build`].
+    /// Reference O(N²) builder: every pair `i < j` through
+    /// [`SimBox::distance_sq`]. Tests hold [`NeighborList::build`] to its
+    /// bytes.
     pub fn build_brute_force(
         sim_box: &SimBox,
         positions: &[Vec3],
@@ -292,15 +161,25 @@ impl NeighborList {
     ) -> NeighborList {
         config.validate();
         let reach_sq = config.reach() * config.reach();
-        let mut pairs = Vec::new();
+        let mut offsets = vec![0u32];
+        let mut indices = Vec::new();
         for i in 0..positions.len() {
             for j in (i + 1)..positions.len() {
                 if sim_box.distance_sq(positions[i], positions[j]) < reach_sq {
-                    pairs.push((i as u32, j as u32));
+                    indices.push(j as u32);
                 }
             }
+            offsets.push(u32::try_from(indices.len()).expect("CSR entry count overflows u32"));
         }
-        let csr = assemble(positions.len(), &pairs, config.kind);
+        NeighborList::from_half(config, Csr::from_raw(offsets, indices), positions)
+    }
+
+    /// The list of `config`'s kind whose half form is `half`.
+    fn from_half(config: VerletConfig, half: Csr, positions: &[Vec3]) -> NeighborList {
+        let csr = match config.kind {
+            NeighborListKind::Half => half,
+            NeighborListKind::Full => half.symmetrized(),
+        };
         NeighborList {
             config,
             csr,
@@ -381,26 +260,6 @@ impl NeighborList {
         }
     }
 
-    /// Positions the list was built from (rebuild reference).
-    pub fn ref_positions_raw(&self) -> &[Vec3] {
-        &self.ref_positions
-    }
-
-    /// Reassembles a list from validated parts (crate-internal; used by the
-    /// reordering transform, which preserves the pair set by construction).
-    pub(crate) fn assemble_from_parts(
-        config: VerletConfig,
-        csr: Csr,
-        ref_positions: Vec<Vec3>,
-    ) -> NeighborList {
-        assert_eq!(csr.rows(), ref_positions.len());
-        NeighborList {
-            config,
-            csr,
-            ref_positions,
-        }
-    }
-
     /// Per-atom neighbor count statistics.
     pub fn stats(&self) -> NeighborStats {
         NeighborStats::of_csr(&self.csr)
@@ -413,24 +272,233 @@ impl NeighborList {
     }
 }
 
-fn assemble(n: usize, half_pairs: &[(u32, u32)], kind: NeighborListKind) -> Csr {
-    match kind {
-        NeighborListKind::Half => {
-            let mut csr = Csr::from_pairs(n, half_pairs);
-            csr.sort_rows();
-            csr
-        }
-        NeighborListKind::Full => {
-            let mut both = Vec::with_capacity(half_pairs.len() * 2);
-            for &(i, j) in half_pairs {
-                both.push((i, j));
-                both.push((j, i));
-            }
-            let mut csr = Csr::from_pairs(n, &both);
-            csr.sort_rows();
-            csr
+/// Relative margin on the binning cell edge. With cells of edge exactly
+/// `reach`, rounding in the binning can put an atom an ulp across a face,
+/// and the nearest image of a neighbour then sits two cells away, outside
+/// the stencil. Rounding errors are ~1e-16 relative, far inside the margin.
+const BIN_MARGIN: f64 = 1.0 + 1e-9;
+
+/// Cells listed in cell order, with the positions copied alongside: slot
+/// `p` holds atom `ids[p]` at `(x[p], y[p], z[p])`, and cell `c` fills slots
+/// `start[c]..start[c + 1]` with ascending ids.
+struct CellOrder<'g> {
+    start: &'g [u32],
+    ids: &'g [u32],
+    x: Vec<f64>,
+    y: Vec<f64>,
+    z: Vec<f64>,
+}
+
+impl CellOrder<'_> {
+    fn slots(&self, cells: Range<usize>) -> Range<usize> {
+        self.start[cells.start] as usize..self.start[cells.end] as usize
+    }
+}
+
+/// One entry of a cell's stencil: the slots `cursor..end` of a neighbouring
+/// cell still to scan, and the periodic shift `s` that turns `r_i − r_j`
+/// into the displacement to that cell's image, `(r_i − r_j) − s`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Image {
+    cursor: usize,
+    end: usize,
+    shift: [f64; 3],
+}
+
+/// The images along one axis of cell coordinate `k` on an `n`-cell axis of
+/// length `l`: offsets −1, 0 and +1. On a periodic axis an offset that
+/// leaves the grid wraps and shifts by ∓`l`; on an open axis it is dropped.
+/// The (cell, shift) pairs are distinct even where the cells are not (one-
+/// or two-cell periodic axes), and each is kept.
+fn axis_images(k: usize, n: usize, l: f64, periodic: bool) -> ([(usize, f64); 3], usize) {
+    let mut out = [(0, 0.0); 3];
+    let mut len = 0;
+    for m in [k as isize - 1, k as isize, k as isize + 1] {
+        let (m, shift) = if m < 0 {
+            (m + n as isize, -l)
+        } else if m >= n as isize {
+            (m - n as isize, l)
+        } else {
+            (m, 0.0)
+        };
+        if shift == 0.0 || periodic {
+            out[len] = (m as usize, shift);
+            len += 1;
         }
     }
+    (out, len)
+}
+
+/// The (cell, shift) stencil of cell `c`: every combination of the three
+/// axes' images, up to 27, without the empty cells.
+fn stencil(grid: &CellGrid, sim_box: &SimBox, order: &CellOrder, c: usize) -> ([Image; 27], usize) {
+    let (dims, lengths, periodic) = (grid.dims(), sim_box.lengths(), sim_box.periodicity());
+    let coords = grid.cell_coords(c);
+    let [(xs, nx), (ys, ny), (zs, nz)] =
+        [0, 1, 2].map(|d| axis_images(coords[d], dims[d], lengths[d], periodic[d]));
+    let mut out = [Image::default(); 27];
+    let mut len = 0;
+    for &(mx, sx) in &xs[..nx] {
+        for &(my, sy) in &ys[..ny] {
+            for &(mz, sz) in &zs[..nz] {
+                let cell = grid.cell_id(mx, my, mz);
+                let slots = order.slots(cell..cell + 1);
+                if !slots.is_empty() {
+                    out[len] = Image {
+                        cursor: slots.start,
+                        end: slots.end,
+                        shift: [sx, sy, sz],
+                    };
+                    len += 1;
+                }
+            }
+        }
+    }
+    (out, len)
+}
+
+/// Cell blocks the list build splits `n_cells` cells of `atoms` atoms into
+/// on `workers` workers: [`BLOCKS_PER_WORKER`] per worker, but none with
+/// fewer than [`PAR_MIN_CHUNK`] atoms on average, so a small system is one
+/// block and builds inline without starting a parallel region.
+fn block_count(atoms: usize, n_cells: usize, workers: usize) -> usize {
+    (workers * BLOCKS_PER_WORKER)
+        .min(atoms / PAR_MIN_CHUNK)
+        .clamp(1, n_cells)
+}
+
+/// The half list `{j > i : |(r_i − r_j)|_min-image < reach}` of every atom
+/// `i`, rows ascending, built on the current pool.
+///
+/// Atoms are binned into cells of edge ≥ `reach · BIN_MARGIN` and copied
+/// into cell order. For each atom `i` of a cell, every (cell, shift) entry
+/// of the cell's [`stencil`] is scanned from its cursor, the first slot
+/// with an id above `i`: ids ascend within a cell, so as `i` walks its cell
+/// each cursor only moves forward, and no pair is evaluated twice. A
+/// candidate `j` is kept, without a branch, when
+/// `((x_i − x_j) − s_x)² + ((y_i − y_j) − s_y)² + ((z_i − z_j) − s_z)² <
+/// reach²`.
+///
+/// This is the brute force's comparison bit for bit:
+/// - `(x_i − x_j) − s` is what [`SimBox::min_image`] computes when it wraps
+///   by `s`, and the sum keeps [`Vec3::norm_sq`]'s order;
+/// - a pair within reach under the minimum image lies in adjacent cells,
+///   and the stencil holds that cell with the minimum image's shift;
+/// - any other image is at least `L/2 ≥ reach` away on the shifted axis, so
+///   it is rejected under monotone rounding, as it is by the brute force.
+///   With `L ≥ 2·reach` at most one image of `j` is accepted.
+///
+/// Rows are sorted and cell blocks spread over the workers; the offsets
+/// are the prefix sum of the row lengths in atom order, so neither the
+/// schedule nor the thread count can change a byte.
+fn half_rows(sim_box: &SimBox, positions: &[Vec3], reach: f64) -> Csr {
+    let reach_sq = reach * reach;
+    let grid = &CellGrid::build_parallel(sim_box, positions, reach * BIN_MARGIN);
+    let (start, ids) = (grid.cells().offsets(), grid.cells().indices());
+    let coord = |d: usize| ids.iter().map(|&a| positions[a as usize][d]).collect();
+    let order = &CellOrder {
+        start,
+        ids,
+        x: coord(0),
+        y: coord(1),
+        z: coord(2),
+    };
+    let n_cells = grid.cell_count();
+    let per_block = n_cells.div_ceil(block_count(
+        positions.len(),
+        n_cells,
+        pool::current_threads(),
+    ));
+    let n_blocks = n_cells.div_ceil(per_block);
+    let cells_of = |b: usize| b * per_block..((b + 1) * per_block).min(n_cells);
+    let slots_of = |b: usize| order.slots(cells_of(b));
+
+    // Per block: its atoms' rows back to back, and each row's length, in
+    // slot order.
+    let blocks: Vec<(Vec<u32>, Vec<u32>)> = pool::map_collect(n_blocks, |b| {
+        let (mut rows, mut lens) = (Vec::new(), Vec::new());
+        // Row scratch, as long as a cell's stencil has candidates, so the
+        // branch-free append below always writes in bounds.
+        let mut row: Vec<u32> = Vec::new();
+        for c in cells_of(b) {
+            let (mut images, n_images) = stencil(grid, sim_box, order, c);
+            let images = &mut images[..n_images];
+            let candidates: usize = images.iter().map(|e| e.end - e.cursor).sum();
+            if row.len() < candidates {
+                row.resize(candidates, 0);
+            }
+            for p in order.slots(c..c + 1) {
+                let i = order.ids[p];
+                let (xi, yi, zi) = (order.x[p], order.y[p], order.z[p]);
+                let mut len = 0;
+                for e in images.iter_mut() {
+                    while e.cursor < e.end && order.ids[e.cursor] <= i {
+                        e.cursor += 1;
+                    }
+                    let s = e.cursor..e.end;
+                    let [sx, sy, sz] = e.shift;
+                    let js = order.x[s.clone()]
+                        .iter()
+                        .zip(&order.y[s.clone()])
+                        .zip(&order.z[s.clone()])
+                        .zip(&order.ids[s]);
+                    for (((&xj, &yj), &zj), &j) in js {
+                        let dx = (xi - xj) - sx;
+                        let dy = (yi - yj) - sy;
+                        let dz = (zi - zj) - sz;
+                        row[len] = j;
+                        len += (dx * dx + dy * dy + dz * dz < reach_sq) as usize;
+                    }
+                }
+                let row = &mut row[..len];
+                row.sort_unstable();
+                debug_assert!(
+                    row.windows(2).all(|w| w[0] < w[1]),
+                    "row {i} is not strictly ascending: {row:?}"
+                );
+                rows.extend_from_slice(row);
+                lens.push(len as u32);
+            }
+        }
+        (rows, lens)
+    });
+
+    // Offsets are the prefix sum of the row lengths in atom order (cells
+    // partition the atoms, so every atom gets exactly one length).
+    let n = positions.len();
+    let mut row_len = vec![0u32; n];
+    for (b, (_, lens)) in blocks.iter().enumerate() {
+        for (&a, &len) in order.ids[slots_of(b)].iter().zip(lens) {
+            row_len[a as usize] = len;
+        }
+    }
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut total = 0u32;
+    offsets.push(0u32);
+    for len in row_len {
+        total = total
+            .checked_add(len)
+            .expect("CSR entry count overflows u32");
+        offsets.push(total);
+    }
+    let mut indices = vec![0u32; total as usize];
+    let out = SharedSlice::new(&mut indices);
+    pool::for_each(n_blocks, |b| {
+        let rows = &blocks[b].0;
+        let mut at = 0;
+        for &a in &order.ids[slots_of(b)] {
+            let (lo, hi) = (
+                offsets[a as usize] as usize,
+                offsets[a as usize + 1] as usize,
+            );
+            // SAFETY: lo..hi is atom a's row window; the windows of
+            // distinct atoms are disjoint, and every atom belongs to
+            // exactly one block.
+            unsafe { out.slice_mut(lo, hi) }.copy_from_slice(&rows[at..at + (hi - lo)]);
+            at += hi - lo;
+        }
+    });
+    Csr::from_raw(offsets, indices)
 }
 
 #[cfg(test)]
@@ -450,52 +518,124 @@ mod tests {
         v
     }
 
+    /// `build` on a `threads`-worker pool, held byte for byte to the brute
+    /// force.
+    fn assert_brute_force_bytes(bx: &SimBox, pos: &[Vec3], cfg: VerletConfig, threads: usize) {
+        let fast = pool::Pool::new(threads).install(|| NeighborList::build(bx, pos, cfg));
+        let slow = NeighborList::build_brute_force(bx, pos, cfg);
+        assert_eq!(
+            fast.csr().offsets(),
+            slow.csr().offsets(),
+            "{cfg:?} at {threads} threads"
+        );
+        assert_eq!(
+            fast.csr().indices(),
+            slow.csr().indices(),
+            "{cfg:?} at {threads} threads"
+        );
+    }
+
     #[test]
     fn cell_build_matches_brute_force_half() {
         let (bx, pos) = LatticeSpec::bcc_fe(5).build();
-        let cfg = VerletConfig::half(FE_CUTOFF, 0.3);
-        let fast = NeighborList::build(&bx, &pos, cfg);
-        let slow = NeighborList::build_brute_force(&bx, &pos, cfg);
-        assert_eq!(pair_set(&fast), pair_set(&slow));
+        assert_brute_force_bytes(&bx, &pos, VerletConfig::half(FE_CUTOFF, 0.3), 1);
     }
 
     #[test]
     fn cell_build_matches_brute_force_full() {
         let (bx, pos) = LatticeSpec::bcc_fe(4).build();
-        let cfg = VerletConfig::full(FE_CUTOFF, 0.0);
-        let fast = NeighborList::build(&bx, &pos, cfg);
-        let slow = NeighborList::build_brute_force(&bx, &pos, cfg);
-        assert_eq!(pair_set(&fast), pair_set(&slow));
+        assert_brute_force_bytes(&bx, &pos, VerletConfig::full(FE_CUTOFF, 0.0), 1);
     }
 
     #[test]
-    fn parallel_build_is_bitwise_identical_to_serial() {
-        // bcc_fe(9) = 1458 atoms > PAR_MIN_CHUNK, so the parallel path
-        // actually runs instead of delegating to the serial builder.
-        let (bx, pos) = LatticeSpec::bcc_fe(9).build();
-        for threads in [2usize, 4] {
-            let pool = md_base::pool::Pool::new(threads);
+    fn build_is_byte_equal_to_brute_force_at_1_2_and_4_threads() {
+        // bcc_fe(12) = 3456 atoms: three cell blocks, so the parallel
+        // scan and the window copy both run. Rattled off the lattice.
+        let (bx, mut pos) = LatticeSpec::bcc_fe(12).build();
+        for (k, p) in pos.iter_mut().enumerate() {
+            let k = k as f64;
+            *p = bx.wrap(
+                *p + Vec3::new((0.917 * k).sin(), (1.311 * k).cos(), (2.113 * k).sin()) * 0.2,
+            );
+        }
+        for threads in [1usize, 2, 4] {
             for cfg in [
                 VerletConfig::half(FE_CUTOFF, 0.3),
                 VerletConfig::full(FE_CUTOFF, 0.3),
             ] {
-                let serial = NeighborList::build(&bx, &pos, cfg);
-                let parallel = pool.install(|| NeighborList::build_parallel(&bx, &pos, cfg));
-                assert_eq!(serial.csr().offsets(), parallel.csr().offsets());
-                assert_eq!(serial.csr().indices(), parallel.csr().indices());
+                assert_brute_force_bytes(&bx, &pos, cfg, threads);
             }
         }
     }
 
     #[test]
-    fn parallel_build_small_system_delegates_to_serial() {
+    fn small_system_is_one_block_and_matches_brute_force() {
+        // A 6³-cell job (432 atoms) builds inline even on a 4-worker pool.
+        assert_eq!(block_count(432, 27, 4), 1);
+        assert_eq!(block_count(65_536, 3375, 2), 2 * BLOCKS_PER_WORKER);
         let (bx, pos) = LatticeSpec::bcc_fe(5).build();
-        let cfg = VerletConfig::half(FE_CUTOFF, 0.3);
-        let serial = NeighborList::build(&bx, &pos, cfg);
-        let parallel =
-            pool::Pool::new(4).install(|| NeighborList::build_parallel(&bx, &pos, cfg));
-        assert_eq!(serial.csr().offsets(), parallel.csr().offsets());
-        assert_eq!(serial.csr().indices(), parallel.csr().indices());
+        for threads in [1usize, 2, 4] {
+            assert_brute_force_bytes(&bx, &pos, VerletConfig::half(FE_CUTOFF, 0.3), threads);
+        }
+    }
+
+    #[test]
+    fn interior_cell_stencil_has_27_unshifted_images() {
+        let bx = SimBox::cubic(12.0);
+        let pos: Vec<Vec3> = (0..64)
+            .map(|k| {
+                Vec3::new((k % 4) as f64, ((k / 4) % 4) as f64, (k / 16) as f64) * 3.0
+                    + Vec3::splat(1.5)
+            })
+            .collect();
+        let grid = CellGrid::build(&bx, &pos, 2.9); // 4×4×4, one atom per cell
+        let order = CellOrder {
+            start: grid.cells().offsets(),
+            ids: grid.cells().indices(),
+            x: vec![],
+            y: vec![],
+            z: vec![],
+        };
+        let (images, len) = stencil(&grid, &bx, &order, grid.cell_id(1, 1, 1));
+        assert_eq!(len, 27);
+        assert!(images.iter().all(|e| e.shift == [0.0; 3]));
+        // A corner cell reaches the far corner through the (−L, −L, −L) image.
+        let (images, len) = stencil(&grid, &bx, &order, grid.cell_id(0, 0, 0));
+        assert_eq!(len, 27);
+        let far = order.slots(grid.cell_id(3, 3, 3)..grid.cell_id(3, 3, 3) + 1);
+        assert!(images.contains(&Image {
+            cursor: far.start,
+            end: far.end,
+            shift: [-12.0; 3]
+        }));
+    }
+
+    #[test]
+    fn short_periodic_axes_keep_every_image_and_open_axes_never_shift() {
+        // Two cells: offsets −1 and +1 reach the same cell by two images.
+        assert_eq!(
+            axis_images(0, 2, 10.0, true),
+            ([(1, -10.0), (0, 0.0), (1, 0.0)], 3)
+        );
+        assert_eq!(
+            axis_images(1, 2, 10.0, true),
+            ([(0, 0.0), (1, 0.0), (0, 10.0)], 3)
+        );
+        // One cell: the cell itself, through all three images.
+        assert_eq!(
+            axis_images(0, 1, 10.0, true),
+            ([(0, -10.0), (0, 0.0), (0, 10.0)], 3)
+        );
+        // Open axes drop the offsets that leave the grid.
+        assert_eq!(axis_images(0, 2, 10.0, false).1, 2);
+        assert_eq!(
+            axis_images(0, 1, 10.0, false),
+            ([(0, 0.0), (0, 0.0), (0, 0.0)], 1)
+        );
+        assert_eq!(
+            axis_images(1, 3, 10.0, false),
+            ([(0, 0.0), (1, 0.0), (2, 0.0)], 3)
+        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! periodic neighbor-list rebuilds (binning + stencil pair generation),
 //! amortized over `rebuild_every` steps. With a **serial** rebuild this is a
 //! classic Amdahl term: it caps 2-D SDC's 16-thread speedup on the large
-//! cases well below the sweep-only number. The parallel rebuild
-//! (`md_neighbor::NeighborList::build_parallel`) removes that cap — which is
+//! cases well below the sweep-only number. The list build on the engine's
+//! pool (`md_neighbor::NeighborList::build`) removes that cap — which is
 //! exactly what these functions quantify.
 
 use crate::case::CaseGeometry;
@@ -19,9 +19,9 @@ use sdc_core::StrategyKind;
 ///
 /// Serial: `N·c_bin + pairs·κ_cand·c_gen`. Parallel: the same work divided
 /// by `P` under the shared-bandwidth overhead, plus the rebuild's fork-join
-/// barriers — both phases of the deterministic parallel build (chunked
-/// counting sort, per-cell row generation) scale this way because every
-/// write window is private.
+/// barriers — both phases of the deterministic build (chunked counting
+/// sort, per-cell-block row generation) scale this way because every write
+/// window is private.
 pub fn rebuild_seconds(
     m: &MachineParams,
     case: &CaseGeometry,

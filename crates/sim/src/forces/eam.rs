@@ -487,41 +487,58 @@ mod tests {
         system.wrap();
     }
 
+    /// The benchmark's two engine set-ups: serial on 1 thread from 300 K,
+    /// sdc3d on 2 threads from 3000 K.
+    const PROBE_CASES: [(StrategyKind, usize, f64); 2] = [
+        (StrategyKind::Serial, 1, 300.0),
+        (StrategyKind::Sdc { dims: 3 }, 2, 3000.0),
+    ];
+
+    /// Min and median of a probe's samples.
+    fn min_median(mut v: Vec<f64>) -> (f64, f64) {
+        v.sort_by(f64::total_cmp);
+        (v[0], v[v.len() / 2])
+    }
+
+    /// The probes' crystal: `cells`³-cell bcc Fe, tabulated, velocities
+    /// from `kelvin`, after 10 velocity-Verlet steps on the given engine.
+    fn probe_crystal(
+        cells: usize,
+        strategy: StrategyKind,
+        threads: usize,
+        kelvin: f64,
+    ) -> (System, ForceEngine, Arc<TabulatedEam>) {
+        use crate::integrate::velocity_verlet;
+        use crate::velocity::init_velocities;
+        let src = AnalyticEam::fe();
+        let tab = Arc::new(TabulatedEam::standard(&src, src.rho_e()));
+        let mut system = System::from_lattice(LatticeSpec::bcc_fe(cells), FE_MASS);
+        init_velocities(&mut system, kelvin, 1);
+        let pot = PotentialChoice::Eam(tab.clone());
+        let mut eng = ForceEngine::new(&system, pot, strategy, threads, 0.3).unwrap();
+        eng.compute(&mut system);
+        for _ in 0..10 {
+            velocity_verlet(&mut system, &mut eng, 1e-3);
+        }
+        (system, eng, tab)
+    }
+
     /// Tuning probe (not part of the suite): per-phase wall time of the
-    /// density and force phases on the benchmark crystal — 32³-cell bcc Fe
-    /// (65,536 atoms), tabulated, after 10 velocity-Verlet steps — serial
-    /// on 1 thread from 300 K and sdc3d on 2 threads from 3000 K. Prints
-    /// the min and median of `PROBE_REPS` reps of each phase, in ns per
-    /// atom. Much lower-noise than timing whole runs; run it alternately on
-    /// two checkouts to compare kernels, and with `MD_SIMD_SCALAR=1` for the
-    /// scalar spline backend:
+    /// density and force phases on the benchmark crystal (32³ cells, 65,536
+    /// atoms) in both [`PROBE_CASES`]. Prints the min and median of
+    /// `PROBE_REPS` reps of each phase, in ns per atom. Much lower-noise
+    /// than timing whole runs; run it alternately on two checkouts to
+    /// compare kernels, and with `MD_SIMD_SCALAR=1` for the scalar spline
+    /// backend:
     /// `cargo test -q -p md-sim --release phase_speed -- --ignored --nocapture`.
     #[test]
     #[ignore]
     fn phase_speed_probe() {
-        use crate::integrate::velocity_verlet;
-        use crate::velocity::init_velocities;
         use std::time::Instant;
         const PROBE_REPS: usize = 15;
-        let stats = |mut v: Vec<f64>| {
-            v.sort_by(f64::total_cmp);
-            (v[0], v[v.len() / 2])
-        };
-        let src = AnalyticEam::fe();
-        let tab = Arc::new(TabulatedEam::standard(&src, src.rho_e()));
         let simd = md_potential::simd_active();
-        for (strategy, threads, kelvin) in [
-            (StrategyKind::Serial, 1, 300.0),
-            (StrategyKind::Sdc { dims: 3 }, 2, 3000.0),
-        ] {
-            let mut system = System::from_lattice(LatticeSpec::bcc_fe(32), FE_MASS);
-            init_velocities(&mut system, kelvin, 1);
-            let pot = PotentialChoice::Eam(tab.clone());
-            let mut eng = ForceEngine::new(&system, pot, strategy, threads, 0.3).unwrap();
-            eng.compute(&mut system);
-            for _ in 0..10 {
-                velocity_verlet(&mut system, &mut eng, 1e-3);
-            }
+        for (strategy, threads, kelvin) in PROBE_CASES {
+            let (mut system, mut eng, tab) = probe_crystal(32, strategy, threads, kelvin);
             let per_atom = 1e9 / system.len() as f64;
             eng.compute(&mut system); // warm caches + scratch
             let (mut density, mut force) = (Vec::new(), Vec::new());
@@ -535,12 +552,62 @@ mod tests {
             }
             let both: Vec<f64> = density.iter().zip(&force).map(|(d, f)| d + f).collect();
             let ((dmin, dmed), (fmin, fmed), (bmin, bmed)) =
-                (stats(density), stats(force), stats(both));
+                (min_median(density), min_median(force), min_median(both));
             eprintln!(
                 "{strategy} t={threads} {kelvin} K simd={simd}: ns/atom min/median \
                  density {dmin:.0}/{dmed:.0}  force {fmin:.0}/{fmed:.0}  \
                  density+force {bmin:.0}/{bmed:.0}"
             );
+        }
+    }
+
+    /// Tuning probe (not part of the suite): wall time of a whole
+    /// [`ForceEngine::rebuild`] on the benchmark crystal in both
+    /// [`PROBE_CASES`], and of `NeighborList::build` alone on the 3000 K
+    /// crystal at 12³, 18³ and 32³ cells on 1 and 2 threads. Prints the
+    /// min and median of `PROBE_REPS` reps, in ms:
+    /// `cargo test -q -p md-sim --release rebuild_speed -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    fn rebuild_speed_probe() {
+        use md_base::pool::Pool;
+        use md_neighbor::NeighborList;
+        use std::hint::black_box;
+        use std::time::Instant;
+        const PROBE_REPS: usize = 11;
+        let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
+        for (strategy, threads, kelvin) in PROBE_CASES {
+            let (system, mut eng, _) = probe_crystal(32, strategy, threads, kelvin);
+            let reps = (0..PROBE_REPS)
+                .map(|_| {
+                    let t = Instant::now();
+                    eng.rebuild(&system);
+                    ms(t)
+                })
+                .collect();
+            let (min, med) = min_median(reps);
+            eprintln!("ForceEngine::rebuild {strategy} t={threads} {kelvin} K: ms min/median {min:.1}/{med:.1}");
+        }
+        for cells in [12, 18, 32] {
+            let (system, eng, _) = probe_crystal(cells, StrategyKind::Serial, 1, 3000.0);
+            let verlet = eng.neighbor_list().config();
+            for threads in [1, 2] {
+                let pool = Pool::new(threads);
+                let reps = (0..PROBE_REPS)
+                    .map(|_| {
+                        let t = Instant::now();
+                        black_box(pool.install(|| {
+                            NeighborList::build(system.sim_box(), system.positions(), verlet)
+                        }));
+                        ms(t)
+                    })
+                    .collect();
+                let (min, med) = min_median(reps);
+                eprintln!(
+                    "NeighborList::build bcc_fe({cells}) = {} atoms t={threads}: ms min/median {min:.1}/{med:.1}",
+                    system.len()
+                );
+            }
         }
     }
 

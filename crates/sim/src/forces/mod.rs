@@ -129,11 +129,11 @@ fn with_dims(kind: StrategyKind, dims: usize) -> StrategyKind {
 }
 
 /// Builds the half list on `ctx`'s pool: in parallel exactly when it has
-/// more than one thread. [`NeighborList::build_parallel`] is
-/// bitwise-identical to the serial build, so the thread count never changes
-/// a trajectory.
+/// more than one thread (and the system is large enough to split).
+/// [`NeighborList::build`] emits the same bytes at every thread count, so
+/// the thread count never changes a trajectory.
 fn build_half_list(ctx: &ParallelContext, system: &System, verlet: VerletConfig) -> NeighborList {
-    ctx.install(|| NeighborList::build_parallel(system.sim_box(), system.positions(), verlet))
+    ctx.install(|| NeighborList::build(system.sim_box(), system.positions(), verlet))
 }
 
 impl ForceEngine {

@@ -14,8 +14,9 @@
 #      them — this job pins that explicitly so a profile tweak cannot
 #      silently turn them off)
 #   5. metrics regression gate    (short metered mdrun, diffed against the
-#      checked-in golden report; counters must match, timings may only
-#      grow within a deliberately generous tolerance)
+#      checked-in golden report; counters — the rebuild count among them —
+#      must match exactly, timings may only grow within a deliberately
+#      generous tolerance)
 #   6. load-balance gate          (a balanced metered mdrun against the
 #      plain run of the plan the search deterministically picks for the
 #      gate case — sdc1d on the 9³ box, fewest barriers wins — with every
@@ -71,7 +72,7 @@ cargo run -q -p sdc-bench --release --bin mdrun -- \
   --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 \
   --metrics-out "$report" > /dev/null
 cargo run -q -p sdc-bench --release --bin metrics_diff -- \
-  scripts/metrics_baseline.json "$report" --tol 1.10 --time-tol 50
+  scripts/metrics_baseline.json "$report" --tol 1.0 --time-tol 50
 rm -f "$report"
 
 echo "==> [6/11] load-balance gate"

@@ -53,9 +53,9 @@ fn deterministic_strategies_reproduce_trajectories_across_thread_counts() {
         StrategyKind::Privatized,
         StrategyKind::Redundant,
     ] {
-        // 1 thread takes the serial list-build path, 4 threads the parallel
-        // one (the builder default) — so this also pins that the parallel
-        // list build never perturbs a trajectory.
+        // 1 thread builds the list inline, 4 threads spread it over four
+        // workers — so this also pins that the parallel list build never
+        // perturbs a trajectory.
         let mut one = fe_sim(strategy, 1, 17);
         let mut four = fe_sim(strategy, 4, 17);
         one.run(5);
@@ -91,8 +91,8 @@ fn deterministic_strategies_reproduce_trajectories_across_thread_counts() {
 
 #[test]
 fn parallel_and_serial_list_builds_give_identical_trajectories() {
-    // Same seed and strategy; 1 thread takes every serial path, 4 threads
-    // the parallel list build, binning and reorder gathers. A melt hot
+    // Same seed and strategy; 1 thread runs the list build, binning and
+    // reorder gathers inline, 4 threads on four workers. A melt hot
     // enough to force several rebuilds (each with a reorder) must stay
     // bitwise identical.
     let build = |threads: usize| {

@@ -1,16 +1,21 @@
-//! Cross-build conformance suite for the parallel neighbor-list pipeline.
+//! Conformance suite for the neighbor-list builder.
 //!
-//! The contract under test: [`NeighborList::build_parallel`] is **bitwise
-//! identical** to the serial [`NeighborList::build`] — same CSR `offsets`,
-//! same `indices` — at every thread count, for both list kinds, on arbitrary
-//! boxes and densities; and both agree with the O(n²) brute-force reference
-//! on the stored pair set. Plus the end-to-end skin invariant: between
-//! rebuilds, no pair inside the bare cutoff is ever absent from the active
-//! list.
+//! The contract under test: [`NeighborList::build`] is **byte for byte**
+//! the O(n²) [`NeighborList::build_brute_force`] — same CSR `offsets`, same
+//! `indices` — at every thread count and for both list kinds, on inputs
+//! chosen to break a cell-list builder: random anisotropic boxes with mixed
+//! periodicity and atoms beyond the open faces, periodic axes one or two
+//! cells wide, atoms on cell faces and one ulp below them, perfect lattices
+//! with the reach exactly on a neighbour shell, and shuffled ids. Plus the
+//! end-to-end skin invariant: between rebuilds, no pair inside the bare
+//! cutoff is ever absent from the active list.
 
 use md_base::rng::Rng;
 use sdc_md::core::ParallelContext;
 use sdc_md::prelude::*;
+
+/// Thread counts every case is built at.
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn random_cloud(rng: &mut Rng, n: usize, l: f64) -> Vec<Vec3> {
     (0..n)
@@ -21,19 +26,40 @@ fn random_cloud(rng: &mut Rng, n: usize, l: f64) -> Vec<Vec3> {
         .collect()
 }
 
-fn sorted_pairs(nl: &NeighborList) -> Vec<(u32, u32)> {
-    let mut v: Vec<(u32, u32)> = nl
-        .csr()
-        .iter_rows()
-        .flat_map(|(i, r)| r.iter().map(move |&j| (i as u32, j)))
-        .collect();
-    v.sort_unstable();
-    v
+/// The half and the full list of one cutoff and skin.
+fn both_kinds(cutoff: f64, skin: f64) -> [VerletConfig; 2] {
+    [
+        VerletConfig::half(cutoff, skin),
+        VerletConfig::full(cutoff, skin),
+    ]
 }
 
-/// Small random clouds: serial, parallel (each tested thread count) and
-/// brute force must agree — the parallel build byte-for-byte, the brute
-/// force on the pair set. Case `k` draws its cloud from `Rng::new(k)`.
+/// The next float below `x > 0`.
+fn ulp_below(x: f64) -> f64 {
+    f64::from_bits(x.to_bits() - 1)
+}
+
+/// Builds `cfg`'s list at every thread count in [`THREADS`] and holds its
+/// offsets and indices to the brute force's.
+fn assert_conforms(case: &str, b: &SimBox, pos: &[Vec3], cfg: VerletConfig) {
+    let brute = NeighborList::build_brute_force(b, pos, cfg);
+    for threads in THREADS {
+        let built = ParallelContext::new(threads).install(|| NeighborList::build(b, pos, cfg));
+        assert_eq!(
+            built.csr().offsets(),
+            brute.csr().offsets(),
+            "{case} {cfg:?}: offsets diverged at {threads} threads"
+        );
+        assert_eq!(
+            built.csr().indices(),
+            brute.csr().indices(),
+            "{case} {cfg:?}: indices diverged at {threads} threads"
+        );
+    }
+}
+
+/// Small random clouds in cubic periodic boxes, random cutoff, skin and
+/// kind. Case `k` draws its cloud from `Rng::new(k)`.
 #[test]
 fn parallel_build_conforms_on_random_clouds() {
     for case in 0..24 {
@@ -48,35 +74,14 @@ fn parallel_build_conforms_on_random_clouds() {
         }
         let b = SimBox::cubic(l);
         let pos = random_cloud(&mut rng, n, l);
-        let cfg = if half {
-            VerletConfig::half(cutoff, skin)
-        } else {
-            VerletConfig::full(cutoff, skin)
-        };
-        let serial = NeighborList::build(&b, &pos, cfg);
-        let brute = NeighborList::build_brute_force(&b, &pos, cfg);
-        assert_eq!(sorted_pairs(&serial), sorted_pairs(&brute), "case {case}");
-        for threads in [1usize, 2, 4, 8] {
-            let parallel = ParallelContext::new(threads)
-                .install(|| NeighborList::build_parallel(&b, &pos, cfg));
-            assert_eq!(
-                serial.csr().offsets(),
-                parallel.csr().offsets(),
-                "case {case}: offsets diverged at {threads} threads"
-            );
-            assert_eq!(
-                serial.csr().indices(),
-                parallel.csr().indices(),
-                "case {case}: indices diverged at {threads} threads"
-            );
-        }
+        let cfg = both_kinds(cutoff, skin)[usize::from(!half)];
+        assert_conforms(&format!("case {case}"), &b, &pos, cfg);
     }
 }
 
-/// Clouds past the parallel-path thresholds (atom chunking at 1024,
-/// chunked counting sort at 2048): the real chunk/scatter machinery runs
-/// and must still be bitwise identical. Brute force is skipped — the
-/// serial build is already pinned to it above.
+/// Clouds of 2,100–2,600 atoms: past the parallel binning threshold and
+/// split into more than one cell block, so the chunked counting sort, the
+/// block scan and the window copy all run.
 #[test]
 fn parallel_build_is_bitwise_identical_on_large_clouds() {
     for case in 0..24 {
@@ -86,18 +91,211 @@ fn parallel_build_is_bitwise_identical_on_large_clouds() {
         let l = 40.0;
         let b = SimBox::cubic(l);
         let pos = random_cloud(&mut rng, n, l);
-        let cfg = if half {
-            VerletConfig::half(5.0, 0.5)
-        } else {
-            VerletConfig::full(5.0, 0.5)
-        };
-        let serial = NeighborList::build(&b, &pos, cfg);
-        for threads in [2usize, 4, 8] {
-            let parallel = ParallelContext::new(threads)
-                .install(|| NeighborList::build_parallel(&b, &pos, cfg));
-            assert_eq!(serial.csr().offsets(), parallel.csr().offsets(), "case {case}");
-            assert_eq!(serial.csr().indices(), parallel.csr().indices(), "case {case}");
+        let cfg = both_kinds(5.0, 0.5)[usize::from(!half)];
+        assert_conforms(&format!("case {case}"), &b, &pos, cfg);
+    }
+}
+
+/// Anisotropic boxes, each axis periodic or open at random. Open axes may
+/// be shorter than two reaches and hold atoms up to 2 Å beyond either face.
+#[test]
+fn random_anisotropic_boxes_with_mixed_periodicity_conform() {
+    for case in 0..40 {
+        let mut rng = Rng::new(1_000 + case);
+        let skin = rng.uniform(0.0, 0.5);
+        let cfgs = both_kinds(rng.uniform(2.0, 5.5), skin);
+        let reach = cfgs[0].reach();
+        let periodic = [(); 3].map(|_| rng.below(2) == 1);
+        let lengths = periodic.map(|p| {
+            let shortest = if p { 2.0 } else { 1.01 };
+            reach * rng.uniform(shortest, 6.0)
+        });
+        let b = SimBox::with_periodicity(Vec3::new(lengths[0], lengths[1], lengths[2]), periodic);
+        let n = 50 + rng.below(400) as usize;
+        let pos: Vec<Vec3> = (0..n)
+            .map(|_| {
+                let mut p = Vec3::ZERO;
+                for d in 0..3 {
+                    p[d] = if periodic[d] {
+                        rng.f64() * lengths[d]
+                    } else {
+                        rng.uniform(-2.0, lengths[d] + 2.0)
+                    };
+                }
+                p
+            })
+            .collect();
+        for cfg in cfgs {
+            assert_conforms(&format!("case {case} {b:?}"), &b, &pos, cfg);
         }
+    }
+}
+
+/// Periodic axes exactly two reaches long (one cell: offsets −1, 0 and +1
+/// all reach the home cell through three images) and 2.5 or 3 reaches long
+/// (two cells: offsets −1 and +1 reach the same cell through two images).
+/// Half the atom coordinates are quarter points of the box, so many pairs
+/// lie exactly half a box apart on some axis, and a few atoms coincide.
+#[test]
+fn one_and_two_cell_periodic_axes_conform() {
+    let cfgs = both_kinds(5.67, 0.3);
+    let reach = cfgs[0].reach();
+    for (case, factors) in [
+        [2.0, 2.0, 2.0],
+        [2.0, 2.5, 3.0],
+        [3.0, 3.0, 3.0],
+        [2.5, 2.5, 7.0],
+        [2.0, 7.3, 3.0],
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let lengths = factors.map(|f| f * reach);
+        let b = SimBox::periodic(Vec3::new(lengths[0], lengths[1], lengths[2]));
+        let mut rng = Rng::new(2_000 + case as u64);
+        let pos: Vec<Vec3> = (0..120)
+            .map(|_| {
+                // Quarter points of the box, and random points.
+                let mut p = Vec3::ZERO;
+                for d in 0..3 {
+                    p[d] = if rng.below(2) == 0 {
+                        lengths[d] * rng.below(4) as f64 / 4.0
+                    } else {
+                        rng.f64() * lengths[d]
+                    };
+                }
+                p
+            })
+            .collect();
+        for cfg in cfgs {
+            assert_conforms(&format!("box {factors:?}·reach"), &b, &pos, cfg);
+        }
+    }
+}
+
+/// Atoms on the faces of the binning grid, one ulp below them, at `L − 1
+/// ulp`, and on multiples of the reach: the faces a grid of edge exactly
+/// `reach` would have when `L` is a whole number of reaches. For the first
+/// three reaches such a grid bins `ulp_below(2·reach)` into cell 1 and
+/// `ulp_below(3·reach)` into cell 3, although the two are within reach:
+/// the case the binning margin exists for.
+#[test]
+fn atoms_on_cell_faces_and_one_ulp_below_conform() {
+    for (case, (reach, factors)) in [
+        (6.786103247207213, [4.0, 3.0, 5.0]),
+        (5.130073918502986, [6.0, 2.0, 3.0]),
+        (5.5290108644741816, [5.0, 4.0, 2.5]),
+        (5.0, [3.0, 4.0, 5.0]),
+        (5.0, [2.0, 3.0, 6.5]),
+        (5.0, [4.0, 4.0, 4.0]),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        for periodic in [[true; 3], [true, false, true]] {
+            let lengths = factors.map(|f| f * reach);
+            let b =
+                SimBox::with_periodicity(Vec3::new(lengths[0], lengths[1], lengths[2]), periodic);
+            // Per axis: every face of both grids, the float below each,
+            // and L − 1 ulp.
+            let axis_points: Vec<Vec<f64>> = (0..3)
+                .map(|d| {
+                    let l = lengths[d];
+                    let dims = (l / (reach * (1.0 + 1e-9))).floor();
+                    let mut pts = vec![0.0, ulp_below(l)];
+                    for k in 1..dims as usize {
+                        pts.push(l * k as f64 / dims);
+                    }
+                    for k in 1..(l / reach).ceil() as usize {
+                        pts.push(reach * k as f64);
+                    }
+                    let faces = pts.clone();
+                    pts.extend(faces.iter().filter(|&&x| x > 0.0).map(|&x| ulp_below(x)));
+                    pts.retain(|&x| x < l);
+                    pts
+                })
+                .collect();
+            let mut rng = Rng::new(3_000 + case as u64);
+            let mut pick =
+                |d: usize| axis_points[d][rng.below(axis_points[d].len() as u64) as usize];
+            // Every x point on six lines along x, so pairs that differ in
+            // x only exist; then random combinations.
+            let lines: Vec<(f64, f64)> = (0..6).map(|_| (pick(1), pick(2))).collect();
+            let mut pos: Vec<Vec3> = lines
+                .iter()
+                .flat_map(|&(y, z)| axis_points[0].iter().map(move |&x| Vec3::new(x, y, z)))
+                .collect();
+            pos.extend((0..200).map(|_| Vec3::new(pick(0), pick(1), pick(2))));
+            rng.shuffle(&mut pos);
+            for cfg in both_kinds(reach, 0.0) {
+                assert_conforms(
+                    &format!("reach {reach}, box {factors:?}·reach, periodic {periodic:?}"),
+                    &b,
+                    &pos,
+                    cfg,
+                );
+            }
+        }
+    }
+}
+
+/// Perfect bcc crystals of 4–8 cells with the reach exactly on one of the
+/// first six neighbour shells: every pair on that shell is decided by the
+/// last bit of its distance.
+#[test]
+fn perfect_bcc_lattices_with_reach_on_a_shell_conform() {
+    for cells in 4..=8 {
+        let spec = LatticeSpec::bcc_fe(cells);
+        let (b, pos) = spec.build();
+        let a = spec.a;
+        for shell in [
+            3f64.sqrt() / 2.0,
+            1.0,
+            2f64.sqrt(),
+            11f64.sqrt() / 2.0,
+            3f64.sqrt(),
+            2.0,
+        ] {
+            let reach = a * shell;
+            if b.lengths().x < 2.0 * reach {
+                continue;
+            }
+            for cfg in [
+                VerletConfig::half(reach, 0.0),
+                VerletConfig::full(reach, 0.0),
+            ] {
+                assert_conforms(&format!("bcc {cells}³, reach {shell}·a"), &b, &pos, cfg);
+            }
+        }
+    }
+}
+
+/// Rattled crystals and a cloud whose ids are shuffled, so ids carry no
+/// spatial order and every cursor walks its cell in a new pattern.
+#[test]
+fn shuffled_ids_conform() {
+    for (case, cells) in [6usize, 10].into_iter().enumerate() {
+        let (b, mut pos) = LatticeSpec::bcc_fe(cells).build();
+        let mut rng = Rng::new(4_000 + case as u64);
+        for p in pos.iter_mut() {
+            let kick = Vec3::new(
+                rng.uniform(-0.4, 0.4),
+                rng.uniform(-0.4, 0.4),
+                rng.uniform(-0.4, 0.4),
+            );
+            *p = b.wrap(*p + kick);
+        }
+        rng.shuffle(&mut pos);
+        for cfg in both_kinds(5.67, 0.3) {
+            assert_conforms(&format!("shuffled bcc {cells}³"), &b, &pos, cfg);
+        }
+    }
+    let mut rng = Rng::new(4_100);
+    let b = SimBox::periodic(Vec3::new(30.0, 24.0, 40.0));
+    let mut pos = random_cloud(&mut rng, 1_500, 24.0);
+    rng.shuffle(&mut pos);
+    for cfg in both_kinds(4.5, 0.5) {
+        assert_conforms("shuffled cloud", &b, &pos, cfg);
     }
 }
 

@@ -84,10 +84,12 @@ fn permutation_inverse_is_identity() {
 fn csr_mirror_preserves_edge_multiset() {
     for case in 0..CASES {
         let mut rng = Rng::new(case);
-        let pairs: Vec<(u32, u32)> = (0..rng.below(60))
-            .map(|_| (rng.below(20) as u32, rng.below(20) as u32))
-            .collect();
-        let csr = Csr::from_pairs(20, &pairs);
+        let mut rows = vec![Vec::new(); 20];
+        for _ in 0..rng.below(60) {
+            let (row, value) = (rng.below(20) as usize, rng.below(20) as u32);
+            rows[row].push(value);
+        }
+        let csr = Csr::from_rows(&rows);
         let mirrored = csr.mirrored();
         assert_eq!(mirrored.entries(), csr.entries(), "case {case}");
         let mut fwd: Vec<(u32, u32)> = csr
