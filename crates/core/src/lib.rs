@@ -53,7 +53,7 @@ pub use md_base::pool::Pool as ParallelContext;
 pub use decomposition::{ColoredDecomposition, DecompositionConfig, DecompositionError};
 pub use metrics::{Counter, DurationHistogram, Gauge, QueueMetrics, ScatterMetrics};
 pub use plan::SdcPlan;
-pub use scatter::{PairTerm, ScatterValue, TaskRows};
+pub use scatter::{PairTerm, ScatterValue, TaskRows, TaskRowsIter};
 pub use schedule::{BalancedPlan, ColorSchedule, MakespanParams, PlanChoice};
 pub use strategies::{DowngradeEvent, ScatterExec, StrategyKind};
 pub use taskgraph::TaskGraph;

@@ -142,13 +142,39 @@ pub enum TaskRows<'a> {
     Atoms(&'a [u32]),
 }
 
-impl TaskRows<'_> {
-    /// Calls `f` on every row, in visiting order.
+impl<'a> IntoIterator for TaskRows<'a> {
+    type Item = usize;
+    type IntoIter = TaskRowsIter<'a>;
+
+    /// The rows, in visiting order. A plain loop, not a closure, so a
+    /// kernel's row body compiles inside the kernel's own function (and
+    /// under its `#[target_feature]`s).
     #[inline]
-    pub fn for_each(self, mut f: impl FnMut(usize)) {
+    fn into_iter(self) -> TaskRowsIter<'a> {
         match self {
-            TaskRows::All(n) => (0..n).for_each(f),
-            TaskRows::Atoms(atoms) => atoms.iter().for_each(|&i| f(i as usize)),
+            TaskRows::All(n) => TaskRowsIter::All(0..n),
+            TaskRows::Atoms(atoms) => TaskRowsIter::Atoms(atoms.iter()),
+        }
+    }
+}
+
+/// The iterator of [`TaskRows`].
+#[derive(Debug, Clone)]
+pub enum TaskRowsIter<'a> {
+    /// [`TaskRows::All`]'s rows.
+    All(std::ops::Range<usize>),
+    /// [`TaskRows::Atoms`]' rows.
+    Atoms(std::slice::Iter<'a, u32>),
+}
+
+impl Iterator for TaskRowsIter<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            TaskRowsIter::All(rows) => rows.next(),
+            TaskRowsIter::Atoms(atoms) => atoms.next().map(|&i| i as usize),
         }
     }
 }
@@ -166,7 +192,7 @@ pub(crate) unsafe fn pair_task<V: ScatterValue>(
     out: &SharedSlice<'_, V>,
     kernel: &impl Fn(usize, usize) -> Option<PairTerm<V>>,
 ) {
-    rows.for_each(|i| {
+    for i in rows {
         for &j in half.row(i) {
             if let Some(t) = kernel(i, j as usize) {
                 // SAFETY: the caller's contract covers `out[i]` and `out[j]`.
@@ -176,7 +202,7 @@ pub(crate) unsafe fn pair_task<V: ScatterValue>(
                 }
             }
         }
-    });
+    }
 }
 
 #[cfg(test)]

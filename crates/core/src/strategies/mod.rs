@@ -603,9 +603,9 @@ mod tests {
                 let tasks = Mutex::new(Vec::new());
                 let mut out = vec![0.0f64; rows];
                 exec.run_tasks(kind, &mut out, &|task_rows, _| {
-                    task_rows.for_each(|i| {
+                    for i in task_rows {
                         hits[i].fetch_add(1, Ordering::Relaxed);
-                    });
+                    }
                     tasks.lock().unwrap().push(match task_rows {
                         TaskRows::All(n) => Err(n),
                         TaskRows::Atoms(atoms) => Ok(atoms.to_vec()),

@@ -7,8 +7,9 @@
 //! grids and evaluates through [`UniformSpline`].
 //!
 //! Besides fidelity to the original system, the tabulated path exercises a
-//! different performance profile (table lookups instead of `exp` calls) —
-//! the `spline` Criterion bench compares the two.
+//! different performance profile (table lookups instead of `exp` calls); it
+//! is the potential of the benchmark's workloads (`perfbench/`), and
+//! md-sim's ignored `phase_speed_probe` times the EAM phases on it.
 
 use crate::spline::UniformSpline;
 use crate::traits::EamPotential;

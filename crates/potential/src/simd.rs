@@ -17,7 +17,10 @@
 //! Dispatch is decided once per process: AVX2 is probed at first use and the
 //! `MD_SIMD_SCALAR` environment variable (any non-empty value) forces the
 //! scalar backend, which is how CI exercises the fallback leg on machines
-//! that do have the instructions.
+//! that do have the instructions. The same answer picks the lane leg of
+//! md-sim's EAM row kernels (their pair geometry: gathers, minimum image,
+//! `r` and the force terms), so `MD_SIMD_SCALAR=1` also selects the scalar
+//! geometry lanes.
 
 use std::sync::OnceLock;
 
@@ -45,44 +48,12 @@ fn detected() -> bool {
     false
 }
 
-/// In-place square root over a batch: `v[k] = v[k].sqrt()`. Four lanes per
-/// AVX2 step with a scalar tail; IEEE-754 square root is correctly rounded
-/// in both the scalar and the vector instruction, so the backends are
-/// bit-exact by construction (NaN for negative inputs included).
-pub fn sqrt_batch(v: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: `simd_active` verified AVX2 support.
-        unsafe { avx2::sqrt_batch_avx2(v) };
-        return;
-    }
-    for x in v {
-        *x = x.sqrt();
-    }
-}
-
 /// The AVX2 kernels. Everything here is `unsafe fn` + `#[target_feature]`:
 /// callers must have verified AVX2 support (via [`simd_active`] or a direct
 /// feature probe) before entering.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
     use core::arch::x86_64::*;
-
-    /// AVX2 leg of [`super::sqrt_batch`].
-    ///
-    /// # Safety
-    /// Requires AVX2 (guaranteed by the caller's feature probe).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sqrt_batch_avx2(v: &mut [f64]) {
-        let mut chunks = v.chunks_exact_mut(4);
-        for c in &mut chunks {
-            let x = _mm256_loadu_pd(c.as_ptr());
-            _mm256_storeu_pd(c.as_mut_ptr(), _mm256_sqrt_pd(x));
-        }
-        for x in chunks.into_remainder() {
-            *x = x.sqrt();
-        }
-    }
 
     /// Transposes four row vectors `[a0 a1 a2 a3] … [d0 d1 d2 d3]` into the
     /// four column vectors `[a0 b0 c0 d0] … [a3 b3 c3 d3]`.

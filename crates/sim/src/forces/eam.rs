@@ -17,12 +17,15 @@
 use crate::forces::ForceEngine;
 use crate::system::System;
 use crate::timing::Phase;
+use lanes::{masked, Geometry, PairLanes, Scalar, LANES};
 use md_base::pool::{self, SharedSlice};
-use md_geometry::{SimBox, Vec3};
+use md_geometry::Vec3;
 use md_neighbor::{Csr, NeighborList};
 use md_potential::EamPotential;
 use sdc_core::{PairTerm, TaskRows};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+mod lanes;
 
 /// What the density sweep keeps of one stored half-list pair for the force
 /// sweep, addressed by the pair's slot (its CSR storage index
@@ -31,226 +34,230 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// them together with f(r) (the paper's §II.D interpolation
 /// optimization); the displacement and separation are cheaper to recompute
 /// from the positions than to store and reload. A skin pair's record is
-/// unspecified: the force sweep skips the pair before reading it.
+/// unspecified: the force lanes mask the pair's terms to zero.
+/// `repr(C)`: the AVX2 force lanes load records as `[φ′, f′]` pairs.
 #[derive(Debug, Clone, Copy, Default)]
+#[repr(C)]
 pub(crate) struct PairRecord {
     dphi: f64,
     df: f64,
 }
 
-/// Lane-batch size of the density kernel: a task's stored pairs are
-/// gathered into blocks of this many separations for one
-/// [`EamPotential::pair_density_batch`] call (a multiple of the 4-wide AVX2
-/// blocks, large enough to amortize the call).
-const SIMD_BATCH: usize = 64;
-
-/// Width of one AVX2 block, the unit [`ForceEngine::lane_occupancy`] counts.
-const LANES: usize = 4;
-
-/// Up to [`SIMD_BATCH`] stored pairs of one task, in sweep order, waiting
-/// for their separations to go through the splines.
-struct DensityBlock {
-    n: usize,
-    /// `r²` from the geometry walk, `r` after the flush's square root.
-    r: [f64; SIMD_BATCH],
-    /// The pair is inside the true cutoff (not a Verlet skin pair).
-    live: [bool; SIMD_BATCH],
-    row: [u32; SIMD_BATCH],
-    col: [u32; SIMD_BATCH],
-    slot: [u32; SIMD_BATCH],
-    out: [[f64; 4]; SIMD_BATCH],
-    /// AVX2 blocks evaluated so far.
-    quads: usize,
-}
-
-impl DensityBlock {
-    fn new() -> DensityBlock {
-        DensityBlock {
-            n: 0,
-            r: [0.0; SIMD_BATCH],
-            live: [false; SIMD_BATCH],
-            row: [0; SIMD_BATCH],
-            col: [0; SIMD_BATCH],
-            slot: [0; SIMD_BATCH],
-            out: [[0.0; 4]; SIMD_BATCH],
-            quads: 0,
-        }
-    }
-
-    /// Evaluates φ′, f and f′ for the gathered pairs through
-    /// [`md_potential::simd::sqrt_batch`] and
-    /// [`EamPotential::pair_density_batch`] (bit-exact against the scalar
-    /// `sqrt` and per-pair calls), writes each pair's record, and adds `f`
-    /// to `rho[i]` and `rho[j]` in sweep order — the order of the per-pair
-    /// scatter, hence the same bits.
-    ///
-    /// # Safety
-    /// As for [`density_rows`], for every row in the block.
-    unsafe fn flush<P: EamPotential + ?Sized>(
-        &mut self,
-        pot: &P,
-        rho: &SharedSlice<'_, f64>,
-        records: &SharedSlice<'_, PairRecord>,
-    ) {
-        let n = self.n;
-        md_potential::simd::sqrt_batch(&mut self.r[..n]);
-        // Skin lanes take an in-domain sentinel before the spline batch: a
-        // separation `r ≥ rc` would drop its whole 4-lane block to the
-        // scalar guard path, and ~14% of stored pairs sit in the skin.
-        // Lanes are independent, so live lanes keep their bits; NaN
-        // separations are live (see `density_rows`) and stay NaN.
-        for (r, &live) in self.r[..n].iter_mut().zip(&self.live[..n]) {
-            if !live {
-                *r = -1.0;
-            }
-        }
-        pot.pair_density_batch(&self.r[..n], &mut self.out[..n]);
-        self.quads += n.div_ceil(LANES);
-        // `rho[i]` of the current row stays in a register: a half list
-        // stores only `j > i`, so no pair of row `i` writes `rho[i]` through
-        // its `j` side, and no other task touches it while this one owns
-        // row `i`.
-        let mut row = usize::MAX;
-        let mut acc = 0.0;
-        for k in 0..n {
-            let [_, dphi, f, df] = self.out[k];
-            // SAFETY (all three blocks): the slot, `rho[i]` and `rho[j]` of
-            // a row in the block are this task's own (the caller's contract).
-            unsafe { *records.get_mut(self.slot[k] as usize) = PairRecord { dphi, df } };
-            if !self.live[k] {
-                continue;
-            }
-            let (i, j) = (self.row[k] as usize, self.col[k] as usize);
-            debug_assert!(j > i, "half-list pair ({i}, {j}) out of order");
-            if i != row {
-                if row != usize::MAX {
-                    unsafe { *rho.get_mut(row) = acc };
-                }
-                row = i;
-                acc = unsafe { *rho.get_mut(i) };
-            }
-            acc += f;
-            unsafe { *rho.get_mut(j) += f };
-        }
-        if row != usize::MAX {
-            unsafe { *rho.get_mut(row) = acc };
-        }
-        self.n = 0;
-    }
-}
+/// Chunk size of the batched evaluators: the density kernel hands a row's
+/// separations to [`EamPotential::pair_density_batch`] in chunks of at most
+/// this many (a longer row is split, its `rho[i]` carried across), and
+/// phase 2 evaluates `F′` in blocks of this many. A multiple of [`LANES`],
+/// large enough to amortize the call.
+const CHUNK: usize = 64;
 
 /// Phase 1 for one task of a row-owning sweep
-/// ([`sdc_core::ScatterExec::run_tasks`]): walks the task's rows, batches
-/// their stored pairs across row boundaries into [`SIMD_BATCH`]-lane blocks
-/// (min-image geometry, then the splines — see [`DensityBlock::flush`]),
-/// writes one [`PairRecord`] per slot and accumulates `rho`. Returns the
-/// number of AVX2 blocks the batched evaluator ran.
+/// ([`sdc_core::ScatterExec::run_tasks`]), on the lane leg
+/// [`md_potential::simd_active`] picks: AVX2 or [`Scalar`], both through
+/// [`density_rows_in`]. Returns the number of [`LANES`]-wide steps it ran.
 ///
 /// # Safety
 /// While this runs, no other thread may access `records` at the slots of
 /// `rows`, nor `rho` at `rows` or at their stored neighbors — what
 /// `run_tasks` guarantees each task.
-#[allow(clippy::too_many_arguments)]
 unsafe fn density_rows<P: EamPotential + ?Sized>(
     rows: TaskRows<'_>,
     half: &Csr,
-    sim_box: &SimBox,
-    pos: &[Vec3],
-    rc2: f64,
+    geo: &Geometry<'_>,
+    pot: &P,
+    rho: &SharedSlice<'_, f64>,
+    records: &SharedSlice<'_, PairRecord>,
+) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if md_potential::simd_active() {
+        // SAFETY: `simd_active` found AVX2; the rest is the caller's.
+        return unsafe { density_rows_avx2(rows, half, geo, pot, rho, records) };
+    }
+    // SAFETY: the caller's contract.
+    unsafe { density_rows_in(Scalar, rows, half, geo, pot, rho, records) }
+}
+
+/// [`density_rows_in`] compiled for AVX2, on the [`lanes::Avx2`] leg.
+///
+/// # Safety
+/// As for [`density_rows`], on a CPU with AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn density_rows_avx2<P: EamPotential + ?Sized>(
+    rows: TaskRows<'_>,
+    half: &Csr,
+    geo: &Geometry<'_>,
+    pot: &P,
+    rho: &SharedSlice<'_, f64>,
+    records: &SharedSlice<'_, PairRecord>,
+) -> usize {
+    // SAFETY: the caller's contract, AVX2 included.
+    unsafe { density_rows_in(lanes::Avx2, rows, half, geo, pot, rho, records) }
+}
+
+/// The density row kernel: walks the task's rows and each row's stored
+/// pairs in chunks of up to [`CHUNK`], [`LANES`] at a time through `lanes`
+/// (the separation `r`, or the −1 sentinel on a skin lane, and the lane's
+/// cutoff mask), hands each chunk's `r` to
+/// [`EamPotential::pair_density_batch`], writes one [`PairRecord`] per
+/// slot and adds `f` to `rho[i]` and `rho[j]` in pair order.
+///
+/// A skin lane adds its `f` ANDed with its zero mask: exactly `+0.0`,
+/// whatever the splines gave at the sentinel, so the sum needs no branch.
+/// Adding `+0.0` changes no bit of an accumulator that does not hold
+/// `−0.0`, and none does: `rho` is zero-filled (`+0.0`) before the sweep,
+/// and a round-to-nearest sum is `−0.0` only when both addends are. The
+/// force kernel relies on the same argument.
+///
+/// # Safety
+/// As for [`density_rows`]; an [`lanes::Avx2`] leg needs AVX2.
+#[inline(always)]
+unsafe fn density_rows_in<L: PairLanes, P: EamPotential + ?Sized>(
+    lanes: L,
+    rows: TaskRows<'_>,
+    half: &Csr,
+    geo: &Geometry<'_>,
     pot: &P,
     rho: &SharedSlice<'_, f64>,
     records: &SharedSlice<'_, PairRecord>,
 ) -> usize {
     let offsets = half.offsets();
     let indices = half.indices();
-    let mut block = DensityBlock::new();
-    rows.for_each(|i| {
-        let pi = pos[i];
+    let pos = geo.pos();
+    let mut r = [[0.0; LANES]; CHUNK / LANES];
+    let mut live = [[0u64; LANES]; CHUNK / LANES];
+    let mut out = [[0.0; 4]; CHUNK];
+    let mut steps = 0;
+    for i in rows {
         let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
-        for (slot, &j) in (lo..hi).zip(&indices[lo..hi]) {
-            let r2 = sim_box.min_image(pi, pos[j as usize]).norm_sq();
-            let k = block.n;
-            block.r[k] = r2;
-            // The cutoff test is the *negated* per-pair guard `r2 >= rc2`:
-            // squared, so the rounded sqrt cannot move a boundary pair
-            // across, and negated, so a NaN separation counts as live and
-            // the poison still flows — exactly like a per-pair kernel.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            {
-                block.live[k] = !(r2 >= rc2);
+        let pi = pos[i];
+        // `rho[i]` stays in a register for the whole row: a half list
+        // stores only `j > i`, so no pair of row `i` writes `rho[i]`
+        // through its `j` side, and no other task touches it while this
+        // one owns row `i`.
+        // SAFETY (all four blocks): the row's slots, `rho[i]` and `rho[j]`
+        // are this task's own (the caller's contract).
+        let mut acc = unsafe { *rho.get_mut(i) };
+        for (c, ids) in (lo..hi).step_by(CHUNK).zip(indices[lo..hi].chunks(CHUNK)) {
+            let n = ids.len();
+            for ((ids, r), live) in ids.chunks(LANES).zip(&mut r).zip(&mut live) {
+                // SAFETY: one to LANES ids; AVX2 is the caller's.
+                unsafe { lanes.separations(geo, pi, ids, r, live) };
             }
-            block.row[k] = i as u32;
-            block.col[k] = j;
-            block.slot[k] = slot as u32;
-            block.n += 1;
-            if block.n == SIMD_BATCH {
-                // SAFETY: the block holds rows of `rows` only.
-                unsafe { block.flush(pot, rho, records) };
+            steps += n.div_ceil(LANES);
+            pot.pair_density_batch(&r.as_flattened()[..n], &mut out[..n]);
+            let recs = unsafe { records.slice_mut(c, c + n) };
+            let evaluated = out.iter().zip(live.as_flattened());
+            for ((&j, rec), (&[_, dphi, f, df], &mask)) in ids.iter().zip(recs).zip(evaluated) {
+                *rec = PairRecord { dphi, df };
+                let f = masked(f, mask);
+                acc += f;
+                unsafe { *rho.get_mut(j as usize) += f };
             }
         }
-    });
-    // SAFETY: as above.
-    unsafe { block.flush(pot, rho, records) };
-    block.quads
+        unsafe { *rho.get_mut(i) = acc };
+    }
+    steps
 }
 
-/// Phase 3 for one task of a row-owning sweep: recomputes each stored
-/// pair's displacement, `r²` and `r` from the positions with the density
-/// sweep's IEEE operations, skips `r² ≥ rc²` (NaN flows through), reads φ′
-/// and f′ from the pair's record, and scatters
-/// `s = φ′ + (F′(ρ_i) + F′(ρ_j))·f′` as `±s·d/r`. `forces[i]` stays in a
-/// register for the whole row, as `rho[i]` does in [`DensityBlock::flush`].
+/// Phase 3 for one task of a row-owning sweep, on the lane leg
+/// [`md_potential::simd_active`] picks, through [`force_rows_in`].
 ///
 /// # Safety
 /// While this runs, no other thread may access `forces` at `rows` or at
 /// their stored neighbors — what `run_tasks` guarantees each task.
-#[allow(clippy::too_many_arguments)]
 unsafe fn force_rows(
     rows: TaskRows<'_>,
     half: &Csr,
-    sim_box: &SimBox,
-    pos: &[Vec3],
-    rc2: f64,
+    geo: &Geometry<'_>,
+    fp: &[f64],
+    records: &[PairRecord],
+    forces: &SharedSlice<'_, Vec3>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if md_potential::simd_active() {
+        // SAFETY: `simd_active` found AVX2; the rest is the caller's.
+        return unsafe { force_rows_avx2(rows, half, geo, fp, records, forces) };
+    }
+    // SAFETY: the caller's contract.
+    unsafe { force_rows_in(Scalar, rows, half, geo, fp, records, forces) }
+}
+
+/// [`force_rows_in`] compiled for AVX2, on the [`lanes::Avx2`] leg.
+///
+/// # Safety
+/// As for [`force_rows`], on a CPU with AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn force_rows_avx2(
+    rows: TaskRows<'_>,
+    half: &Csr,
+    geo: &Geometry<'_>,
+    fp: &[f64],
+    records: &[PairRecord],
+    forces: &SharedSlice<'_, Vec3>,
+) {
+    // SAFETY: the caller's contract, AVX2 included.
+    unsafe { force_rows_in(lanes::Avx2, rows, half, geo, fp, records, forces) }
+}
+
+/// The force row kernel: walks the task's rows and each row's stored pairs
+/// [`LANES`] at a time through `lanes`, which recompute `d`, `r²` and `r`
+/// with the density lanes' operations (so both sweeps agree on every skip),
+/// gather `F′(ρ_j)`, read φ′ and f′ from the pairs' records and form
+/// `d·(−s/r)` with `s = φ′ + (F′(ρ_i) + F′(ρ_j))·f′`, exactly `+0.0` on a
+/// skin lane. The terms are scattered as `forces[i] += t`,
+/// `forces[j] += −t` in pair order, with `forces[i]` in a register for the
+/// whole row as `rho[i]` is in [`density_rows_in`] — and, as there, a skin
+/// lane's `+0.0` (and `−0.0` on the `j` side) changes no bit, since
+/// `forces` is zero-filled before the sweep.
+///
+/// # Safety
+/// As for [`force_rows`]; an [`lanes::Avx2`] leg needs AVX2.
+#[inline(always)]
+unsafe fn force_rows_in<L: PairLanes>(
+    lanes: L,
+    rows: TaskRows<'_>,
+    half: &Csr,
+    geo: &Geometry<'_>,
     fp: &[f64],
     records: &[PairRecord],
     forces: &SharedSlice<'_, Vec3>,
 ) {
     let offsets = half.offsets();
     let indices = half.indices();
-    rows.for_each(|i| {
+    let pos = geo.pos();
+    assert_eq!(fp.len(), pos.len(), "one F′ per atom");
+    let mut t = [[0.0; LANES]; 3];
+    for i in rows {
         let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
-        if lo == hi {
-            return;
-        }
         let (pi, fpi) = (pos[i], fp[i]);
         // SAFETY (all three blocks): `forces` at `i` and at its neighbors
         // is this task's own (the caller's contract).
         let mut acc = unsafe { *forces.get_mut(i) };
-        for (&j, rec) in indices[lo..hi].iter().zip(&records[lo..hi]) {
-            let j = j as usize;
-            let d = sim_box.min_image(pi, pos[j]);
-            let r2 = d.norm_sq();
-            if r2 >= rc2 {
-                continue;
+        for (ids, recs) in indices[lo..hi]
+            .chunks(LANES)
+            .zip(records[lo..hi].chunks(LANES))
+        {
+            // SAFETY: one to LANES ids, one record each, `fp` per atom
+            // (asserted); AVX2 is the caller's.
+            unsafe { lanes.forces(geo, pi, fpi, fp, ids, recs, &mut t) };
+            for (l, &j) in ids.iter().enumerate() {
+                let f = Vec3::new(t[0][l], t[1][l], t[2][l]);
+                acc += f;
+                unsafe { *forces.get_mut(j as usize) += -f };
             }
-            let r = r2.sqrt();
-            let scalar = rec.dphi + (fpi + fp[j]) * rec.df;
-            // F_i = −dE/dr · r̂, r̂ = (r_i − r_j)/r; Newton gives −F to j.
-            let f = d * (-scalar / r);
-            acc += f;
-            unsafe { *forces.get_mut(j) += -f };
         }
         unsafe { *forces.get_mut(i) = acc };
-    });
+    }
 }
 
 /// EAM phase 2 on the current pool: `fp[i] = F'(rho[i])` in contiguous
-/// [`SIMD_BATCH`]-wide lane-batched blocks. Blocks are disjoint and the
+/// [`CHUNK`]-wide lane-batched blocks. Blocks are disjoint and the
 /// batched evaluator is bit-exact against the scalar one, so neither the
 /// split nor the thread count can be observed in `fp`.
 fn embedding_phase<P: EamPotential + ?Sized>(pot: &P, rho: &[f64], fp: &mut [f64]) {
-    pool::for_each_chunk_mut(fp, SIMD_BATCH, |b, fp| {
-        pot.embedding_deriv_batch(&rho[b * SIMD_BATCH..][..fp.len()], fp);
+    pool::for_each_chunk_mut(fp, CHUNK, |b, fp| {
+        pot.embedding_deriv_batch(&rho[b * CHUNK..][..fp.len()], fp);
     });
 }
 
@@ -267,11 +274,12 @@ impl ForceEngine {
     /// interleaved coefficients for tabulated potentials).
     ///
     /// Row-owning strategies ([`sdc_core::StrategyKind::owns_rows`]) run
-    /// [`density_rows`] over whole task rows: lane blocks across row
-    /// boundaries through the batched evaluators (AVX2 when the CPU has it,
-    /// a per-lane loop otherwise — same bits either way), and one 16-byte
-    /// [`PairRecord`] per stored pair for [`ForceEngine::eam_force_phase`].
-    /// The baseline strategies keep a per-pair kernel and no records.
+    /// [`density_rows`] over whole task rows: pair geometry in lanes and
+    /// each row chunk through the batched evaluators (AVX2 when the CPU has
+    /// it, per-pair scalar code otherwise — same bits either way), and one
+    /// 16-byte [`PairRecord`] per stored pair for
+    /// [`ForceEngine::eam_force_phase`]. The baseline strategies keep a
+    /// per-pair kernel and no records.
     pub(crate) fn eam_density_phase<P: EamPotential + ?Sized>(
         &mut self,
         system: &mut System,
@@ -292,7 +300,7 @@ impl ForceEngine {
         } else {
             scratch = Vec::new();
         }
-        let quads = AtomicUsize::new(0);
+        let steps = AtomicUsize::new(0);
         {
             let exec = self.exec();
             let ctx = self.ctx();
@@ -304,11 +312,12 @@ impl ForceEngine {
                 rho.fill(0.0);
                 if owns_rows {
                     let records = SharedSlice::new(&mut scratch);
+                    let geo = Geometry::new(sim_box, pos, rc2);
                     // SAFETY: `run_tasks` gives each task its rows' slots and
                     // footprint to itself.
                     let task = |rows: TaskRows<'_>, rho: &SharedSlice<'_, f64>| unsafe {
-                        let q = density_rows(rows, half, sim_box, pos, rc2, pot, rho, &records);
-                        quads.fetch_add(q, Ordering::Relaxed);
+                        let n = density_rows(rows, half, &geo, pot, rho, &records);
+                        steps.fetch_add(n, Ordering::Relaxed);
                     };
                     exec.run_tasks(strategy, rho, &task);
                 } else {
@@ -330,9 +339,9 @@ impl ForceEngine {
         }
         *self.scratch_mut() = scratch;
         *self.timers_mut() = timers;
-        // Each task's blocks are full but its last, so this is
-        // entries / (4 · Σ_tasks ⌈pairs_t / 4⌉).
-        *self.lane_occupancy_mut() = owns_rows.then(|| match quads.into_inner() {
+        // Each row chunk's lane steps are full but its last, so this is
+        // entries / (4 · Σ_chunks ⌈pairs_c / 4⌉).
+        *self.lane_occupancy_mut() = owns_rows.then(|| match steps.into_inner() {
             0 => 1.0,
             q => entries as f64 / (LANES * q) as f64,
         });
@@ -370,10 +379,11 @@ impl ForceEngine {
                 let fp: &[f64] = fp;
                 if owns_rows {
                     let records: &[PairRecord] = &scratch;
+                    let geo = Geometry::new(sim_box, pos, rc2);
                     // SAFETY: `run_tasks` gives each task its footprint to
                     // itself.
                     let task = |rows: TaskRows<'_>, forces: &SharedSlice<'_, Vec3>| unsafe {
-                        force_rows(rows, half, sim_box, pos, rc2, fp, records, forces)
+                        force_rows(rows, half, &geo, fp, records, forces)
                     };
                     exec.run_tasks(strategy, forces, &task);
                 } else {

@@ -662,14 +662,16 @@ impl ForceEngine {
         }
     }
 
-    /// Fraction of AVX2 lanes that carried real pairs in the last density
-    /// sweep (the perf model's lane-efficiency term):
-    /// `entries / (4 · Σ_tasks ⌈pairs_t / 4⌉)` over the sweep's tasks, since
-    /// each task batches its pairs across row boundaries and only its last
-    /// block can run partly filled. `Some` after every EAM density sweep
-    /// under a row-owning strategy ([`StrategyKind::owns_rows`]); `None`
-    /// under the baseline strategies, for pair potentials, and after a
-    /// rebuild until the next density sweep.
+    /// Fraction of 4-wide lane steps that carried real pairs in the last
+    /// density sweep (the perf model's lane-efficiency term): real pairs
+    /// over `4 · Σ_chunks ⌈pairs_c / 4⌉`, over the row chunks the density
+    /// kernel ran (each row's stored pairs, split into chunks of at most
+    /// 64), since only a chunk's last step can run partly filled. ~0.96 on
+    /// the 65,536-atom benchmark crystal at 3000 K. `Some` after every EAM
+    /// density sweep under a row-owning strategy
+    /// ([`StrategyKind::owns_rows`]), whichever lane leg ran; `None` under
+    /// the baseline strategies, for pair potentials, and after a rebuild
+    /// until the next density sweep.
     pub fn lane_occupancy(&self) -> Option<f64> {
         self.lane_occupancy
     }

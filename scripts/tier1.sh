@@ -37,13 +37,17 @@
 #      metered mdrun of a 2-shard process-backend run, on the binary wire
 #      codec, against the unsharded engine — the physics counters must
 #      match exactly; slabbing may only change where the work runs)
-#  10. SIMD gate                  (the lane-batched EAM row kernels: the
-#      oracle battery in release so the silent `UniformSpline::locate`
-#      clamp is live, a MD_SIMD_SCALAR=1 leg so the scalar spline backend
-#      is held to the same oracle on any host, then an A/B metered mdrun of
-#      the AVX2 backend against MD_SIMD_SCALAR=1 with every physics counter
-#      matching exactly — the spline backend may only change how fast the
-#      splines evaluate, never what the physics does)
+#  10. SIMD gate                  (the EAM row kernels' two backends —
+#      the AVX2 geometry lanes, which gather, min-image and form each
+#      pair's force four pairs at a time, and the AVX2 splines, against
+#      their scalar legs: the oracle battery in release so the silent
+#      `UniformSpline::locate` clamp is live, a MD_SIMD_SCALAR=1 leg so the
+#      scalar geometry lanes and spline loop are held to the same oracle
+#      on any host, then an A/B metered tabulated mdrun of the AVX2 backend
+#      against MD_SIMD_SCALAR=1 with every physics counter matching exactly
+#      and the two final checkpoints byte-identical — the backend may only
+#      change how fast the lanes and splines evaluate, never a bit of the
+#      trajectory)
 #  11. perfbench build            (perfbench/ is a cargo workspace of its
 #      own that names engine APIs — `ForceEngine::lane_occupancy`,
 #      `ScatterExec`'s fields, `WorldSpec.{fused,simd}`, `md_shard::Codec`;
@@ -163,15 +167,18 @@ echo "    scalar spline backend leg (MD_SIMD_SCALAR=1)"
 MD_SIMD_SCALAR=1 cargo test -q --test simd_conformance
 scl="$(mktemp /tmp/tier1_scalar.XXXXXX.json)"
 smd="$(mktemp /tmp/tier1_simd.XXXXXX.json)"
+scl_ckpt="$(mktemp /tmp/tier1_scalar.XXXXXX.ckpt)"
+smd_ckpt="$(mktemp /tmp/tier1_simd.XXXXXX.ckpt)"
 MD_SIMD_SCALAR=1 cargo run -q -p sdc-bench --release --bin mdrun -- \
-  --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 \
-  --metrics-out "$scl" > /dev/null
+  --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 --tabulated \
+  --metrics-out "$scl" --checkpoint "$scl_ckpt" > /dev/null
 cargo run -q -p sdc-bench --release --bin mdrun -- \
-  --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 \
-  --metrics-out "$smd" > /dev/null
+  --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 --tabulated \
+  --metrics-out "$smd" --checkpoint "$smd_ckpt" > /dev/null
 cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   "$scl" "$smd" --ab --tol 1.0 --time-tol 50
-rm -f "$scl" "$smd"
+cmp "$scl_ckpt" "$smd_ckpt"
+rm -f "$scl" "$smd" "$scl_ckpt" "$smd_ckpt"
 
 echo "==> [11/11] perfbench build (the benchmark workspace against this tree)"
 lock_backup="$(mktemp /tmp/tier1_perfbench_lock.XXXXXX)"

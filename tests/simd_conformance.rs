@@ -1,14 +1,15 @@
-//! Conformance battery for the EAM row kernels and their SIMD lane blocks.
+//! Conformance battery for the EAM row kernels and their SIMD lanes.
 //!
 //! The determinism contract under test: the row kernels of the row-owning
 //! strategies (Serial, SDC, task graph) give rho, fp and forces **bit for
 //! bit** equal to the per-pair oracle of `common::reference_eam`, which
 //! replays each strategy's summation order with the potential's separate
 //! scalar calls. It holds at every step, at every thread count, on both
-//! potential backends, on uniform and carved-void crystals, and in both
-//! build profiles; tier-1's SIMD gate runs this file in release and again
-//! with `MD_SIMD_SCALAR=1`, so both spline backends are held to the same
-//! oracle on any host. Physics-level nets: central-difference force
+//! potential backends, on uniform, carved-void, open-axis and compressed
+//! crystals, and in both build profiles; tier-1's SIMD gate runs this file
+//! in release and again with `MD_SIMD_SCALAR=1`, so both backends — the
+//! AVX2 geometry lanes and splines, and their scalar legs — are held to
+//! the same oracle on any host. Physics-level nets: central-difference force
 //! consistency, NaN positions poisoning the same atoms as in the oracle,
 //! and the out-of-table density guard surfacing through the watchdog as
 //! the structured root cause.
@@ -137,40 +138,117 @@ fn crystals() -> [(&'static str, System); 2] {
     [("rattled", rattled), ("void", void_system(9))]
 }
 
-/// The tentpole contract: the row kernels — batched across row boundaries
-/// in lane blocks, 16-byte φ′/f′ records, `d` and `r` recomputed in the
-/// force sweep — leave rho, fp and forces bit for bit equal to the oracle
-/// at the start and after each of two velocity-Verlet steps from 320 K,
-/// for every row-owning strategy, thread count and potential backend, on
-/// uniform and non-uniform crystals.
-#[test]
-fn row_kernels_match_the_reference_path_bit_for_bit() {
-    for (crystal, system) in crystals() {
-        for tabulated in [false, true] {
-            let pot = eam(tabulated);
-            for strategy in ROW_OWNING {
-                for threads in [1, 2, 4] {
-                    let mut sim = Simulation::from_system(system.clone())
-                        .potential_choice(pot.clone())
-                        .strategy(strategy)
-                        .threads(threads)
-                        .temperature(320.0)
-                        .seed(7)
-                        .build()
-                        .expect("buildable configuration");
-                    for step in 0..=2 {
-                        if step > 0 {
-                            sim.run(1);
-                        }
-                        let what =
-                            format!("{crystal} tab={tabulated} {strategy} t={threads} step {step}");
-                        assert_eq!(sim.engine().strategy(), strategy, "{what}: strategy");
-                        assert_matches_oracle(sim.system(), sim.engine(), &pot, &what);
+/// Runs `system` under each of `strategies` the decomposition accepts (a
+/// plan the box cannot hold downgrades the engine, and that run is
+/// skipped), at 1, 2 and 4 threads and on both potential backends, and
+/// asserts rho, fp and forces bit for bit equal to the oracle at the start
+/// and after each of two velocity-Verlet steps from 320 K. Returns the
+/// strategies that ran in every configuration.
+fn assert_row_kernels_match_oracle(
+    crystal: &str,
+    system: &System,
+    strategies: &[StrategyKind],
+) -> Vec<StrategyKind> {
+    let mut skipped = Vec::new();
+    for tabulated in [false, true] {
+        let pot = eam(tabulated);
+        for &strategy in strategies {
+            for threads in [1, 2, 4] {
+                let mut sim = Simulation::from_system(system.clone())
+                    .potential_choice(pot.clone())
+                    .strategy(strategy)
+                    .threads(threads)
+                    .temperature(320.0)
+                    .seed(7)
+                    .build()
+                    .expect("buildable configuration");
+                if sim.engine().strategy() != strategy {
+                    skipped.push(strategy);
+                    continue;
+                }
+                for step in 0..=2 {
+                    if step > 0 {
+                        sim.run(1);
                     }
+                    let what =
+                        format!("{crystal} tab={tabulated} {strategy} t={threads} step {step}");
+                    assert_matches_oracle(sim.system(), sim.engine(), &pot, &what);
                 }
             }
         }
     }
+    strategies
+        .iter()
+        .copied()
+        .filter(|s| !skipped.contains(s))
+        .collect()
+}
+
+/// The central contract: the row kernels — pair geometry in lanes, row
+/// chunks through the batched splines, 16-byte φ′/f′ records, `d` and `r`
+/// recomputed in the force lanes — leave rho, fp and forces bit for bit
+/// equal to the oracle at the start and after each of two velocity-Verlet
+/// steps from 320 K, for every row-owning strategy, thread count and
+/// potential backend, on uniform and non-uniform crystals.
+#[test]
+fn row_kernels_match_the_reference_path_bit_for_bit() {
+    for (crystal, system) in crystals() {
+        let ran = assert_row_kernels_match_oracle(crystal, &system, &ROW_OWNING);
+        assert_eq!(ran, ROW_OWNING, "{crystal}: every row-owning strategy runs");
+    }
+}
+
+/// A slab: 10 × 10 × 3 bcc cells, periodic in x and y, open in z. The slab
+/// is thinner than twice the cutoff, so pairs inside the cutoff straddle
+/// `L/2` on the open axis, where the lane min-image must not fire, and every
+/// atom sits within reach of both open faces. Held to the oracle under
+/// Serial and every plan-backed strategy the decomposition accepts (a 3-D
+/// plan cannot split the 3-cell open axis).
+#[test]
+fn slab_with_an_open_axis_matches_the_oracle() {
+    let spec = LatticeSpec::new(Lattice::Bcc, LatticeSpec::bcc_fe(1).a, [10, 10, 3]);
+    let (bx, pos) = spec.build();
+    let bx = SimBox::with_periodicity(bx.lengths(), [true, true, false]);
+    let rc = AnalyticEam::fe().cutoff();
+    assert!(
+        bx.lengths().z < 2.0 * rc,
+        "live pairs straddle L/2 on the open axis"
+    );
+    let slab = System::new(bx, pos, sdc_md::sim::units::FE_MASS);
+    let ran = assert_row_kernels_match_oracle("slab", &slab, &ROW_OWNING);
+    assert!(
+        ran.len() >= 5 && ran.iter().filter(|s| s.plan_dims().is_some()).count() >= 4,
+        "Serial and the 1-D and 2-D plans run on the slab: {ran:?}"
+    );
+}
+
+/// Lane chunk of the density kernel (`CHUNK` in md-sim's `forces::eam`):
+/// a longer row is split into chunks, its `rho[i]` carried across.
+const ROW_CHUNK: usize = 64;
+
+/// A 10³-cell crystal compressed to 0.9 of its edge, so many half-list
+/// rows are longer than the density kernel's chunk: the kernel splits them
+/// inside the row, and their lengths cover every tail length mod 4.
+/// Held to the oracle under every row-owning strategy.
+#[test]
+fn compressed_crystal_with_rows_longer_than_a_chunk_matches_the_oracle() {
+    let mut system = System::from_lattice(LatticeSpec::bcc_fe(10), sdc_md::sim::units::FE_MASS);
+    system.deform(Vec3::splat(0.9));
+    rattle(&mut system, 0.03);
+    let probe = ForceEngine::new(&system, eam(false), StrategyKind::Serial, 1, 0.3).unwrap();
+    let csr = probe.neighbor_list().csr();
+    let mut tails = [0usize; 4];
+    for i in 0..csr.rows() {
+        if csr.row_len(i) > ROW_CHUNK {
+            tails[csr.row_len(i) % 4] += 1;
+        }
+    }
+    assert!(
+        tails.iter().all(|&t| t > 0),
+        "rows split across chunks, with every tail length mod 4: {tails:?}"
+    );
+    let ran = assert_row_kernels_match_oracle("compressed", &system, &ROW_OWNING);
+    assert_eq!(ran, ROW_OWNING, "every row-owning strategy runs");
 }
 
 /// A NaN position must poison exactly the atoms it poisons in the oracle:
