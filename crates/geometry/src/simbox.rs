@@ -83,11 +83,18 @@ impl SimBox {
 
     /// Wraps a position into the primary image `[0, L)` along each periodic
     /// axis. Non-periodic axes are left untouched.
+    ///
+    /// A coordinate already in `[0, L)`, as nearly every one is at every
+    /// step, is kept without the `fmod` behind `rem_euclid`. That gives the
+    /// same bits as the `rem_euclid` path: on `[0, L)` it returns `x`
+    /// exactly, and `−0.0`, which passes `0.0 <= x`, stays `−0.0` on both
+    /// paths. Every other value, `±∞` and NaN included, still takes the
+    /// `rem_euclid` path.
     #[inline]
     pub fn wrap(&self, mut p: Vec3) -> Vec3 {
         for d in 0..3 {
-            if self.periodic[d] {
-                let l = self.lengths[d];
+            let l = self.lengths[d];
+            if self.periodic[d] && !(0.0 <= p[d] && p[d] < l) {
                 // `rem_euclid` is exact for the common "one box over" case and
                 // robust for arbitrarily distant images.
                 p[d] = p[d].rem_euclid(l);
@@ -210,6 +217,53 @@ mod tests {
         let b = SimBox::cubic(10.0);
         assert_eq!(b.wrap(Vec3::new(11.0, -1.0, 25.0)), Vec3::new(1.0, 9.0, 5.0));
         assert_eq!(b.wrap(Vec3::new(0.0, 10.0, 9.999)), Vec3::new(0.0, 0.0, 9.999));
+    }
+
+    #[test]
+    fn wrap_gives_the_bits_of_rem_euclid_and_the_fold() {
+        // `wrap` as it was: `rem_euclid` on every periodic coordinate, then
+        // the fold of an exact `L` back to 0.
+        fn reference(x: f64, l: f64, periodic: bool) -> f64 {
+            if !periodic {
+                return x;
+            }
+            let r = x.rem_euclid(l);
+            if r >= l {
+                0.0
+            } else {
+                r
+            }
+        }
+        let l = 28.665_f64;
+        let xs = [
+            0.0,
+            -0.0,
+            l.next_down(),
+            l,
+            -f64::from_bits(1),
+            -1e-18,
+            0.5 * l,
+            -0.5 * l,
+            2.5 * l,
+            -2.5 * l,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for periodic in [[true, false, true], [false, true, false]] {
+            let b = SimBox::with_periodicity(Vec3::new(l, l, l), periodic);
+            for &x in &xs {
+                let got = b.wrap(Vec3::splat(x));
+                for d in 0..3 {
+                    assert_eq!(
+                        got[d].to_bits(),
+                        reference(x, l, periodic[d]).to_bits(),
+                        "x = {x:e} on a {} axis",
+                        if periodic[d] { "periodic" } else { "open" }
+                    );
+                }
+            }
+        }
     }
 
     #[test]

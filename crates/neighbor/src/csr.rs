@@ -3,23 +3,32 @@
 //! The paper's serial code (its Figs. 1–2) walks neighbor lists through two
 //! *irregular* arrays, `neighindex[i]` (start of atom `i`'s neighbors) and
 //! `neighlen[i]` (their count). Its §II.D.2 optimization replaces them with
-//! "regular arrays" so that accesses become sequential — which is precisely
-//! the CSR layout implemented here: one `offsets` array of length `n + 1`
-//! (monotone, so `offsets[i+1] - offsets[i]` *is* `neighlen[i]`) plus one
-//! contiguous `indices` array.
+//! "regular arrays" so that accesses become sequential. Here row `i` is the
+//! *window* `indices[start[i] .. end[i]]` of one contiguous `indices`
+//! array. The windows tile `indices` without gap or overlap, in an order the
+//! builder chooses: row order (`start[i + 1] == end[i]`, the classic
+//! `offsets` array) unless a list builder lays the rows out in the order a
+//! sweep visits them, so that each sweep task reads one contiguous run.
 
 use md_base::pool::{self, SharedSlice};
+use std::ops::Range;
 
 /// Below this many elements a parallel build is all overhead; the parallel
 /// entry points fall back to their serial twins (which produce identical
 /// bytes, so the cutover is invisible to callers).
 pub(crate) const PAR_MIN_CHUNK: usize = 1024;
 
-/// CSR adjacency: `indices[offsets[i] .. offsets[i+1]]` are the neighbors of
-/// row `i`.
+/// CSR adjacency: `indices[start[i] .. end[i]]` are the neighbors of row
+/// `i`.
+///
+/// The windows tile `0..entries()` with no gap or overlap, so scratch
+/// addressed by slot is private to its row. Every public constructor lays
+/// them out in row order; the list builder may lay them out in any order of
+/// the rows. Equality compares the layout too.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
-    offsets: Vec<u32>,
+    start: Vec<u32>,
+    end: Vec<u32>,
     indices: Vec<u32>,
 }
 
@@ -27,9 +36,70 @@ impl Csr {
     /// An empty CSR with `rows` empty rows.
     pub fn empty(rows: usize) -> Csr {
         Csr {
-            offsets: vec![0; rows + 1],
+            start: vec![0; rows],
+            end: vec![0; rows],
             indices: Vec::new(),
         }
+    }
+
+    /// The row-order CSR of `offsets` (row `i` is
+    /// `offsets[i]..offsets[i + 1]`, monotone by construction).
+    fn in_row_order(offsets: &[u32], indices: Vec<u32>) -> Csr {
+        Csr {
+            start: offsets[..offsets.len() - 1].to_vec(),
+            end: offsets[1..].to_vec(),
+            indices,
+        }
+    }
+
+    /// A CSR whose row `i` holds `lens[i]` zeros, with the windows laid out
+    /// back to back in `order` (row order when `None`): the first row of
+    /// `order` starts at 0 and each next one where the previous one ends.
+    /// The list builder then fills the rows in place through
+    /// [`Csr::rows_mut`].
+    ///
+    /// # Panics
+    /// Panics unless `order` is a permutation of `0..lens.len()`, or if the
+    /// entry count overflows `u32`.
+    pub(crate) fn with_row_lens(lens: Vec<u32>, order: Option<&[u32]>) -> Csr {
+        let n = lens.len();
+        let mut start = vec![0u32; n];
+        let mut end = lens;
+        let mut total = 0u32;
+        let mut lay = |i: usize| {
+            start[i] = total;
+            total = total
+                .checked_add(end[i])
+                .expect("CSR entry count overflows u32");
+            end[i] = total;
+        };
+        match order {
+            None => (0..n).for_each(lay),
+            Some(order) => {
+                assert_eq!(order.len(), n, "a layout order lists every row once");
+                let mut seen = vec![false; n];
+                for &i in order {
+                    let i = i as usize;
+                    assert!(
+                        i < n && !std::mem::replace(&mut seen[i], true),
+                        "a layout order is a permutation of the rows"
+                    );
+                    lay(i);
+                }
+            }
+        }
+        Csr {
+            start,
+            end,
+            indices: vec![0; total as usize],
+        }
+    }
+
+    /// The window bounds and the indices, for filling the rows of a
+    /// [`Csr::with_row_lens`] in place: row `i` is
+    /// `indices[start[i]..end[i]]`.
+    pub(crate) fn rows_mut(&mut self) -> (&[u32], &[u32], &mut [u32]) {
+        (&self.start, &self.end, &mut self.indices)
     }
 
     /// Builds a CSR from per-row neighbor vectors.
@@ -47,7 +117,7 @@ impl Csr {
         for r in rows {
             indices.extend_from_slice(r);
         }
-        Csr { offsets, indices }
+        Csr::in_row_order(&offsets, indices)
     }
 
     /// Groups the value `i` under row `keys[i]` for every `i`: the CSR whose
@@ -73,7 +143,7 @@ impl Csr {
             indices[at as usize] = i as u32;
             cursor[k as usize] += 1;
         }
-        Csr { offsets, indices }
+        Csr::in_row_order(&offsets, indices)
     }
 
     /// Parallel [`Csr::group_by_key`], bitwise-identical to the serial form
@@ -137,10 +207,11 @@ impl Csr {
                 unsafe { *slots.get_mut(at as usize) = (base + i) as u32 };
             }
         });
-        Csr { offsets, indices }
+        Csr::in_row_order(&offsets, indices)
     }
 
-    /// Assembles a CSR directly from raw parts.
+    /// Assembles a row-order CSR directly from raw parts: row `i` is
+    /// `indices[offsets[i]..offsets[i + 1]]`.
     ///
     /// # Panics
     /// Panics unless `offsets` is non-empty, monotone non-decreasing, starts
@@ -157,13 +228,13 @@ impl Csr {
             indices.len(),
             "last offset must equal indices length"
         );
-        Csr { offsets, indices }
+        Csr::in_row_order(&offsets, indices)
     }
 
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
-        self.offsets.len() - 1
+        self.start.len()
     }
 
     /// Total number of stored entries.
@@ -175,22 +246,35 @@ impl Csr {
     /// The neighbors of row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> &[u32] {
-        &self.indices[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        &self.indices[self.window(i)]
     }
 
     /// Length of row `i` (the paper's `neighlen[i]`).
     #[inline]
     pub fn row_len(&self, i: usize) -> usize {
-        (self.offsets[i + 1] - self.offsets[i]) as usize
+        (self.end[i] - self.start[i]) as usize
     }
 
-    /// The raw offsets array (the paper's regularized `neighindex[]`).
+    /// Where row `i` sits in [`Csr::indices`]: its CSR slots, which also
+    /// address any per-entry scratch kept alongside the list.
     #[inline]
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
+    pub fn window(&self, i: usize) -> Range<usize> {
+        self.start[i] as usize..self.end[i] as usize
     }
 
-    /// The raw indices array (the paper's `neighlist[]`).
+    /// The raw window starts, one per row (the paper's `neighindex[]`).
+    #[inline]
+    pub fn starts(&self) -> &[u32] {
+        &self.start
+    }
+
+    /// The raw window ends, one per row.
+    #[inline]
+    pub fn ends(&self) -> &[u32] {
+        &self.end
+    }
+
+    /// The raw indices array (the paper's `neighlist[]`), in layout order.
     #[inline]
     pub fn indices(&self) -> &[u32] {
         &self.indices
@@ -226,7 +310,7 @@ impl Csr {
                 cursor[j as usize] += 1;
             }
         }
-        Csr { offsets, indices }
+        Csr::in_row_order(&offsets, indices)
     }
 
     /// The full (symmetric) adjacency of a half one: `self` united with its
@@ -237,7 +321,7 @@ impl Csr {
     /// `i` is then the mirror row — the ids below `i`, ascending because
     /// [`Csr::mirrored`] visits rows in order — followed by the half row,
     /// so both are copied straight into place and the result's rows are
-    /// ascending.
+    /// ascending. The result is in row order, whatever `self`'s layout.
     pub fn symmetrized(&self) -> Csr {
         debug_assert!(
             self.iter_rows()
@@ -246,25 +330,22 @@ impl Csr {
             "symmetrized needs a strictly upper-triangular CSR with ascending rows"
         );
         let mirror = self.mirrored();
-        let offsets: Vec<u32> = self
-            .offsets
-            .iter()
-            .zip(&mirror.offsets)
-            .map(|(&a, &b)| a.checked_add(b).expect("CSR entry count overflows u32"))
-            .collect();
+        let mut offsets = Vec::with_capacity(self.rows() + 1);
         let mut indices = Vec::with_capacity(2 * self.entries());
+        offsets.push(0);
         for i in 0..self.rows() {
             indices.extend_from_slice(mirror.row(i));
             indices.extend_from_slice(self.row(i));
+            offsets.push(u32::try_from(indices.len()).expect("CSR entry count overflows u32"));
         }
-        Csr { offsets, indices }
+        Csr::in_row_order(&offsets, indices)
     }
 
     /// Heap bytes used by the structure (for memory-overhead reporting; the
     /// paper motivates SDC partly by EAM's memory pressure).
     pub fn heap_bytes(&self) -> usize {
-        self.offsets.capacity() * std::mem::size_of::<u32>()
-            + self.indices.capacity() * std::mem::size_of::<u32>()
+        (self.start.capacity() + self.end.capacity() + self.indices.capacity())
+            * std::mem::size_of::<u32>()
     }
 }
 
@@ -377,9 +458,63 @@ mod tests {
         assert_eq!(collected[3], (3, vec![0]));
     }
 
+    /// `rows` laid out in `order`, filled in place as the list builder
+    /// fills them.
+    fn laid_out(rows: &[Vec<u32>], order: &[u32]) -> Csr {
+        let lens = rows.iter().map(|r| r.len() as u32).collect();
+        let mut c = Csr::with_row_lens(lens, Some(order));
+        let (start, end, indices) = c.rows_mut();
+        for (i, r) in rows.iter().enumerate() {
+            indices[start[i] as usize..end[i] as usize].copy_from_slice(r);
+        }
+        c
+    }
+
     #[test]
-    fn heap_bytes_counts_both_arrays() {
+    fn laid_out_rows_read_as_in_row_order() {
+        // A half list: strictly upper triangular, ascending rows.
+        let rows = vec![vec![1, 2, 4], vec![2], vec![3, 4], vec![], vec![]];
+        let in_order = Csr::from_rows(&rows);
+        for order in [
+            vec![0, 1, 2, 3, 4],
+            vec![4, 3, 2, 1, 0],
+            vec![2, 0, 4, 1, 3],
+        ] {
+            let c = laid_out(&rows, &order);
+            assert_eq!(c.rows(), in_order.rows());
+            assert_eq!(c.entries(), in_order.entries());
+            for i in 0..c.rows() {
+                assert_eq!(c.row(i), in_order.row(i), "{order:?}: row {i}");
+                assert_eq!(c.row_len(i), in_order.row_len(i), "{order:?}: row {i}");
+            }
+            assert!(c.iter_rows().eq(in_order.iter_rows()), "{order:?}");
+            assert_eq!(c.mirrored(), in_order.mirrored(), "{order:?}");
+            assert_eq!(c.symmetrized(), in_order.symmetrized(), "{order:?}");
+            // The windows run back to back in `order`, from 0 to the end.
+            let mut at = 0;
+            for &i in &order {
+                assert_eq!(c.window(i as usize).start, at, "{order:?}: row {i}");
+                at = c.window(i as usize).end;
+            }
+            assert_eq!(at, c.entries());
+        }
+        // Laid out in row order, the bytes are the row-order constructor's.
+        assert_eq!(laid_out(&rows, &[0, 1, 2, 3, 4]), in_order);
+        assert_eq!(
+            Csr::with_row_lens(vec![3, 1, 2, 0, 0], None).starts(),
+            in_order.starts()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation")]
+    fn layout_order_must_be_a_permutation() {
+        let _ = Csr::with_row_lens(vec![1, 1, 1], Some(&[0, 2, 0]));
+    }
+
+    #[test]
+    fn heap_bytes_counts_every_array() {
         let c = sample();
-        assert!(c.heap_bytes() >= (c.offsets().len() + c.indices().len()) * 4);
+        assert!(c.heap_bytes() >= (2 * c.rows() + c.entries()) * 4);
     }
 }

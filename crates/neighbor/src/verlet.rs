@@ -130,13 +130,59 @@ impl NeighborList {
     /// if an open box edge is shorter than the binning cell,
     /// `(cutoff + skin) · (1 + 1e-9)`.
     pub fn build(sim_box: &SimBox, positions: &[Vec3], config: VerletConfig) -> NeighborList {
+        NeighborList::build_in(sim_box, positions, config, None)
+    }
+
+    /// [`NeighborList::build`]'s half list with its rows laid out in
+    /// `order`: row `order[0]` fills the first slots of the CSR, and each
+    /// next row starts where the previous one ends. A sweep that visits the
+    /// rows in `order` then reads the neighbour ids, and any per-slot
+    /// scratch, front to back. Each row holds the bytes [`NeighborList::build`]
+    /// gives it; only where it sits changes ([`Csr::window`]).
+    ///
+    /// # Panics
+    /// As [`NeighborList::build`]; also unless `config` is a half list and
+    /// `order` a permutation of `0..positions.len()`.
+    pub fn build_laid_out(
+        sim_box: &SimBox,
+        positions: &[Vec3],
+        config: VerletConfig,
+        order: &[u32],
+    ) -> NeighborList {
+        assert_eq!(
+            config.kind,
+            NeighborListKind::Half,
+            "only a half list is laid out"
+        );
+        NeighborList::build_in(sim_box, positions, config, Some(order))
+    }
+
+    /// This half list with its rows laid out in `order`: the builder of
+    /// [`NeighborList::build_laid_out`] run again on the positions this list
+    /// was built from, so every row keeps its bytes and the rebuild check
+    /// its reference. `sim_box` must be the box it was built in.
+    ///
+    /// # Panics
+    /// As [`NeighborList::build_laid_out`].
+    pub fn laid_out(&self, sim_box: &SimBox, order: &[u32]) -> NeighborList {
+        NeighborList::build_laid_out(sim_box, &self.ref_positions, self.config, order)
+    }
+
+    /// [`NeighborList::build`] with the half rows laid out in `order`, in
+    /// atom order when `None`.
+    fn build_in(
+        sim_box: &SimBox,
+        positions: &[Vec3],
+        config: VerletConfig,
+        order: Option<&[u32]>,
+    ) -> NeighborList {
         config.validate();
         sim_box
             .validate_cutoff(config.reach())
             .expect("box too small for cutoff + skin");
         NeighborList::from_half(
             config,
-            half_rows(sim_box, positions, config.reach()),
+            half_rows(sim_box, positions, config.reach(), order),
             positions,
         )
     }
@@ -280,9 +326,9 @@ const BIN_MARGIN: f64 = 1.0 + 1e-9;
 
 /// Cells listed in cell order, with the positions copied alongside: slot
 /// `p` holds atom `ids[p]` at `(x[p], y[p], z[p])`, and cell `c` fills slots
-/// `start[c]..start[c + 1]` with ascending ids.
+/// `cells.window(c)` with ascending ids.
 struct CellOrder<'g> {
-    start: &'g [u32],
+    cells: &'g Csr,
     ids: &'g [u32],
     x: Vec<f64>,
     y: Vec<f64>,
@@ -290,8 +336,10 @@ struct CellOrder<'g> {
 }
 
 impl CellOrder<'_> {
+    /// The slots of the non-empty run of cells `cells`: the cell CSR is in
+    /// row order, so they span the first cell's window to the last one's.
     fn slots(&self, cells: Range<usize>) -> Range<usize> {
-        self.start[cells.start] as usize..self.start[cells.end] as usize
+        self.cells.window(cells.start).start..self.cells.window(cells.end - 1).end
     }
 }
 
@@ -388,16 +436,18 @@ fn block_count(atoms: usize, n_cells: usize, workers: usize) -> usize {
 ///   it is rejected under monotone rounding, as it is by the brute force.
 ///   With `L ≥ 2·reach` at most one image of `j` is accepted.
 ///
-/// Rows are sorted and cell blocks spread over the workers; the offsets
-/// are the prefix sum of the row lengths in atom order, so neither the
-/// schedule nor the thread count can change a byte.
-fn half_rows(sim_box: &SimBox, positions: &[Vec3], reach: f64) -> Csr {
+/// Rows are sorted and cell blocks spread over the workers. The windows
+/// are the prefix sum of the row lengths taken in `layout` (atom order when
+/// `None`, see [`Csr::with_row_lens`]), and each block copies its rows into
+/// their windows, so neither the schedule nor the thread count can change a
+/// byte, and the layout moves no row byte.
+fn half_rows(sim_box: &SimBox, positions: &[Vec3], reach: f64, layout: Option<&[u32]>) -> Csr {
     let reach_sq = reach * reach;
     let grid = &CellGrid::build_parallel(sim_box, positions, reach * BIN_MARGIN);
-    let (start, ids) = (grid.cells().offsets(), grid.cells().indices());
+    let ids = grid.cells().indices();
     let coord = |d: usize| ids.iter().map(|&a| positions[a as usize][d]).collect();
     let order = &CellOrder {
-        start,
+        cells: grid.cells(),
         ids,
         x: coord(0),
         y: coord(1),
@@ -463,34 +513,22 @@ fn half_rows(sim_box: &SimBox, positions: &[Vec3], reach: f64) -> Csr {
         (rows, lens)
     });
 
-    // Offsets are the prefix sum of the row lengths in atom order (cells
-    // partition the atoms, so every atom gets exactly one length).
-    let n = positions.len();
-    let mut row_len = vec![0u32; n];
+    // Every atom's row length (cells partition the atoms, so every atom
+    // gets exactly one), then the windows laid out in `layout`.
+    let mut row_len = vec![0u32; positions.len()];
     for (b, (_, lens)) in blocks.iter().enumerate() {
         for (&a, &len) in order.ids[slots_of(b)].iter().zip(lens) {
             row_len[a as usize] = len;
         }
     }
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut total = 0u32;
-    offsets.push(0u32);
-    for len in row_len {
-        total = total
-            .checked_add(len)
-            .expect("CSR entry count overflows u32");
-        offsets.push(total);
-    }
-    let mut indices = vec![0u32; total as usize];
-    let out = SharedSlice::new(&mut indices);
+    let mut csr = Csr::with_row_lens(row_len, layout);
+    let (start, end, indices) = csr.rows_mut();
+    let out = SharedSlice::new(indices);
     pool::for_each(n_blocks, |b| {
         let rows = &blocks[b].0;
         let mut at = 0;
         for &a in &order.ids[slots_of(b)] {
-            let (lo, hi) = (
-                offsets[a as usize] as usize,
-                offsets[a as usize + 1] as usize,
-            );
+            let (lo, hi) = (start[a as usize] as usize, end[a as usize] as usize);
             // SAFETY: lo..hi is atom a's row window; the windows of
             // distinct atoms are disjoint, and every atom belongs to
             // exactly one block.
@@ -498,7 +536,7 @@ fn half_rows(sim_box: &SimBox, positions: &[Vec3], reach: f64) -> Csr {
             at += hi - lo;
         }
     });
-    Csr::from_raw(offsets, indices)
+    csr
 }
 
 #[cfg(test)]
@@ -523,16 +561,7 @@ mod tests {
     fn assert_brute_force_bytes(bx: &SimBox, pos: &[Vec3], cfg: VerletConfig, threads: usize) {
         let fast = pool::Pool::new(threads).install(|| NeighborList::build(bx, pos, cfg));
         let slow = NeighborList::build_brute_force(bx, pos, cfg);
-        assert_eq!(
-            fast.csr().offsets(),
-            slow.csr().offsets(),
-            "{cfg:?} at {threads} threads"
-        );
-        assert_eq!(
-            fast.csr().indices(),
-            slow.csr().indices(),
-            "{cfg:?} at {threads} threads"
-        );
+        assert_eq!(fast.csr(), slow.csr(), "{cfg:?} at {threads} threads");
     }
 
     #[test]
@@ -590,7 +619,7 @@ mod tests {
             .collect();
         let grid = CellGrid::build(&bx, &pos, 2.9); // 4×4×4, one atom per cell
         let order = CellOrder {
-            start: grid.cells().offsets(),
+            cells: grid.cells(),
             ids: grid.cells().indices(),
             x: vec![],
             y: vec![],

@@ -29,11 +29,12 @@ mod lanes;
 
 /// What the density sweep keeps of one stored half-list pair for the force
 /// sweep, addressed by the pair's slot (its CSR storage index
-/// `offsets[i] + k`): the radial derivatives φ′(r) and f′(r). Those are the
-/// costly part of phase 3 — a spline lookup each — so phase 1 evaluates
-/// them together with f(r) (the paper's §II.D interpolation
-/// optimization); the displacement and separation are cheaper to recompute
-/// from the positions than to store and reload. A skin pair's record is
+/// `half.window(i).start + k`, so the records follow the list's layout):
+/// the radial derivatives φ′(r) and f′(r). Those are the costly part of
+/// phase 3 — a spline lookup each — so phase 1 evaluates them together
+/// with f(r) (the paper's §II.D interpolation optimization); the
+/// displacement and separation are cheaper to recompute from the positions
+/// than to store and reload. A skin pair's record is
 /// unspecified: the force lanes mask the pair's terms to zero.
 /// `repr(C)`: the AVX2 force lanes load records as `[φ′, f′]` pairs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -120,7 +121,6 @@ unsafe fn density_rows_in<L: PairLanes, P: EamPotential + ?Sized>(
     rho: &SharedSlice<'_, f64>,
     records: &SharedSlice<'_, PairRecord>,
 ) -> usize {
-    let offsets = half.offsets();
     let indices = half.indices();
     let pos = geo.pos();
     let mut r = [[0.0; LANES]; CHUNK / LANES];
@@ -128,7 +128,8 @@ unsafe fn density_rows_in<L: PairLanes, P: EamPotential + ?Sized>(
     let mut out = [[0.0; 4]; CHUNK];
     let mut steps = 0;
     for i in rows {
-        let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
+        let slots = half.window(i);
+        let (lo, hi) = (slots.start, slots.end);
         let pi = pos[i];
         // `rho[i]` stays in a register for the whole row: a half list
         // stores only `j > i`, so no pair of row `i` writes `rho[i]`
@@ -223,13 +224,13 @@ unsafe fn force_rows_in<L: PairLanes>(
     records: &[PairRecord],
     forces: &SharedSlice<'_, Vec3>,
 ) {
-    let offsets = half.offsets();
     let indices = half.indices();
     let pos = geo.pos();
     assert_eq!(fp.len(), pos.len(), "one F′ per atom");
     let mut t = [[0.0; LANES]; 3];
     for i in rows {
-        let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
+        let slots = half.window(i);
+        let (lo, hi) = (slots.start, slots.end);
         let (pi, fpi) = (pos[i], fp[i]);
         // SAFETY (all three blocks): `forces` at `i` and at its neighbors
         // is this task's own (the caller's contract).
@@ -504,10 +505,19 @@ mod tests {
         (StrategyKind::Sdc { dims: 3 }, 2, 3000.0),
     ];
 
-    /// Min and median of a probe's samples.
-    fn min_median(mut v: Vec<f64>) -> (f64, f64) {
+    /// Equal work: serial and sdc3d, each on one thread, on the 3000 K
+    /// crystal, so the task sweep's per-thread cost shows next to serial's
+    /// on the same atoms (the benchmark's pair differs in temperature and
+    /// threads both).
+    const EQUAL_WORK_CASES: [(StrategyKind, usize, f64); 2] = [
+        (StrategyKind::Serial, 1, 3000.0),
+        (StrategyKind::Sdc { dims: 3 }, 1, 3000.0),
+    ];
+
+    /// Min, first quartile and median of a probe's samples.
+    fn min_p25_median(mut v: Vec<f64>) -> [f64; 3] {
         v.sort_by(f64::total_cmp);
-        (v[0], v[v.len() / 2])
+        [v[0], v[v.len() / 4], v[v.len() / 2]]
     }
 
     /// The probes' crystal: `cells`³-cell bcc Fe, tabulated, velocities
@@ -535,38 +545,51 @@ mod tests {
 
     /// Tuning probe (not part of the suite): per-phase wall time of the
     /// density and force phases on the benchmark crystal (32³ cells, 65,536
-    /// atoms) in both [`PROBE_CASES`]. Prints the min and median of
-    /// `PROBE_REPS` reps of each phase, in ns per atom. Much lower-noise
-    /// than timing whole runs; run it alternately on two checkouts to
-    /// compare kernels, and with `MD_SIMD_SCALAR=1` for the scalar spline
-    /// backend:
+    /// atoms) in the [`PROBE_CASES`] and the [`EQUAL_WORK_CASES`]. The
+    /// cases take turns over `ROUNDS` rounds of `REPS` reps each, so host
+    /// drift hits them alike; prints the min, first quartile and median of
+    /// each phase, in ns per atom. Much lower-noise than timing whole runs;
+    /// run it alternately on two checkouts to compare kernels, and with
+    /// `MD_SIMD_SCALAR=1` for the scalar spline backend:
     /// `cargo test -q -p md-sim --release phase_speed -- --ignored --nocapture`.
     #[test]
     #[ignore]
     fn phase_speed_probe() {
         use std::time::Instant;
-        const PROBE_REPS: usize = 15;
+        const ROUNDS: usize = 8;
+        const REPS: usize = 5;
         let simd = md_potential::simd_active();
-        for (strategy, threads, kelvin) in PROBE_CASES {
-            let (mut system, mut eng, tab) = probe_crystal(32, strategy, threads, kelvin);
-            let per_atom = 1e9 / system.len() as f64;
-            eng.compute(&mut system); // warm caches + scratch
-            let (mut density, mut force) = (Vec::new(), Vec::new());
-            for _ in 0..PROBE_REPS {
-                let t = Instant::now();
-                eng.eam_density_phase(&mut system, &*tab);
-                density.push(t.elapsed().as_secs_f64() * per_atom);
-                let t = Instant::now();
-                eng.eam_force_phase(&mut system, &*tab);
-                force.push(t.elapsed().as_secs_f64() * per_atom);
+        let mut cases: Vec<_> = PROBE_CASES
+            .iter()
+            .chain(&EQUAL_WORK_CASES)
+            .map(|&(strategy, threads, kelvin)| {
+                let (mut system, mut eng, tab) = probe_crystal(32, strategy, threads, kelvin);
+                eng.compute(&mut system); // warm caches + scratch
+                (system, eng, tab, Vec::new(), Vec::new())
+            })
+            .collect();
+        for _ in 0..ROUNDS {
+            for (system, eng, tab, density, force) in &mut cases {
+                let per_atom = 1e9 / system.len() as f64;
+                for _ in 0..REPS {
+                    let t = Instant::now();
+                    eng.eam_density_phase(system, &**tab);
+                    density.push(t.elapsed().as_secs_f64() * per_atom);
+                    let t = Instant::now();
+                    eng.eam_force_phase(system, &**tab);
+                    force.push(t.elapsed().as_secs_f64() * per_atom);
+                }
             }
+        }
+        let cases = PROBE_CASES.iter().chain(&EQUAL_WORK_CASES).zip(cases);
+        for (&(strategy, threads, kelvin), (.., density, force)) in cases {
             let both: Vec<f64> = density.iter().zip(&force).map(|(d, f)| d + f).collect();
-            let ((dmin, dmed), (fmin, fmed), (bmin, bmed)) =
-                (min_median(density), min_median(force), min_median(both));
+            let [d, f, b] = [density, force, both].map(min_p25_median);
             eprintln!(
-                "{strategy} t={threads} {kelvin} K simd={simd}: ns/atom min/median \
-                 density {dmin:.0}/{dmed:.0}  force {fmin:.0}/{fmed:.0}  \
-                 density+force {bmin:.0}/{bmed:.0}"
+                "{strategy} t={threads} {kelvin} K simd={simd}: ns/atom min/p25/median \
+                 density {:.0}/{:.0}/{:.0}  force {:.0}/{:.0}/{:.0}  \
+                 density+force {:.0}/{:.0}/{:.0}",
+                d[0], d[1], d[2], f[0], f[1], f[2], b[0], b[1], b[2]
             );
         }
     }
@@ -575,7 +598,7 @@ mod tests {
     /// [`ForceEngine::rebuild`] on the benchmark crystal in both
     /// [`PROBE_CASES`], and of `NeighborList::build` alone on the 3000 K
     /// crystal at 12³, 18³ and 32³ cells on 1 and 2 threads. Prints the
-    /// min and median of `PROBE_REPS` reps, in ms:
+    /// min, first quartile and median of `PROBE_REPS` reps, in ms:
     /// `cargo test -q -p md-sim --release rebuild_speed -- --ignored --nocapture`.
     #[test]
     #[ignore]
@@ -595,8 +618,8 @@ mod tests {
                     ms(t)
                 })
                 .collect();
-            let (min, med) = min_median(reps);
-            eprintln!("ForceEngine::rebuild {strategy} t={threads} {kelvin} K: ms min/median {min:.1}/{med:.1}");
+            let [min, p25, med] = min_p25_median(reps);
+            eprintln!("ForceEngine::rebuild {strategy} t={threads} {kelvin} K: ms min/p25/median {min:.1}/{p25:.1}/{med:.1}");
         }
         for cells in [12, 18, 32] {
             let (system, eng, _) = probe_crystal(cells, StrategyKind::Serial, 1, 3000.0);
@@ -612,9 +635,9 @@ mod tests {
                         ms(t)
                     })
                     .collect();
-                let (min, med) = min_median(reps);
+                let [min, p25, med] = min_p25_median(reps);
                 eprintln!(
-                    "NeighborList::build bcc_fe({cells}) = {} atoms t={threads}: ms min/median {min:.1}/{med:.1}",
+                    "NeighborList::build bcc_fe({cells}) = {} atoms t={threads}: ms min/p25/median {min:.1}/{p25:.1}/{med:.1}",
                     system.len()
                 );
             }

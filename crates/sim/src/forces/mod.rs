@@ -130,10 +130,29 @@ fn with_dims(kind: StrategyKind, dims: usize) -> StrategyKind {
 
 /// Builds the half list on `ctx`'s pool: in parallel exactly when it has
 /// more than one thread (and the system is large enough to split).
-/// [`NeighborList::build`] emits the same bytes at every thread count, so
-/// the thread count never changes a trajectory.
-fn build_half_list(ctx: &ParallelContext, system: &System, verlet: VerletConfig) -> NeighborList {
-    ctx.install(|| NeighborList::build(system.sim_box(), system.positions(), verlet))
+///
+/// With a plan the rows are laid out in the plan's atom order,
+/// `plan.atom_bins().indices()`: subdomain by subdomain, each in
+/// [`SdcPlan::atoms_of`] order, which is how `run_tasks` visits them under
+/// SDC and the task graph, so each task reads its neighbour ids and pair
+/// records as one contiguous run. Without one (Serial, the baselines) they
+/// stay in atom order, Serial's visiting order.
+///
+/// [`NeighborList::build`] emits the same bytes at every thread count, and
+/// the layout moves no row byte, so neither changes a trajectory.
+fn build_half_list(
+    ctx: &ParallelContext,
+    system: &System,
+    verlet: VerletConfig,
+    plan: Option<&SdcPlan>,
+) -> NeighborList {
+    let (sim_box, positions) = (system.sim_box(), system.positions());
+    ctx.install(|| match plan {
+        Some(plan) => {
+            NeighborList::build_laid_out(sim_box, positions, verlet, plan.atom_bins().indices())
+        }
+        None => NeighborList::build(sim_box, positions, verlet),
+    })
 }
 
 impl ForceEngine {
@@ -152,7 +171,8 @@ impl ForceEngine {
             .sim_box()
             .validate_cutoff(verlet.reach())
             .map_err(EngineError::BoxTooSmall)?;
-        // Fail decomposition *before* paying for the neighbor build.
+        // Fail decomposition *before* paying for the neighbor build, which
+        // a plan lays out.
         let plan = match strategy.plan_dims() {
             Some(dims) => Some(SdcPlan::build(
                 system.sim_box(),
@@ -162,7 +182,7 @@ impl ForceEngine {
             None => None,
         };
         let ctx = ParallelContext::new(threads);
-        let half = build_half_list(&ctx, system, verlet);
+        let half = build_half_list(&ctx, system, verlet, plan.as_ref());
         let full = strategy.needs_full_list().then(|| half.to_full());
         let localwrite = strategy
             .needs_localwrite_plan()
@@ -339,6 +359,7 @@ impl ForceEngine {
             last_barriers = m.scatter.color_barriers.get();
         }
         self.plan = Some(best.plan);
+        self.lay_out_for_plan(system);
         self.balance = Some(BalanceState {
             pair_cost: config.machine.pair_cost,
             config,
@@ -501,6 +522,25 @@ impl ForceEngine {
         if let Some(m) = &self.metrics {
             m.scatter.planned_imbalance.set(state.choice.predicted_imbalance);
         }
+        if replanned {
+            self.lay_out_for_plan(system);
+        }
+    }
+
+    /// Lays the half list out for a plan adopted after the list was built
+    /// ([`ForceEngine::enable_balance`], a re-plan in `apply_balance`):
+    /// [`NeighborList::laid_out`] runs the builder again on the positions
+    /// the list was built from, so every row keeps its bytes and no bit of
+    /// the trajectory moves. It is no rebuild: it counts none and records no
+    /// rebuild or neighbor time. An LPT schedule only reorders a colour's
+    /// tasks, whose rows stay contiguous, so it needs no re-layout.
+    fn lay_out_for_plan(&mut self, system: &System) {
+        if let Some(plan) = &self.plan {
+            let order = plan.atom_bins().indices();
+            self.half = self
+                .ctx
+                .install(|| self.half.laid_out(system.sim_box(), order));
+        }
     }
 
     /// Rebuilds list, full list and plan if any atom drifted more than
@@ -540,7 +580,7 @@ impl ForceEngine {
             ..
         } = *self;
         let ((half, full, plan, localwrite), took) = timers.time_measured(Phase::Neighbor, || {
-            let half = build_half_list(ctx, system, verlet);
+            // The plan first: a surviving plan lays the list out.
             let plan = loop {
                 let Some(dims) = strategy.plan_dims() else {
                     break None;
@@ -564,6 +604,7 @@ impl ForceEngine {
                     }
                 }
             };
+            let half = build_half_list(ctx, system, verlet, plan.as_ref());
             let full = strategy.needs_full_list().then(|| half.to_full());
             let localwrite = strategy
                 .needs_localwrite_plan()
@@ -996,6 +1037,107 @@ mod tests {
         let mut s = sys.clone();
         eng.compute(&mut s);
         assert!(s.forces().iter().all(|f| f.norm().is_finite()));
+    }
+
+    /// Holds the engine's half list to the layout its sweep reads: with a
+    /// plan, every task's rows (`atoms_of(s)`, in visiting order) form one
+    /// run of windows, `window(a[k]).end == window(a[k + 1]).start`;
+    /// without one, the windows run in atom order.
+    fn assert_laid_out_for_the_sweep(eng: &ForceEngine, when: &str) {
+        let csr = eng.neighbor_list().csr();
+        let strategy = eng.strategy();
+        match eng.plan() {
+            Some(plan) => {
+                assert!(
+                    strategy.plan_dims().is_some(),
+                    "{when}: {strategy} has a plan"
+                );
+                for s in 0..plan.decomposition().subdomain_count() {
+                    for a in plan.atoms_of(s).windows(2) {
+                        let (here, next) = (a[0] as usize, a[1] as usize);
+                        assert_eq!(
+                            csr.window(here).end,
+                            csr.window(next).start,
+                            "{when}: {strategy} task {s} breaks its run at row {here}"
+                        );
+                    }
+                }
+            }
+            None => {
+                for i in 1..csr.rows() {
+                    assert_eq!(
+                        csr.window(i - 1).end,
+                        csr.window(i).start,
+                        "{when}: {strategy} is not in atom order at row {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_half_list_is_laid_out_in_the_sweeps_row_order() {
+        let pot = PotentialChoice::Eam(Arc::new(AnalyticEam::fe()));
+        for strategy in [
+            StrategyKind::Serial,
+            StrategyKind::Sdc { dims: 3 },
+            StrategyKind::Sdc { dims: 2 },
+            StrategyKind::TaskGraph { dims: 2 },
+        ] {
+            let mut sys = System::from_lattice(LatticeSpec::bcc_fe(10), FE_MASS);
+            let mut eng = ForceEngine::new(&sys, pot.clone(), strategy, 2, 0.3).unwrap();
+            assert_eq!(eng.plan().is_some(), strategy != StrategyKind::Serial);
+            assert_laid_out_for_the_sweep(&eng, "after new");
+            for (k, p) in sys.positions_mut().iter_mut().enumerate() {
+                p.x += 0.4 * (0.917 * k as f64).sin();
+            }
+            sys.wrap();
+            eng.rebuild(&sys);
+            assert_laid_out_for_the_sweep(&eng, "after a rebuild");
+        }
+
+        // The balancer adopts a 1-D plan for a 3-D engine on bcc_fe(9): the
+        // list follows the adopted plan's tasks, not the one it was built for.
+        let sys = System::from_lattice(LatticeSpec::bcc_fe(9), FE_MASS);
+        for strategy in [
+            StrategyKind::Sdc { dims: 3 },
+            StrategyKind::TaskGraph { dims: 3 },
+        ] {
+            let mut eng = ForceEngine::new(&sys, pot.clone(), strategy, 2, 0.3).unwrap();
+            let rebuilds = eng.rebuilds();
+            assert!(eng.enable_balance(&sys, crate::BalanceConfig::default()));
+            assert_eq!(
+                eng.strategy().plan_dims(),
+                Some(1),
+                "{strategy}: a different plan"
+            );
+            assert_laid_out_for_the_sweep(&eng, "after enable_balance");
+            assert_eq!(eng.rebuilds(), rebuilds, "a re-layout is no rebuild");
+            assert_eq!(eng.timers().count(crate::timing::Phase::Neighbor), 0);
+        }
+
+        // A rebuild that plans in 3-D, after which the hair-trigger
+        // balancer re-plans to 1-D: the list follows the adopted plan.
+        let config = crate::BalanceConfig {
+            replan_threshold: 0.0,
+            ..crate::BalanceConfig::default()
+        };
+        let mut eng =
+            ForceEngine::new(&sys, pot.clone(), StrategyKind::Sdc { dims: 3 }, 2, 0.3).unwrap();
+        assert!(eng.enable_balance(&sys, config));
+        eng.strategy = StrategyKind::Sdc { dims: 3 };
+        eng.rebuild(&sys);
+        assert_eq!(eng.rebalance_events().len(), 1, "the rebuild re-planned");
+        assert_eq!(eng.strategy(), StrategyKind::Sdc { dims: 1 });
+        assert_laid_out_for_the_sweep(&eng, "after a re-plan");
+
+        // A mid-run downgrade to locks drops the plan: atom order again.
+        let mut sys = System::from_lattice(LatticeSpec::bcc_fe(9), FE_MASS);
+        let mut eng = ForceEngine::new(&sys, pot, StrategyKind::Sdc { dims: 1 }, 2, 0.3).unwrap();
+        sys.deform(md_geometry::Vec3::new(0.6, 1.0, 1.0));
+        eng.rebuild(&sys);
+        assert_eq!(eng.strategy(), StrategyKind::Locks);
+        assert_laid_out_for_the_sweep(&eng, "after a downgrade");
     }
 
     #[test]

@@ -48,13 +48,18 @@
 #      and the two final checkpoints byte-identical — the backend may only
 #      change how fast the lanes and splines evaluate, never a bit of the
 #      trajectory)
-#  11. perfbench build            (perfbench/ is a cargo workspace of its
+#  11. perfbench build and run    (perfbench/ is a cargo workspace of its
 #      own that names engine APIs — `ForceEngine::lane_occupancy`,
 #      `ScatterExec`'s fields, `WorldSpec.{fused,simd}`, `md_shard::Codec`;
 #      building it against this tree keeps a change from passing tier-1
 #      and only breaking in the benchmark pipeline. `WorldSpec.{fused,simd}`
-#      are ignored and stay only because perfbench names them. The build
-#      rewrites perfbench/Cargo.lock, which is restored on exit)
+#      are ignored and stay only because perfbench names them. Then a
+#      one-second traced run of each workload, whose result line must say
+#      `"correct": true` and `"failed": 0`: a build alone cannot catch a
+#      panic or a wrong pairing in code only the benchmark runs, such as
+#      its Serial sweep over the engine's SDC-laid-out list or its
+#      `neighbor_list()`/`positions()` pairing. The build rewrites
+#      perfbench/Cargo.lock, which is restored on exit)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -180,11 +185,18 @@ cargo run -q -p sdc-bench --release --bin metrics_diff -- \
 cmp "$scl_ckpt" "$smd_ckpt"
 rm -f "$scl" "$smd" "$scl_ckpt" "$smd_ckpt"
 
-echo "==> [11/11] perfbench build (the benchmark workspace against this tree)"
+echo "==> [11/11] perfbench build and run (the benchmark workspace against this tree)"
 lock_backup="$(mktemp /tmp/tier1_perfbench_lock.XXXXXX)"
 cp perfbench/Cargo.lock "$lock_backup"
 trap 'cp "$lock_backup" perfbench/Cargo.lock; rm -f "$lock_backup"' EXIT
 CARGO_TARGET_DIR=target/perfbench cargo build --release --offline \
   --manifest-path perfbench/Cargo.toml -p perfbench -p md-shard
+for workload in fe_cool_serial fe_hot_sdc3d_t2; do
+  echo "    $workload, 1 s, traced"
+  result="$(CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py \
+    --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)"
+  python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(not (r["correct"] is True and r["failed"] == 0))' \
+    "$result" || { echo "perfbench $workload failed: $result"; exit 1; }
+done
 
 echo "tier-1: all green"

@@ -74,16 +74,21 @@ fn deterministic_strategies_reproduce_trajectories_across_thread_counts() {
                 "{strategy} not thread-count invariant"
             );
         }
-        // The active neighbor CSR must be bitwise identical regardless of
-        // thread count or list-build path.
-        assert_eq!(
-            one.engine().neighbor_list().csr().offsets(),
-            four.engine().neighbor_list().csr().offsets(),
-            "{strategy}: neighbor offsets diverged across thread counts"
+        // The active neighbor CSR — its windows (the layout) and its
+        // indices — must be bitwise identical regardless of thread count
+        // or list-build path.
+        let (a, b) = (
+            one.engine().neighbor_list().csr(),
+            four.engine().neighbor_list().csr(),
         );
         assert_eq!(
-            one.engine().neighbor_list().csr().indices(),
-            four.engine().neighbor_list().csr().indices(),
+            (a.starts(), a.ends()),
+            (b.starts(), b.ends()),
+            "{strategy}: neighbor windows diverged across thread counts"
+        );
+        assert_eq!(
+            a.indices(),
+            b.indices(),
             "{strategy}: neighbor indices diverged across thread counts"
         );
     }
@@ -124,14 +129,12 @@ fn parallel_and_serial_list_builds_give_identical_trajectories() {
         parallel_list.system().positions(),
         "trajectories diverged between serial and parallel list builds"
     );
-    assert_eq!(
-        serial_list.engine().neighbor_list().csr().offsets(),
-        parallel_list.engine().neighbor_list().csr().offsets()
+    let (a, b) = (
+        serial_list.engine().neighbor_list().csr(),
+        parallel_list.engine().neighbor_list().csr(),
     );
-    assert_eq!(
-        serial_list.engine().neighbor_list().csr().indices(),
-        parallel_list.engine().neighbor_list().csr().indices()
-    );
+    assert_eq!((a.starts(), a.ends()), (b.starts(), b.ends()));
+    assert_eq!(a.indices(), b.indices());
 }
 
 #[test]

@@ -1,13 +1,17 @@
 //! Conformance suite for the neighbor-list builder.
 //!
 //! The contract under test: [`NeighborList::build`] is **byte for byte**
-//! the O(n²) [`NeighborList::build_brute_force`] — same CSR `offsets`, same
+//! the O(n²) [`NeighborList::build_brute_force`] — same CSR windows, same
 //! `indices` — at every thread count and for both list kinds, on inputs
 //! chosen to break a cell-list builder: random anisotropic boxes with mixed
 //! periodicity and atoms beyond the open faces, periodic axes one or two
 //! cells wide, atoms on cell faces and one ulp below them, perfect lattices
-//! with the reach exactly on a neighbour shell, and shuffled ids. Plus the
-//! end-to-end skin invariant: between rebuilds, no pair inside the bare
+//! with the reach exactly on a neighbour shell, and shuffled ids. On every
+//! one of those inputs, [`NeighborList::build_laid_out`] lays the half list
+//! out in the identity, reversed, a random and an SDC plan's atom order:
+//! each row keeps the brute force's bytes, the windows tile the entries in
+//! the given order, and the bytes are the same at every thread count. Plus
+//! the end-to-end skin invariant: between rebuilds, no pair inside the bare
 //! cutoff is ever absent from the active list.
 
 use md_base::rng::Rng;
@@ -39,22 +43,70 @@ fn ulp_below(x: f64) -> f64 {
     f64::from_bits(x.to_bits() - 1)
 }
 
+/// The row orders the layout battery lays a half list out in: identity,
+/// reversed, a shuffle, and the atom order of the first SDC plan (3-D, 2-D,
+/// then 1-D) the box admits, which is the order the engine lays it out in.
+fn layouts(b: &SimBox, pos: &[Vec3], reach: f64) -> Vec<(&'static str, Vec<u32>)> {
+    let n = pos.len() as u32;
+    let mut shuffled: Vec<u32> = (0..n).collect();
+    Rng::new(u64::from(n)).shuffle(&mut shuffled);
+    let mut orders = vec![
+        ("identity", (0..n).collect()),
+        ("reversed", (0..n).rev().collect()),
+        ("random", shuffled),
+    ];
+    let plan = (1..=3)
+        .rev()
+        .find_map(|dims| SdcPlan::build(b, pos, DecompositionConfig::new(dims, reach)).ok());
+    if let Some(plan) = plan {
+        orders.push(("SDC plan", plan.atom_bins().indices().to_vec()));
+    }
+    orders
+}
+
 /// Builds `cfg`'s list at every thread count in [`THREADS`] and holds its
-/// offsets and indices to the brute force's.
+/// bytes to the brute force's. A half list is also laid out in each of
+/// [`layouts`]' orders at every thread count: its rows must be the brute
+/// force's, its windows must run back to back from 0 in the order, and its
+/// bytes must not depend on the thread count.
 fn assert_conforms(case: &str, b: &SimBox, pos: &[Vec3], cfg: VerletConfig) {
     let brute = NeighborList::build_brute_force(b, pos, cfg);
     for threads in THREADS {
         let built = ParallelContext::new(threads).install(|| NeighborList::build(b, pos, cfg));
         assert_eq!(
-            built.csr().offsets(),
-            brute.csr().offsets(),
-            "{case} {cfg:?}: offsets diverged at {threads} threads"
+            built.csr(),
+            brute.csr(),
+            "{case} {cfg:?}: the list diverged at {threads} threads"
         );
-        assert_eq!(
-            built.csr().indices(),
-            brute.csr().indices(),
-            "{case} {cfg:?}: indices diverged at {threads} threads"
-        );
+    }
+    if cfg.kind != NeighborListKind::Half {
+        return;
+    }
+    for (layout, order) in layouts(b, pos, cfg.reach()) {
+        let mut first: Option<Csr> = None;
+        for threads in THREADS {
+            let laid = ParallelContext::new(threads)
+                .install(|| NeighborList::build_laid_out(b, pos, cfg, &order));
+            let csr = laid.csr();
+            let at = format!("{case} {cfg:?}, {layout} layout, {threads} threads");
+            for i in 0..pos.len() {
+                assert_eq!(csr.row(i), brute.csr().row(i), "{at}: row {i}");
+            }
+            let mut next = 0;
+            for &i in &order {
+                assert_eq!(
+                    csr.window(i as usize).start,
+                    next,
+                    "{at}: window of row {i}"
+                );
+                next = csr.window(i as usize).end;
+            }
+            assert_eq!(next, csr.entries(), "{at}: windows end early");
+            match &first {
+                None => first = Some(csr.clone()),
+                Some(one) => assert_eq!(csr, one, "{at}: bytes differ from 1 thread"),
+            }
+        }
     }
 }
 
