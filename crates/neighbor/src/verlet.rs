@@ -20,9 +20,12 @@
 use crate::cell_grid::CellGrid;
 use crate::csr::{Csr, PAR_MIN_CHUNK};
 use crate::stats::NeighborStats;
+use lanes::{RowLanes, Scalar, LANES};
 use md_base::pool::{self, SharedSlice};
 use md_geometry::{SimBox, Vec3};
 use std::ops::Range;
+
+mod lanes;
 
 /// Cell blocks per worker in the list build: enough for dynamic balancing,
 /// few enough that each block's row buffer stays large.
@@ -197,6 +200,16 @@ impl NeighborList {
         NeighborList::build(sim_box, positions, config)
     }
 
+    /// A list of `config`'s kind over no atoms: what an owner holds in
+    /// place of a list it frees before building the next one.
+    pub fn empty(config: VerletConfig) -> NeighborList {
+        NeighborList {
+            config,
+            csr: Csr::empty(0),
+            ref_positions: Vec::new(),
+        }
+    }
+
     /// Reference O(N²) builder: every pair `i < j` through
     /// [`SimBox::distance_sq`]. Tests hold [`NeighborList::build`] to its
     /// bytes.
@@ -335,7 +348,20 @@ struct CellOrder<'g> {
     z: Vec<f64>,
 }
 
-impl CellOrder<'_> {
+impl<'g> CellOrder<'g> {
+    /// `grid`'s cells with the coordinates of `positions` copied alongside.
+    fn new(grid: &'g CellGrid, positions: &[Vec3]) -> CellOrder<'g> {
+        let ids = grid.cells().indices();
+        let coord = |d: usize| ids.iter().map(|&a| positions[a as usize][d]).collect();
+        CellOrder {
+            cells: grid.cells(),
+            ids,
+            x: coord(0),
+            y: coord(1),
+            z: coord(2),
+        }
+    }
+
     /// The slots of the non-empty run of cells `cells`: the cell CSR is in
     /// row order, so they span the first cell's window to the last one's.
     fn slots(&self, cells: Range<usize>) -> Range<usize> {
@@ -436,23 +462,17 @@ fn block_count(atoms: usize, n_cells: usize, workers: usize) -> usize {
 ///   it is rejected under monotone rounding, as it is by the brute force.
 ///   With `L ≥ 2·reach` at most one image of `j` is accepted.
 ///
-/// Rows are sorted and cell blocks spread over the workers. The windows
-/// are the prefix sum of the row lengths taken in `layout` (atom order when
-/// `None`, see [`Csr::with_row_lens`]), and each block copies its rows into
-/// their windows, so neither the schedule nor the thread count can change a
-/// byte, and the layout moves no row byte.
+/// The filter and the row sort run on the lane leg [`block_rows`] picks;
+/// both legs give each row the same bytes ([`lanes`]). Cell blocks are
+/// spread over the workers. The windows are the prefix sum of the row
+/// lengths taken in `layout` (atom order when `None`, see
+/// [`Csr::with_row_lens`]), and each block copies its rows into their
+/// windows, so neither the leg, the schedule nor the thread count can
+/// change a byte, and the layout moves no row byte.
 fn half_rows(sim_box: &SimBox, positions: &[Vec3], reach: f64, layout: Option<&[u32]>) -> Csr {
     let reach_sq = reach * reach;
     let grid = &CellGrid::build_parallel(sim_box, positions, reach * BIN_MARGIN);
-    let ids = grid.cells().indices();
-    let coord = |d: usize| ids.iter().map(|&a| positions[a as usize][d]).collect();
-    let order = &CellOrder {
-        cells: grid.cells(),
-        ids,
-        x: coord(0),
-        y: coord(1),
-        z: coord(2),
-    };
+    let order = &CellOrder::new(grid, positions);
     let n_cells = grid.cell_count();
     let per_block = n_cells.div_ceil(block_count(
         positions.len(),
@@ -466,51 +486,7 @@ fn half_rows(sim_box: &SimBox, positions: &[Vec3], reach: f64, layout: Option<&[
     // Per block: its atoms' rows back to back, and each row's length, in
     // slot order.
     let blocks: Vec<(Vec<u32>, Vec<u32>)> = pool::map_collect(n_blocks, |b| {
-        let (mut rows, mut lens) = (Vec::new(), Vec::new());
-        // Row scratch, as long as a cell's stencil has candidates, so the
-        // branch-free append below always writes in bounds.
-        let mut row: Vec<u32> = Vec::new();
-        for c in cells_of(b) {
-            let (mut images, n_images) = stencil(grid, sim_box, order, c);
-            let images = &mut images[..n_images];
-            let candidates: usize = images.iter().map(|e| e.end - e.cursor).sum();
-            if row.len() < candidates {
-                row.resize(candidates, 0);
-            }
-            for p in order.slots(c..c + 1) {
-                let i = order.ids[p];
-                let (xi, yi, zi) = (order.x[p], order.y[p], order.z[p]);
-                let mut len = 0;
-                for e in images.iter_mut() {
-                    while e.cursor < e.end && order.ids[e.cursor] <= i {
-                        e.cursor += 1;
-                    }
-                    let s = e.cursor..e.end;
-                    let [sx, sy, sz] = e.shift;
-                    let js = order.x[s.clone()]
-                        .iter()
-                        .zip(&order.y[s.clone()])
-                        .zip(&order.z[s.clone()])
-                        .zip(&order.ids[s]);
-                    for (((&xj, &yj), &zj), &j) in js {
-                        let dx = (xi - xj) - sx;
-                        let dy = (yi - yj) - sy;
-                        let dz = (zi - zj) - sz;
-                        row[len] = j;
-                        len += (dx * dx + dy * dy + dz * dz < reach_sq) as usize;
-                    }
-                }
-                let row = &mut row[..len];
-                row.sort_unstable();
-                debug_assert!(
-                    row.windows(2).all(|w| w[0] < w[1]),
-                    "row {i} is not strictly ascending: {row:?}"
-                );
-                rows.extend_from_slice(row);
-                lens.push(len as u32);
-            }
-        }
-        (rows, lens)
+        block_rows(grid, sim_box, order, cells_of(b), reach_sq)
     });
 
     // Every atom's row length (cells partition the atoms, so every atom
@@ -537,6 +513,102 @@ fn half_rows(sim_box: &SimBox, positions: &[Vec3], reach: f64, layout: Option<&[
         }
     });
     csr
+}
+
+/// The rows of the atoms of `cells`, on the lane leg md-base's
+/// [`simd_active`](md_base::simd::simd_active) picks: AVX2 or [`Scalar`],
+/// both through [`block_rows_in`].
+fn block_rows(
+    grid: &CellGrid,
+    sim_box: &SimBox,
+    order: &CellOrder<'_>,
+    cells: Range<usize>,
+    reach_sq: f64,
+) -> (Vec<u32>, Vec<u32>) {
+    #[cfg(target_arch = "x86_64")]
+    if md_base::simd::simd_active() {
+        // SAFETY: `simd_active` found AVX2.
+        return unsafe { block_rows_avx2(grid, sim_box, order, cells, reach_sq) };
+    }
+    // SAFETY: the scalar leg needs nothing.
+    unsafe { block_rows_in(Scalar, grid, sim_box, order, cells, reach_sq) }
+}
+
+/// [`block_rows_in`] compiled for AVX2, on the [`lanes::Avx2`] leg.
+///
+/// # Safety
+/// A CPU with AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn block_rows_avx2(
+    grid: &CellGrid,
+    sim_box: &SimBox,
+    order: &CellOrder<'_>,
+    cells: Range<usize>,
+    reach_sq: f64,
+) -> (Vec<u32>, Vec<u32>) {
+    // SAFETY: the caller's AVX2.
+    unsafe { block_rows_in(lanes::Avx2, grid, sim_box, order, cells, reach_sq) }
+}
+
+/// The body of one cell block of [`half_rows`]: for each atom of `cells`,
+/// in slot order, its row (the kept candidates of every stencil entry,
+/// sorted) appended to the first vector and its length to the second.
+///
+/// Keep the loops free of closures: one would not inherit the AVX2 of
+/// [`block_rows_avx2`], and the lane code would compile as calls.
+///
+/// # Safety
+/// An [`lanes::Avx2`] leg needs AVX2.
+#[inline(always)]
+unsafe fn block_rows_in<L: RowLanes>(
+    lanes: L,
+    grid: &CellGrid,
+    sim_box: &SimBox,
+    order: &CellOrder<'_>,
+    cells: Range<usize>,
+    reach_sq: f64,
+) -> (Vec<u32>, Vec<u32>) {
+    let (mut rows, mut lens) = (Vec::new(), Vec::new());
+    // Row scratch, as long as a cell's stencil has candidates plus the
+    // lanes' slack, so the branch-free appends always write in bounds.
+    let mut row: Vec<u32> = Vec::new();
+    for c in cells {
+        let (mut images, n_images) = stencil(grid, sim_box, order, c);
+        let images = &mut images[..n_images];
+        let mut candidates = LANES;
+        for e in images.iter() {
+            candidates += e.end - e.cursor;
+        }
+        if row.len() < candidates {
+            row.resize(candidates, 0);
+        }
+        for p in order.slots(c..c + 1) {
+            let i = order.ids[p];
+            let pi = [order.x[p], order.y[p], order.z[p]];
+            let mut len = 0;
+            for e in images.iter_mut() {
+                while e.cursor < e.end && order.ids[e.cursor] <= i {
+                    e.cursor += 1;
+                }
+                // SAFETY: the row has room for every candidate plus the
+                // slack; AVX2 is the caller's.
+                len = unsafe {
+                    lanes.keep(order, e.cursor..e.end, pi, e.shift, reach_sq, &mut row, len)
+                };
+            }
+            let at = rows.len();
+            // SAFETY: AVX2 is the caller's; a row's ids are distinct.
+            unsafe { lanes.sort_into(&mut row[..len], &mut rows) };
+            debug_assert!(
+                rows[at..].windows(2).all(|w| w[0] < w[1]),
+                "row {i} is not strictly ascending: {:?}",
+                &rows[at..]
+            );
+            lens.push(len as u32);
+        }
+    }
+    (rows, lens)
 }
 
 #[cfg(test)]
@@ -608,6 +680,44 @@ mod tests {
         }
     }
 
+    /// Both lane legs build every row of a rattled crystal with the same
+    /// bytes: at the benchmark's reach, and at a reach long enough that
+    /// some rows pass [`lanes::RANK_SORT_MAX`] and the AVX2 leg falls back
+    /// to `sort_unstable` for them. Prints SKIPPED on a host without AVX2.
+    #[test]
+    fn lane_legs_build_the_same_rows() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            let (bx, mut pos) = LatticeSpec::bcc_fe(8).build();
+            let mut rng = md_base::rng::Rng::new(5);
+            for p in pos.iter_mut() {
+                let kick = Vec3::new(
+                    rng.uniform(-1.0, 1.0),
+                    rng.uniform(-1.0, 1.0),
+                    rng.uniform(-1.0, 1.0),
+                );
+                *p = bx.wrap(*p + kick * 0.3);
+            }
+            for reach in [FE_CUTOFF + 0.3, 11.0] {
+                let grid = CellGrid::build(&bx, &pos, reach * BIN_MARGIN);
+                let order = CellOrder::new(&grid, &pos);
+                let cells = 0..grid.cell_count();
+                let r2 = reach * reach;
+                // SAFETY: the host has AVX2 (checked above); the scalar
+                // leg needs nothing.
+                let avx2 = unsafe { block_rows_avx2(&grid, &bx, &order, cells.clone(), r2) };
+                let scalar = unsafe { block_rows_in(Scalar, &grid, &bx, &order, cells, r2) };
+                assert_eq!(avx2, scalar, "reach {reach}");
+                let longest = scalar.1.iter().max().copied().unwrap_or(0) as usize;
+                if reach > 10.0 {
+                    assert!(longest > lanes::RANK_SORT_MAX, "longest row {longest}");
+                }
+            }
+            return;
+        }
+        eprintln!("lane_legs_build_the_same_rows: SKIPPED, this host has no AVX2 leg");
+    }
+
     #[test]
     fn interior_cell_stencil_has_27_unshifted_images() {
         let bx = SimBox::cubic(12.0);
@@ -618,13 +728,7 @@ mod tests {
             })
             .collect();
         let grid = CellGrid::build(&bx, &pos, 2.9); // 4×4×4, one atom per cell
-        let order = CellOrder {
-            cells: grid.cells(),
-            ids: grid.cells().indices(),
-            x: vec![],
-            y: vec![],
-            z: vec![],
-        };
+        let order = CellOrder::new(&grid, &pos);
         let (images, len) = stencil(&grid, &bx, &order, grid.cell_id(1, 1, 1));
         assert_eq!(len, 27);
         assert!(images.iter().all(|e| e.shift == [0.0; 3]));
@@ -770,6 +874,14 @@ mod tests {
         let nl = NeighborList::build(&bx, &[], VerletConfig::half(5.0, 0.0));
         assert_eq!(nl.atoms(), 0);
         assert_eq!(nl.entries(), 0);
+    }
+
+    #[test]
+    fn empty_list_covers_no_atoms() {
+        let nl = NeighborList::empty(VerletConfig::full(5.0, 0.5));
+        assert_eq!((nl.atoms(), nl.entries(), nl.heap_bytes()), (0, 0, 0));
+        assert_eq!(nl.kind(), NeighborListKind::Full);
+        assert!(!nl.needs_rebuild(&SimBox::cubic(20.0), &[]));
     }
 
     #[test]

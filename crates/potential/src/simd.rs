@@ -14,39 +14,16 @@
 //!   same operand order as the scalar code (no FMA contraction), so every
 //!   lane's value and derivative carry identical bits.
 //!
-//! Dispatch is decided once per process: AVX2 is probed at first use and the
-//! `MD_SIMD_SCALAR` environment variable (any non-empty value) forces the
-//! scalar backend, which is how CI exercises the fallback leg on machines
-//! that do have the instructions. The same answer picks the lane leg of
-//! md-sim's EAM row kernels (their pair geometry: gathers, minimum image,
-//! `r` and the force terms), so `MD_SIMD_SCALAR=1` also selects the scalar
-//! geometry lanes.
+//! Dispatch is md-base's one switch, [`simd_active`] (re-exported here):
+//! AVX2 is probed once per process and the `MD_SIMD_SCALAR` environment
+//! variable (any non-empty value) forces the scalar backend, which is how CI
+//! exercises the fallback leg on machines that do have the instructions.
+//! The same answer picks the lane leg of md-sim's EAM row kernels (their
+//! pair geometry: gathers, minimum image, `r` and the force terms) and of
+//! md-neighbor's list builder (its candidate filter and row sort), so
+//! `MD_SIMD_SCALAR=1` selects the scalar leg of all three.
 
-use std::sync::OnceLock;
-
-/// `true` when the batched entry points will use the AVX2 backend: the CPU
-/// supports AVX2 (checked at runtime, x86-64 only) and the `MD_SIMD_SCALAR`
-/// environment override is not set. The probe runs once and is cached for
-/// the life of the process.
-pub fn simd_active() -> bool {
-    static ACTIVE: OnceLock<bool> = OnceLock::new();
-    *ACTIVE.get_or_init(|| {
-        if std::env::var_os("MD_SIMD_SCALAR").is_some_and(|v| !v.is_empty()) {
-            return false;
-        }
-        detected()
-    })
-}
-
-#[cfg(target_arch = "x86_64")]
-fn detected() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detected() -> bool {
-    false
-}
+pub use md_base::simd::simd_active;
 
 /// The AVX2 kernels. Everything here is `unsafe fn` + `#[target_feature]`:
 /// callers must have verified AVX2 support (via [`simd_active`] or a direct
@@ -190,14 +167,6 @@ pub(crate) mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn override_env_is_read_once_and_cached() {
-        // Whatever the ambient environment says, repeated queries agree —
-        // the probe must be stable for the life of the process, because the
-        // force engine assumes one backend per run.
-        assert_eq!(simd_active(), simd_active());
-    }
 
     #[cfg(target_arch = "x86_64")]
     #[test]

@@ -600,6 +600,8 @@ mod tests {
     /// crystal at 12³, 18³ and 32³ cells on 1 and 2 threads. Prints the
     /// min, first quartile and median of `PROBE_REPS` reps, in ms:
     /// `cargo test -q -p md-sim --release rebuild_speed -- --ignored --nocapture`.
+    /// Run the same binary alternately with and without `MD_SIMD_SCALAR=1`
+    /// to compare the list builder's AVX2 and scalar legs.
     #[test]
     #[ignore]
     fn rebuild_speed_probe() {

@@ -569,6 +569,11 @@ impl ForceEngine {
         // Calibrate the balancer's per-pair cost against the *outgoing* list
         // (the busy time accumulated since the last rebuild was spent on it).
         self.calibrate_balance();
+        // That was the outgoing lists' last reader: free them, so they never
+        // coexist with the new build's block buffers and CSR.
+        self.half = NeighborList::empty(self.verlet);
+        self.full = None;
+        self.localwrite = None;
         let verlet = self.verlet;
         let mut strategy = self.strategy;
         let threads = self.ctx.threads();
@@ -943,6 +948,27 @@ mod tests {
         assert!(choice.predicted_seconds > 0.0);
         assert!(choice.predicted_imbalance >= 1.0);
         assert_eq!(eng.calibrated_pair_cost(), Some(crate::BalanceConfig::default().machine.pair_cost));
+    }
+
+    #[test]
+    fn rebuild_calibrates_against_the_outgoing_list_before_freeing_it() {
+        // A rebuild frees the outgoing list before building the next; the
+        // balancer's calibration must read its entry count first, or it sees
+        // an empty list and silently keeps the configured pair cost.
+        let mut sys = System::from_lattice(LatticeSpec::bcc_fe(9), FE_MASS);
+        let pot = PotentialChoice::Eam(Arc::new(AnalyticEam::fe()));
+        let mut eng = ForceEngine::new(&sys, pot, StrategyKind::Sdc { dims: 3 }, 2, 0.3).unwrap();
+        eng.enable_metrics();
+        let configured = crate::BalanceConfig::default().machine.pair_cost;
+        assert!(eng.enable_balance(&sys, crate::BalanceConfig::default()));
+        assert_eq!(eng.calibrated_pair_cost(), Some(configured));
+        eng.compute(&mut sys);
+        eng.rebuild(&sys);
+        let calibrated = eng.calibrated_pair_cost().expect("balance is on");
+        assert!(
+            calibrated.is_finite() && calibrated > 0.0 && calibrated != configured,
+            "calibrated pair cost {calibrated} s (configured {configured} s)"
+        );
     }
 
     #[test]

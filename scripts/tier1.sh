@@ -37,17 +37,21 @@
 #      metered mdrun of a 2-shard process-backend run, on the binary wire
 #      codec, against the unsharded engine — the physics counters must
 #      match exactly; slabbing may only change where the work runs)
-#  10. SIMD gate                  (the EAM row kernels' two backends —
-#      the AVX2 geometry lanes, which gather, min-image and form each
-#      pair's force four pairs at a time, and the AVX2 splines, against
-#      their scalar legs: the oracle battery in release so the silent
-#      `UniformSpline::locate` clamp is live, a MD_SIMD_SCALAR=1 leg so the
-#      scalar geometry lanes and spline loop are held to the same oracle
-#      on any host, then an A/B metered tabulated mdrun of the AVX2 backend
-#      against MD_SIMD_SCALAR=1 with every physics counter matching exactly
-#      and the two final checkpoints byte-identical — the backend may only
-#      change how fast the lanes and splines evaluate, never a bit of the
-#      trajectory)
+#  10. SIMD gate                  (every lane kernel's two legs — the
+#      EAM row kernels' AVX2 geometry lanes, which gather, min-image and
+#      form each pair's force four pairs at a time, the AVX2 splines, and
+#      the neighbour-list builder's AVX2 candidate filter and rank sort —
+#      against their scalar legs: the oracle battery in release so the
+#      silent `UniformSpline::locate` clamp is live, a MD_SIMD_SCALAR=1
+#      leg so the scalar geometry lanes and spline loop are held to the
+#      same oracle on any host, the list builder's brute-force conformance
+#      battery in release and with MD_SIMD_SCALAR=1 so both builder legs
+#      stay byte-equal to the brute force on any host, then an A/B metered
+#      tabulated mdrun of the AVX2 legs against MD_SIMD_SCALAR=1 (which
+#      also A/Bs the builder legs at every rebuild) with every physics
+#      counter matching exactly and the two final checkpoints
+#      byte-identical — a leg may only change how fast the lanes, splines
+#      and list builds run, never a bit of the trajectory)
 #  11. perfbench build and run    (perfbench/ is a cargo workspace of its
 #      own that names engine APIs — `ForceEngine::lane_occupancy`,
 #      `ScatterExec`'s fields, `WorldSpec.{fused,simd}`, `md_shard::Codec`;
@@ -170,6 +174,10 @@ echo "    release-profile battery (silent spline clamp live)"
 cargo test -q --release --test simd_conformance
 echo "    scalar spline backend leg (MD_SIMD_SCALAR=1)"
 MD_SIMD_SCALAR=1 cargo test -q --test simd_conformance
+echo "    list builder vs brute force, release (AVX2 leg where the host has it)"
+cargo test -q --release --test neighbor_conformance
+echo "    list builder vs brute force, scalar leg (MD_SIMD_SCALAR=1)"
+MD_SIMD_SCALAR=1 cargo test -q --test neighbor_conformance
 scl="$(mktemp /tmp/tier1_scalar.XXXXXX.json)"
 smd="$(mktemp /tmp/tier1_simd.XXXXXX.json)"
 scl_ckpt="$(mktemp /tmp/tier1_scalar.XXXXXX.ckpt)"
