@@ -175,13 +175,16 @@ impl StrategyKind {
     /// The next-best strategy when this one is infeasible for the current
     /// box geometry: SDC sheds decomposed axes one at a time (3 → 2 → 1) —
     /// each step weakens the geometric precondition — and finally falls back
-    /// to striped [`StrategyKind::Locks`], which is parallel, race-free and
-    /// has no geometric precondition at all. Strategies without
+    /// to [`StrategyKind::Serial`], which has no geometric precondition at
+    /// all and, like every link of the chain, is bitwise reproducible at
+    /// any thread count: a downgraded run keeps the determinism contract.
+    /// (Striped [`StrategyKind::Locks`] are parallel and as free of
+    /// preconditions, but add in scheduling order.) Strategies without
     /// preconditions have nothing to degrade to.
     pub fn downgrade(&self) -> Option<StrategyKind> {
         match self {
             StrategyKind::Sdc { dims } if *dims > 1 => Some(StrategyKind::Sdc { dims: dims - 1 }),
-            StrategyKind::Sdc { .. } => Some(StrategyKind::Locks),
+            StrategyKind::Sdc { .. } => Some(StrategyKind::Serial),
             // The taskgraph scheduler's safe harbor is barriered SDC at the
             // same decomposition (same plan, same summation order), from
             // which the SDC chain continues.
@@ -312,10 +315,9 @@ impl ScatterExec<'_> {
     ///
     /// A task may write `out` at its rows and at their half-list neighbors,
     /// and nowhere else; no concurrently running task shares any of those
-    /// elements. Scratch addressed by the CSR slots of a task's rows is
-    /// private to that task in the same way. Metering and the debug-build
-    /// footprint and independence checks are those of the strategy's
-    /// sweep ([`sdc::sweep_sdc`], [`taskgraph::sweep_taskgraph`]).
+    /// elements. Metering and the debug-build footprint and independence
+    /// checks are those of the strategy's sweep ([`sdc::sweep_sdc`],
+    /// [`taskgraph::sweep_taskgraph`]).
     ///
     /// # Panics
     /// Panics if `kind` does not own rows, if it needs a resource (`plan`,
@@ -764,8 +766,9 @@ mod tests {
     }
 
     #[test]
-    fn downgrade_chain_ends_at_locks() {
-        // Sdc sheds one axis per step, then falls back to striped locks.
+    fn downgrade_chain_ends_at_serial() {
+        // Sdc sheds one axis per step, then falls back to serial; every
+        // link is deterministic.
         assert_eq!(
             StrategyKind::Sdc { dims: 3 }.downgrade(),
             Some(StrategyKind::Sdc { dims: 2 })
@@ -776,8 +779,14 @@ mod tests {
         );
         assert_eq!(
             StrategyKind::Sdc { dims: 1 }.downgrade(),
-            Some(StrategyKind::Locks)
+            Some(StrategyKind::Serial)
         );
+        let mut kind = StrategyKind::TaskGraph { dims: 3 };
+        while let Some(next) = kind.downgrade() {
+            assert!(next.is_deterministic(), "{kind} -> {next}");
+            kind = next;
+        }
+        assert_eq!(kind, StrategyKind::Serial);
         // TaskGraph falls back to barriered SDC at the same decomposition,
         // which then continues down the SDC chain.
         for dims in 1..=3 {

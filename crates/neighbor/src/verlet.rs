@@ -139,9 +139,9 @@ impl NeighborList {
     /// [`NeighborList::build`]'s half list with its rows laid out in
     /// `order`: row `order[0]` fills the first slots of the CSR, and each
     /// next row starts where the previous one ends. A sweep that visits the
-    /// rows in `order` then reads the neighbour ids, and any per-slot
-    /// scratch, front to back. Each row holds the bytes [`NeighborList::build`]
-    /// gives it; only where it sits changes ([`Csr::window`]).
+    /// rows in `order` then reads the neighbour ids front to back. Each row
+    /// holds the bytes [`NeighborList::build`] gives it; only where it sits
+    /// changes ([`Csr::window`]).
     ///
     /// # Panics
     /// As [`NeighborList::build`]; also unless `config` is a half list and

@@ -243,6 +243,24 @@ impl EamPotential for AnalyticEam {
         (f, df)
     }
 
+    /// One `exp` per lane: the density alone.
+    fn density_batch(&self, r: &[f64], f: &mut [f64]) {
+        assert_eq!(r.len(), f.len(), "density_batch length mismatch");
+        for (o, &ri) in f.iter_mut().zip(r) {
+            *o = self.density(ri).0;
+        }
+    }
+
+    /// Two `exp`s per lane, one per radial function.
+    fn radial_deriv_batch(&self, r: &[f64], dphi: &mut [f64], df: &mut [f64]) {
+        assert_eq!(r.len(), dphi.len(), "radial_deriv_batch length mismatch");
+        assert_eq!(r.len(), df.len(), "radial_deriv_batch length mismatch");
+        for ((p, d), &ri) in dphi.iter_mut().zip(df.iter_mut()).zip(r) {
+            *p = self.pair(ri).1;
+            *d = self.density(ri).1;
+        }
+    }
+
     fn as_analytic(&self) -> Option<&AnalyticEam> {
         Some(self)
     }
@@ -345,6 +363,20 @@ mod tests {
         let e_coh = p.embedding(p.rho_e()).0 + 0.5 * pair_sum;
         assert!(e_coh < -1.0, "cohesive energy {e_coh} too shallow");
         assert!(e_coh > -10.0, "cohesive energy {e_coh} unphysically deep");
+    }
+
+    #[test]
+    fn radial_batches_match_pair_density_bit_for_bit() {
+        for p in [AnalyticEam::fe(), AnalyticEam::cu()] {
+            let rs = crate::traits::batch_check::separations(p.cutoff(), 0.5);
+            crate::traits::batch_check::assert_matches(
+                &p,
+                &rs,
+                |r, f| p.density_batch(r, f),
+                |r, dphi, df| p.radial_deriv_batch(r, dphi, df),
+                "AnalyticEam",
+            );
+        }
     }
 
     #[test]

@@ -61,8 +61,9 @@ impl InterleavedRadial {
     /// Segment index and local coordinate, with exactly the
     /// [`UniformSpline`] lookup semantics: out-of-domain arguments clamp to
     /// the boundary segments, NaN saturates to segment 0 in release, and
-    /// debug builds reject non-finite arguments loudly. The batched path
-    /// calls this per lane so the clamp behavior cannot diverge from scalar.
+    /// debug builds reject non-finite arguments loudly. The scalar batch
+    /// legs call this per lane; the AVX2 legs' `locate4` reproduces it lane
+    /// for lane.
     #[inline]
     fn locate(&self, r: f64) -> (usize, f64) {
         debug_assert!(r.is_finite(), "non-finite spline argument {r}");
@@ -86,11 +87,10 @@ impl InterleavedRadial {
     }
 
     /// Batched [`InterleavedRadial::eval`] with the `r ≥ rc → zeros` guard
-    /// of [`TabulatedEam::pair_density`] applied per lane **before** any
-    /// table lookup. Bitwise identical to the scalar call per lane: full
-    /// in-cutoff blocks of four lanes run vector Horner chains in scalar
-    /// operation order; blocks containing a beyond-cutoff lane and the
-    /// remainder lanes evaluate scalar.
+    /// of [`TabulatedEam::pair_density`]. Bitwise identical to the scalar
+    /// call per lane: blocks of four lanes run vector Horner chains in
+    /// scalar operation order and AND a beyond-cutoff lane's outputs to the
+    /// guard's `+0.0`; the remainder lanes evaluate scalar, guard first.
     fn eval_batch(&self, rs: &[f64], out: &mut [[f64; 4]], rc: f64) {
         #[cfg(target_arch = "x86_64")]
         if crate::simd::simd_active() {
@@ -103,6 +103,30 @@ impl InterleavedRadial {
         }
     }
 
+    /// The `f` of [`InterleavedRadial::eval_batch`] alone: `f[k]` at
+    /// `rs[k]`, same guard, same bits, on the same two legs.
+    fn density_batch(&self, rs: &[f64], f: &mut [f64], rc: f64) {
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::simd_active() {
+            // SAFETY: simd_active() implies the AVX2 probe succeeded.
+            unsafe { self.density_batch_avx2(rs, f, rc) };
+            return;
+        }
+        self.density_batch_scalar(rs, f, rc);
+    }
+
+    /// The `dφ/dr` and `df/dr` of [`InterleavedRadial::eval_batch`] alone,
+    /// same guard, same bits, on the same two legs.
+    fn deriv_batch(&self, rs: &[f64], dphi: &mut [f64], df: &mut [f64], rc: f64) {
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::simd_active() {
+            // SAFETY: simd_active() implies the AVX2 probe succeeded.
+            unsafe { self.deriv_batch_avx2(rs, dphi, df, rc) };
+            return;
+        }
+        self.deriv_batch_scalar(rs, dphi, df, rc);
+    }
+
     /// One scalar lane of [`InterleavedRadial::eval_batch`].
     #[inline]
     fn eval_guarded(&self, r: f64, rc: f64) -> [f64; 4] {
@@ -113,6 +137,85 @@ impl InterleavedRadial {
         [phi, dphi, f, df]
     }
 
+    /// Scalar leg of [`InterleavedRadial::density_batch`].
+    fn density_batch_scalar(&self, rs: &[f64], f: &mut [f64], rc: f64) {
+        for (o, &r) in f.iter_mut().zip(rs) {
+            *o = self.eval_guarded(r, rc)[2];
+        }
+    }
+
+    /// Scalar leg of [`InterleavedRadial::deriv_batch`].
+    fn deriv_batch_scalar(&self, rs: &[f64], dphi: &mut [f64], df: &mut [f64], rc: f64) {
+        for ((p, d), &r) in dphi.iter_mut().zip(df.iter_mut()).zip(rs) {
+            let [_, dp, _, dd] = self.eval_guarded(r, rc);
+            *p = dp;
+            *d = dd;
+        }
+    }
+
+    /// The vector `locate` of one four-lane block, lane-exact against the
+    /// scalar one: the lanes' coefficient rows, their local coordinates `u`
+    /// and the mask of the lanes below `rc`. A lane at or past `rc` is one
+    /// the scalar guard sends to zeros before any lookup; here it is located
+    /// like the others (its clamped index stays in the table) and the
+    /// caller ANDs its outputs with the mask, which gives the guard's exact
+    /// `+0.0` whatever the chains computed. The mask is the negated
+    /// ordered-quiet `≥`, as in the scalar comparison: a NaN lane is kept
+    /// and poisons its own outputs through the chains.
+    ///
+    /// A NaN lane's truncation, like that of a lane too far out for `i32`,
+    /// yields the "integer indefinite" `i32::MIN`, which the clamp sends to
+    /// segment 0 — the segment the scalar saturating `as isize` cast picks
+    /// for NaN. The indices are read straight out of the register, two per
+    /// move.
+    ///
+    /// # Safety
+    /// The caller must have verified AVX2 support; `block` holds four lanes.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn locate4(
+        &self,
+        block: &[f64],
+        rc: f64,
+    ) -> (
+        [&[f64; 8]; 4],
+        core::arch::x86_64::__m256d,
+        core::arch::x86_64::__m256d,
+    ) {
+        use core::arch::x86_64::*;
+        // Scalar `locate` would `debug_assert` on a non-finite lane that
+        // passes the guard; keep that.
+        debug_assert!(
+            block.iter().all(|&r| r >= rc || r.is_finite()),
+            "non-finite spline argument in {block:?}"
+        );
+        let r_v = _mm256_loadu_pd(block[..4].as_ptr());
+        let live = _mm256_cmp_pd::<_CMP_NGE_UQ>(r_v, _mm256_set1_pd(rc));
+        let (a_v, inv_v) = (_mm256_set1_pd(self.a), _mm256_set1_pd(self.inv_h));
+        let t = _mm256_mul_pd(_mm256_sub_pd(r_v, a_v), inv_v);
+        let idx = _mm256_cvttpd_epi32(_mm256_floor_pd(t));
+        let last = _mm_set1_epi32(self.coeff.len() as i32 - 1);
+        let idx = _mm_min_epi32(_mm_max_epi32(idx, _mm_setzero_si128()), last);
+        // xl = a + h·i, u = (r − xl)·inv_h — scalar operation order.
+        let xl = _mm256_add_pd(
+            a_v,
+            _mm256_mul_pd(_mm256_set1_pd(self.h), _mm256_cvtepi32_pd(idx)),
+        );
+        let u = _mm256_mul_pd(_mm256_sub_pd(r_v, xl), inv_v);
+        // Two lanes per 64-bit move; the clamp keeps every index in the
+        // table.
+        let (lo, hi) = (
+            _mm_cvtsi128_si64(idx) as u64,
+            _mm_extract_epi64::<1>(idx) as u64,
+        );
+        let row = |i: u64| {
+            // SAFETY: `i` is a lane of `idx`, clamped to `0..coeff.len()`.
+            unsafe { self.coeff.get_unchecked(i as u32 as usize) }
+        };
+        ([row(lo), row(lo >> 32), row(hi), row(hi >> 32)], u, live)
+    }
+
     /// AVX2 leg of [`InterleavedRadial::eval_batch`].
     ///
     /// # Safety
@@ -120,60 +223,56 @@ impl InterleavedRadial {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn eval_batch_avx2(&self, rs: &[f64], out: &mut [[f64; 4]], rc: f64) {
-        use core::arch::x86_64::*;
-        let a_v = _mm256_set1_pd(self.a);
-        let h_v = _mm256_set1_pd(self.h);
-        let inv_v = _mm256_set1_pd(self.inv_h);
-        let last = _mm_set1_epi32(self.coeff.len() as i32 - 1);
-        let mut k = 0;
-        while k + 4 <= rs.len() {
-            let block = &rs[k..k + 4];
-            let r_v = _mm256_loadu_pd(block.as_ptr());
-            // A beyond-cutoff lane must short-circuit to zeros *before* the
-            // segment lookup, exactly like the scalar guard; evaluate mixed
-            // blocks lane by lane. Ordered-quiet `≥` matches the scalar
-            // comparison on NaN lanes (false — they stay on the vector
-            // path and poison their own outputs through the Horner chains).
-            let over = _mm256_cmp_pd::<_CMP_GE_OQ>(r_v, _mm256_set1_pd(rc));
-            if _mm256_movemask_pd(over) != 0 {
-                for (l, &r) in block.iter().enumerate() {
-                    out[k + l] = self.eval_guarded(r, rc);
-                }
-            } else {
-                // Vectorized `locate`, lane-exact against the scalar one:
-                // every lane here is `< rc ≤ b`, so `t` cannot overflow the
-                // i32 convert, and a NaN lane's truncation yields the
-                // "integer indefinite" `i32::MIN`, which the clamp sends to
-                // segment 0 — the same segment the scalar saturating
-                // `as isize` cast picks. (Scalar `locate` would also
-                // `debug_assert` on a non-finite lane; keep that.)
-                debug_assert!(
-                    block.iter().all(|r| r.is_finite()),
-                    "non-finite spline argument in {block:?}"
-                );
-                let t = _mm256_mul_pd(_mm256_sub_pd(r_v, a_v), inv_v);
-                let idx = _mm256_cvttpd_epi32(_mm256_floor_pd(t));
-                let idx = _mm_min_epi32(_mm_max_epi32(idx, _mm_setzero_si128()), last);
-                // xl = a + h·i, u = (r − xl)·inv_h — scalar operation order.
-                let xl = _mm256_add_pd(a_v, _mm256_mul_pd(h_v, _mm256_cvtepi32_pd(idx)));
-                let u_v = _mm256_mul_pd(_mm256_sub_pd(r_v, xl), inv_v);
-                let mut us = [0.0; 4];
-                _mm256_storeu_pd(us.as_mut_ptr(), u_v);
-                let mut is = [0i32; 4];
-                _mm_storeu_si128(is.as_mut_ptr() as *mut __m128i, idx);
-                let rows = [
-                    &self.coeff[is[0] as usize],
-                    &self.coeff[is[1] as usize],
-                    &self.coeff[is[2] as usize],
-                    &self.coeff[is[3] as usize],
-                ];
-                crate::simd::avx2::radial_block4(rows, &us, self.inv_h, &mut out[k..k + 4]);
-            }
-            k += 4;
+        let mut blocks = rs.chunks_exact(4);
+        let mut outs = out.chunks_exact_mut(4);
+        for (block, o) in (&mut blocks).zip(&mut outs) {
+            let (rows, u, live) = self.locate4(block, rc);
+            crate::simd::avx2::radial_block4(rows, u, live, self.inv_h, o);
         }
-        for l in k..rs.len() {
-            out[l] = self.eval_guarded(rs[l], rc);
+        for (o, &r) in outs.into_remainder().iter_mut().zip(blocks.remainder()) {
+            *o = self.eval_guarded(r, rc);
         }
+    }
+
+    /// AVX2 leg of [`InterleavedRadial::density_batch`]: the `f` half-row
+    /// and value chain only.
+    ///
+    /// # Safety
+    /// The caller must have verified AVX2 support.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn density_batch_avx2(&self, rs: &[f64], f: &mut [f64], rc: f64) {
+        use core::arch::x86_64::{_mm256_and_pd, _mm256_storeu_pd};
+        let mut blocks = rs.chunks_exact(4);
+        let mut outs = f.chunks_exact_mut(4);
+        for (block, o) in (&mut blocks).zip(&mut outs) {
+            let (rows, u, live) = self.locate4(block, rc);
+            let f = crate::simd::avx2::density_block4(rows, u);
+            _mm256_storeu_pd(o.as_mut_ptr(), _mm256_and_pd(f, live));
+        }
+        self.density_batch_scalar(blocks.remainder(), outs.into_remainder(), rc);
+    }
+
+    /// AVX2 leg of [`InterleavedRadial::deriv_batch`]: the two derivative
+    /// chains only.
+    ///
+    /// # Safety
+    /// The caller must have verified AVX2 support.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn deriv_batch_avx2(&self, rs: &[f64], dphi: &mut [f64], df: &mut [f64], rc: f64) {
+        use core::arch::x86_64::{_mm256_and_pd, _mm256_storeu_pd};
+        let mut blocks = rs.chunks_exact(4);
+        let mut dps = dphi.chunks_exact_mut(4);
+        let mut dfs = df.chunks_exact_mut(4);
+        for ((block, dp), dd) in (&mut blocks).zip(&mut dps).zip(&mut dfs) {
+            let (rows, u, live) = self.locate4(block, rc);
+            let (p, d) = crate::simd::avx2::deriv_block4(rows, u, self.inv_h);
+            _mm256_storeu_pd(dp.as_mut_ptr(), _mm256_and_pd(p, live));
+            _mm256_storeu_pd(dd.as_mut_ptr(), _mm256_and_pd(d, live));
+        }
+        let rest = blocks.remainder();
+        self.deriv_batch_scalar(rest, dps.into_remainder(), dfs.into_remainder(), rc);
     }
 }
 
@@ -336,6 +435,32 @@ impl EamPotential for TabulatedEam {
         }
     }
 
+    fn density_batch(&self, r: &[f64], f: &mut [f64]) {
+        assert_eq!(r.len(), f.len(), "density_batch length mismatch");
+        match &self.radial {
+            Some(t) => t.density_batch(r, f, self.rc),
+            None => {
+                for (o, &ri) in f.iter_mut().zip(r) {
+                    *o = self.density(ri).0;
+                }
+            }
+        }
+    }
+
+    fn radial_deriv_batch(&self, r: &[f64], dphi: &mut [f64], df: &mut [f64]) {
+        assert_eq!(r.len(), dphi.len(), "radial_deriv_batch length mismatch");
+        assert_eq!(r.len(), df.len(), "radial_deriv_batch length mismatch");
+        match &self.radial {
+            Some(t) => t.deriv_batch(r, dphi, df, self.rc),
+            None => {
+                for ((p, d), &ri) in dphi.iter_mut().zip(df.iter_mut()).zip(r) {
+                    *p = self.pair(ri).1;
+                    *d = self.density(ri).1;
+                }
+            }
+        }
+    }
+
     fn embedding_deriv_batch(&self, rho: &[f64], fp: &mut [f64]) {
         assert_eq!(rho.len(), fp.len(), "embedding_deriv_batch length mismatch");
         // Fixed-size chunks keep the value scratch on the stack. A chunk
@@ -484,6 +609,61 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Both radial batches on both legs, called directly so one process
+    /// covers the leg it would not pick, and on a table whose φ and f grids
+    /// differ (no interleaved rows: the per-lane fallback).
+    #[test]
+    fn radial_batches_match_pair_density_on_both_legs() {
+        use crate::traits::batch_check::{assert_matches, separations};
+        let (src, tab) = tables();
+        let rs = separations(tab.cutoff(), tab.r_min());
+        let rc = tab.cutoff();
+        assert_matches(
+            &tab,
+            &rs,
+            |r, f| tab.density_batch(r, f),
+            |r, dphi, df| tab.radial_deriv_batch(r, dphi, df),
+            "TabulatedEam",
+        );
+        let t = tab.radial.as_ref().expect("one shared grid");
+        assert_matches(
+            &tab,
+            &rs,
+            |r, f| t.density_batch_scalar(r, f, rc),
+            |r, dphi, df| t.deriv_batch_scalar(r, dphi, df, rc),
+            "scalar leg",
+        );
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            assert_matches(
+                &tab,
+                &rs,
+                // SAFETY: AVX2 was detected.
+                |r, f| unsafe { t.density_batch_avx2(r, f, rc) },
+                |r, dphi, df| unsafe { t.deriv_batch_avx2(r, dphi, df, rc) },
+                "AVX2 leg",
+            );
+        } else {
+            eprintln!(
+                "radial_batches_match_pair_density_on_both_legs: AVX2 leg SKIPPED, \
+                 this host has no AVX2"
+            );
+        }
+
+        let pair = UniformSpline::from_fn(tab.r_min(), rc, 1500, |r| src.pair(r).0);
+        let density = UniformSpline::from_fn(0.0, rc, 1801, |r| src.density(r).0);
+        let embedding = UniformSpline::from_fn(0.0, tab.rho_max(), 500, |x| src.embedding(x).0);
+        let split = TabulatedEam::from_splines(pair, density, embedding, rc);
+        assert!(split.radial.is_none(), "different grids");
+        assert_matches(
+            &split,
+            &rs,
+            |r, f| split.density_batch(r, f),
+            |r, dphi, df| split.radial_deriv_batch(r, dphi, df),
+            "separate grids",
+        );
     }
 
     #[test]

@@ -78,6 +78,39 @@ pub trait EamPotential: Send + Sync {
         }
     }
 
+    /// Batched density values, the force engine's density sweep: writes
+    /// `f(r[k])` into `f[k]`. Same contract as
+    /// [`EamPotential::pair_density_batch`]: overrides must be bitwise
+    /// identical, lane for lane, to the `f` of per-lane
+    /// [`EamPotential::pair_density`], which is what the default loops.
+    ///
+    /// # Panics
+    /// Panics if `r` and `f` differ in length.
+    fn density_batch(&self, r: &[f64], f: &mut [f64]) {
+        assert_eq!(r.len(), f.len(), "density_batch length mismatch");
+        for (o, &ri) in f.iter_mut().zip(r) {
+            *o = self.pair_density(ri).2;
+        }
+    }
+
+    /// Batched radial derivatives, the force engine's force sweep: writes
+    /// `dφ/dr` at `r[k]` into `dphi[k]` and `df/dr` into `df[k]`. Same
+    /// contract as [`EamPotential::density_batch`]: bitwise identical, lane
+    /// for lane, to the matching fields of per-lane
+    /// [`EamPotential::pair_density`], which is what the default loops.
+    ///
+    /// # Panics
+    /// Panics if the three slices differ in length.
+    fn radial_deriv_batch(&self, r: &[f64], dphi: &mut [f64], df: &mut [f64]) {
+        assert_eq!(r.len(), dphi.len(), "radial_deriv_batch length mismatch");
+        assert_eq!(r.len(), df.len(), "radial_deriv_batch length mismatch");
+        for ((p, d), &ri) in dphi.iter_mut().zip(df.iter_mut()).zip(r) {
+            let (_, dp, _, dd) = self.pair_density(ri);
+            *p = dp;
+            *d = dd;
+        }
+    }
+
     /// Batched embedding derivative: writes `dF/dρ` at each host density
     /// `rho[k]` into `fp[k]`. Same contract as
     /// [`EamPotential::pair_density_batch`]: overrides must be bitwise
@@ -145,6 +178,12 @@ impl<P: EamPotential + ?Sized> EamPotential for &P {
     fn pair_density_batch(&self, r: &[f64], out: &mut [[f64; 4]]) {
         (**self).pair_density_batch(r, out)
     }
+    fn density_batch(&self, r: &[f64], f: &mut [f64]) {
+        (**self).density_batch(r, f)
+    }
+    fn radial_deriv_batch(&self, r: &[f64], dphi: &mut [f64], df: &mut [f64]) {
+        (**self).radial_deriv_batch(r, dphi, df)
+    }
     fn embedding_deriv_batch(&self, rho: &[f64], fp: &mut [f64]) {
         (**self).embedding_deriv_batch(rho, fp)
     }
@@ -174,9 +213,75 @@ pub fn check_derivative(f: impl Fn(f64) -> (f64, f64), x: f64, h: f64, tol: f64)
     );
 }
 
+/// Shared by the test suites of the EAM potentials: holds a potential's
+/// radial batch methods to per-lane [`EamPotential::pair_density`].
+#[cfg(test)]
+pub(crate) mod batch_check {
+    use super::EamPotential;
+
+    /// Separations the radial batches must get right for a potential with
+    /// cutoff `rc` whose tables start at `r_min`: the row kernels' skin
+    /// sentinel `+∞`, a negative separation `−1`, `rc` and one ulp either
+    /// side of it, the first and last table segments, below and beyond the
+    /// table, and ordinary separations between them, so windows of every
+    /// length start at every phase of a four-lane block and mix in-cutoff
+    /// lanes with beyond-cutoff ones.
+    pub(crate) fn separations(rc: f64, r_min: f64) -> Vec<f64> {
+        vec![
+            -1.0,
+            2.1,
+            rc.next_down(),
+            rc,
+            3.3,
+            rc.next_up(),
+            r_min,
+            r_min.next_up(),
+            0.5 * r_min,
+            2.6,
+            rc - 1e-3,
+            4.4,
+            rc + 1.0,
+            1.7,
+            f64::INFINITY,
+            3.9,
+            2.48,
+            rc.next_down(),
+            5.0,
+            2.9,
+        ]
+    }
+
+    /// Runs `density` (`f` per lane) and `deriv` (`dφ/dr`, `df/dr` per
+    /// lane) on every window of `rs` of every length 0–9, and asserts each
+    /// lane's bits equal `pot.pair_density`'s.
+    pub(crate) fn assert_matches(
+        pot: &dyn EamPotential,
+        rs: &[f64],
+        density: impl Fn(&[f64], &mut [f64]),
+        deriv: impl Fn(&[f64], &mut [f64], &mut [f64]),
+        what: &str,
+    ) {
+        for len in 0..=9 {
+            for start in 0..=rs.len() - len {
+                let rs = &rs[start..start + len];
+                let (mut f, mut dphi, mut df) = (vec![7.0; len], vec![7.0; len], vec![7.0; len]);
+                density(rs, &mut f);
+                deriv(rs, &mut dphi, &mut df);
+                for (k, &r) in rs.iter().enumerate() {
+                    let (_, want_dphi, want_f, want_df) = pot.pair_density(r);
+                    let got = [f[k], dphi[k], df[k]].map(f64::to_bits);
+                    let want = [want_f, want_dphi, want_df].map(f64::to_bits);
+                    assert_eq!(got, want, "{what}: [f, dφ, df] lane {k} of {rs:?}");
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AnalyticEam;
 
     struct Quadratic;
     impl PairPotential for Quadratic {
@@ -202,6 +307,54 @@ mod tests {
         let ed = (&q).energy_deriv(2.0); // exercise the blanket &P impl
         assert_eq!(ed, (4.0, 4.0));
         assert_eq!(r.energy(2.0), 4.0);
+    }
+
+    /// An implementor that keeps every batch default: only the scalar
+    /// methods forward.
+    struct Forwarding(AnalyticEam);
+
+    impl EamPotential for Forwarding {
+        fn cutoff(&self) -> f64 {
+            self.0.cutoff()
+        }
+        fn pair(&self, r: f64) -> (f64, f64) {
+            self.0.pair(r)
+        }
+        fn density(&self, r: f64) -> (f64, f64) {
+            self.0.density(r)
+        }
+        fn embedding(&self, rho: f64) -> (f64, f64) {
+            self.0.embedding(rho)
+        }
+    }
+
+    #[test]
+    fn default_radial_batches_loop_pair_density() {
+        let pot = Forwarding(AnalyticEam::fe());
+        let rs = batch_check::separations(pot.cutoff(), 0.5);
+        batch_check::assert_matches(
+            &pot,
+            &rs,
+            |r, f| pot.density_batch(r, f),
+            |r, dphi, df| pot.radial_deriv_batch(r, dphi, df),
+            "defaults",
+        );
+        // Through `dyn` and the blanket `&P` impl, as the engine calls them.
+        let erased: &dyn EamPotential = &pot;
+        batch_check::assert_matches(
+            &pot,
+            &rs,
+            |r, f| (&erased).density_batch(r, f),
+            |r, dphi, df| (&erased).radial_deriv_batch(r, dphi, df),
+            "defaults through &dyn",
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "radial_deriv_batch length mismatch")]
+    fn radial_deriv_batch_rejects_mismatched_lengths() {
+        let pot = Forwarding(AnalyticEam::fe());
+        pot.radial_deriv_batch(&[2.0, 3.0], &mut [0.0; 2], &mut [0.0; 1]);
     }
 
     #[test]

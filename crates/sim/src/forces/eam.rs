@@ -27,29 +27,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 mod lanes;
 
-/// What the density sweep keeps of one stored half-list pair for the force
-/// sweep, addressed by the pair's slot (its CSR storage index
-/// `half.window(i).start + k`, so the records follow the list's layout):
-/// the radial derivatives φ′(r) and f′(r). Those are the costly part of
-/// phase 3 — a spline lookup each — so phase 1 evaluates them together
-/// with f(r) (the paper's §II.D interpolation optimization); the
-/// displacement and separation are cheaper to recompute from the positions
-/// than to store and reload. A skin pair's record is
-/// unspecified: the force lanes mask the pair's terms to zero.
-/// `repr(C)`: the AVX2 force lanes load records as `[φ′, f′]` pairs.
-#[derive(Debug, Clone, Copy, Default)]
-#[repr(C)]
-pub(crate) struct PairRecord {
-    dphi: f64,
-    df: f64,
-}
-
-/// Chunk size of the batched evaluators: the density kernel hands a row's
-/// separations to [`EamPotential::pair_density_batch`] in chunks of at most
-/// this many (a longer row is split, its `rho[i]` carried across), and
+/// Chunk size of the batched evaluators: the row kernels hand a row's
+/// separations to [`EamPotential::density_batch`] and
+/// [`EamPotential::radial_deriv_batch`] in chunks of at most this many (a
+/// longer row is split, its `rho[i]` or `forces[i]` carried across), and
 /// phase 2 evaluates `F′` in blocks of this many. A multiple of [`LANES`],
 /// large enough to amortize the call.
 const CHUNK: usize = 64;
+
+/// [`LANES`]-wide steps per [`CHUNK`].
+const STEPS: usize = CHUNK / LANES;
 
 /// Phase 1 for one task of a row-owning sweep
 /// ([`sdc_core::ScatterExec::run_tasks`]), on the lane leg
@@ -57,24 +44,22 @@ const CHUNK: usize = 64;
 /// [`density_rows_in`]. Returns the number of [`LANES`]-wide steps it ran.
 ///
 /// # Safety
-/// While this runs, no other thread may access `records` at the slots of
-/// `rows`, nor `rho` at `rows` or at their stored neighbors — what
-/// `run_tasks` guarantees each task.
+/// While this runs, no other thread may access `rho` at `rows` or at their
+/// stored neighbors — what `run_tasks` guarantees each task.
 unsafe fn density_rows<P: EamPotential + ?Sized>(
     rows: TaskRows<'_>,
     half: &Csr,
     geo: &Geometry<'_>,
     pot: &P,
     rho: &SharedSlice<'_, f64>,
-    records: &SharedSlice<'_, PairRecord>,
 ) -> usize {
     #[cfg(target_arch = "x86_64")]
     if md_potential::simd_active() {
         // SAFETY: `simd_active` found AVX2; the rest is the caller's.
-        return unsafe { density_rows_avx2(rows, half, geo, pot, rho, records) };
+        return unsafe { density_rows_avx2(rows, half, geo, pot, rho) };
     }
     // SAFETY: the caller's contract.
-    unsafe { density_rows_in(Scalar, rows, half, geo, pot, rho, records) }
+    unsafe { density_rows_in(Scalar, rows, half, geo, pot, rho) }
 }
 
 /// [`density_rows_in`] compiled for AVX2, on the [`lanes::Avx2`] leg.
@@ -89,18 +74,17 @@ unsafe fn density_rows_avx2<P: EamPotential + ?Sized>(
     geo: &Geometry<'_>,
     pot: &P,
     rho: &SharedSlice<'_, f64>,
-    records: &SharedSlice<'_, PairRecord>,
 ) -> usize {
     // SAFETY: the caller's contract, AVX2 included.
-    unsafe { density_rows_in(lanes::Avx2, rows, half, geo, pot, rho, records) }
+    unsafe { density_rows_in(lanes::Avx2, rows, half, geo, pot, rho) }
 }
 
 /// The density row kernel: walks the task's rows and each row's stored
 /// pairs in chunks of up to [`CHUNK`], [`LANES`] at a time through `lanes`
-/// (the separation `r`, or the −1 sentinel on a skin lane, and the lane's
-/// cutoff mask), hands each chunk's `r` to
-/// [`EamPotential::pair_density_batch`], writes one [`PairRecord`] per
-/// slot and adds `f` to `rho[i]` and `rho[j]` in pair order.
+/// (the separation `r`, or the [`lanes::SKIN`] sentinel `+∞` on a skin
+/// lane, and the lane's cutoff mask), hands each chunk's `r` to
+/// [`EamPotential::density_batch`] and adds `f` to `rho[i]` and `rho[j]` in
+/// pair order. It keeps nothing per pair for the force sweep.
 ///
 /// A skin lane adds its `f` ANDed with its zero mask: exactly `+0.0`,
 /// whatever the splines gave at the sentinel, so the sum needs no branch.
@@ -119,37 +103,32 @@ unsafe fn density_rows_in<L: PairLanes, P: EamPotential + ?Sized>(
     geo: &Geometry<'_>,
     pot: &P,
     rho: &SharedSlice<'_, f64>,
-    records: &SharedSlice<'_, PairRecord>,
 ) -> usize {
     let indices = half.indices();
     let pos = geo.pos();
-    let mut r = [[0.0; LANES]; CHUNK / LANES];
-    let mut live = [[0u64; LANES]; CHUNK / LANES];
-    let mut out = [[0.0; 4]; CHUNK];
+    let mut r = [[0.0; LANES]; STEPS];
+    let mut live = [[0u64; LANES]; STEPS];
+    let mut f = [0.0; CHUNK];
     let mut steps = 0;
     for i in rows {
         let slots = half.window(i);
-        let (lo, hi) = (slots.start, slots.end);
         let pi = pos[i];
         // `rho[i]` stays in a register for the whole row: a half list
         // stores only `j > i`, so no pair of row `i` writes `rho[i]`
         // through its `j` side, and no other task touches it while this
         // one owns row `i`.
-        // SAFETY (all four blocks): the row's slots, `rho[i]` and `rho[j]`
-        // are this task's own (the caller's contract).
+        // SAFETY (all three blocks): `rho[i]` and `rho[j]` are this task's
+        // own (the caller's contract).
         let mut acc = unsafe { *rho.get_mut(i) };
-        for (c, ids) in (lo..hi).step_by(CHUNK).zip(indices[lo..hi].chunks(CHUNK)) {
+        for ids in indices[slots].chunks(CHUNK) {
             let n = ids.len();
             for ((ids, r), live) in ids.chunks(LANES).zip(&mut r).zip(&mut live) {
                 // SAFETY: one to LANES ids; AVX2 is the caller's.
                 unsafe { lanes.separations(geo, pi, ids, r, live) };
             }
             steps += n.div_ceil(LANES);
-            pot.pair_density_batch(&r.as_flattened()[..n], &mut out[..n]);
-            let recs = unsafe { records.slice_mut(c, c + n) };
-            let evaluated = out.iter().zip(live.as_flattened());
-            for ((&j, rec), (&[_, dphi, f, df], &mask)) in ids.iter().zip(recs).zip(evaluated) {
-                *rec = PairRecord { dphi, df };
+            pot.density_batch(&r.as_flattened()[..n], &mut f[..n]);
+            for ((&j, &f), &mask) in ids.iter().zip(&f).zip(live.as_flattened()) {
                 let f = masked(f, mask);
                 acc += f;
                 unsafe { *rho.get_mut(j as usize) += f };
@@ -166,21 +145,21 @@ unsafe fn density_rows_in<L: PairLanes, P: EamPotential + ?Sized>(
 /// # Safety
 /// While this runs, no other thread may access `forces` at `rows` or at
 /// their stored neighbors — what `run_tasks` guarantees each task.
-unsafe fn force_rows(
+unsafe fn force_rows<P: EamPotential + ?Sized>(
     rows: TaskRows<'_>,
     half: &Csr,
     geo: &Geometry<'_>,
+    pot: &P,
     fp: &[f64],
-    records: &[PairRecord],
     forces: &SharedSlice<'_, Vec3>,
 ) {
     #[cfg(target_arch = "x86_64")]
     if md_potential::simd_active() {
         // SAFETY: `simd_active` found AVX2; the rest is the caller's.
-        return unsafe { force_rows_avx2(rows, half, geo, fp, records, forces) };
+        return unsafe { force_rows_avx2(rows, half, geo, pot, fp, forces) };
     }
     // SAFETY: the caller's contract.
-    unsafe { force_rows_in(Scalar, rows, half, geo, fp, records, forces) }
+    unsafe { force_rows_in(Scalar, rows, half, geo, pot, fp, forces) }
 }
 
 /// [`force_rows_in`] compiled for AVX2, on the [`lanes::Avx2`] leg.
@@ -189,63 +168,84 @@ unsafe fn force_rows(
 /// As for [`force_rows`], on a CPU with AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn force_rows_avx2(
+unsafe fn force_rows_avx2<P: EamPotential + ?Sized>(
     rows: TaskRows<'_>,
     half: &Csr,
     geo: &Geometry<'_>,
+    pot: &P,
     fp: &[f64],
-    records: &[PairRecord],
     forces: &SharedSlice<'_, Vec3>,
 ) {
     // SAFETY: the caller's contract, AVX2 included.
-    unsafe { force_rows_in(lanes::Avx2, rows, half, geo, fp, records, forces) }
+    unsafe { force_rows_in(lanes::Avx2, rows, half, geo, pot, fp, forces) }
 }
 
 /// The force row kernel: walks the task's rows and each row's stored pairs
-/// [`LANES`] at a time through `lanes`, which recompute `d`, `r²` and `r`
-/// with the density lanes' operations (so both sweeps agree on every skip),
-/// gather `F′(ρ_j)`, read φ′ and f′ from the pairs' records and form
-/// `d·(−s/r)` with `s = φ′ + (F′(ρ_i) + F′(ρ_j))·f′`, exactly `+0.0` on a
-/// skin lane. The terms are scattered as `forces[i] += t`,
-/// `forces[j] += −t` in pair order, with `forces[i]` in a register for the
-/// whole row as `rho[i]` is in [`density_rows_in`] — and, as there, a skin
-/// lane's `+0.0` (and `−0.0` on the `j` side) changes no bit, since
-/// `forces` is zero-filled before the sweep.
+/// in chunks of up to [`CHUNK`]. For each chunk it computes `d`, `r` (the
+/// [`lanes::SKIN`] sentinel on a skin lane) and the cutoff mask, [`LANES`]
+/// at a time through `lanes`, with the density lanes' operations on the same
+/// positions, so both sweeps agree on every skip and every `r`; hands `r`
+/// to [`EamPotential::radial_deriv_batch`] for φ′ and f′; then, again in
+/// lanes, gathers `F′(ρ_j)` and forms `d·(−s/r)` with
+/// `s = φ′ + (F′(ρ_i) + F′(ρ_j))·f′`, exactly `+0.0` on a skin lane. The
+/// terms are scattered as `forces[i] += t`, `forces[j] += −t` in pair
+/// order, with `forces[i]` in a register for the whole row as `rho[i]` is
+/// in [`density_rows_in`] — and, as there, a skin lane's `+0.0` (and
+/// `−0.0` on the `j` side) changes no bit, since `forces` is zero-filled
+/// before the sweep.
+///
+/// The sweep reads only positions and `fp`: nothing the density sweep
+/// left behind besides `F′`.
 ///
 /// # Safety
 /// As for [`force_rows`]; an [`lanes::Avx2`] leg needs AVX2.
 #[inline(always)]
-unsafe fn force_rows_in<L: PairLanes>(
+unsafe fn force_rows_in<L: PairLanes, P: EamPotential + ?Sized>(
     lanes: L,
     rows: TaskRows<'_>,
     half: &Csr,
     geo: &Geometry<'_>,
+    pot: &P,
     fp: &[f64],
-    records: &[PairRecord],
     forces: &SharedSlice<'_, Vec3>,
 ) {
     let indices = half.indices();
     let pos = geo.pos();
     assert_eq!(fp.len(), pos.len(), "one F′ per atom");
+    let mut d = [[[0.0; LANES]; 3]; STEPS];
+    let mut r = [[0.0; LANES]; STEPS];
+    let mut live = [[0u64; LANES]; STEPS];
+    let mut dphi = [[0.0; LANES]; STEPS];
+    let mut df = [[0.0; LANES]; STEPS];
     let mut t = [[0.0; LANES]; 3];
     for i in rows {
         let slots = half.window(i);
-        let (lo, hi) = (slots.start, slots.end);
         let (pi, fpi) = (pos[i], fp[i]);
         // SAFETY (all three blocks): `forces` at `i` and at its neighbors
         // is this task's own (the caller's contract).
         let mut acc = unsafe { *forces.get_mut(i) };
-        for (ids, recs) in indices[lo..hi]
-            .chunks(LANES)
-            .zip(records[lo..hi].chunks(LANES))
-        {
-            // SAFETY: one to LANES ids, one record each, `fp` per atom
-            // (asserted); AVX2 is the caller's.
-            unsafe { lanes.forces(geo, pi, fpi, fp, ids, recs, &mut t) };
-            for (l, &j) in ids.iter().enumerate() {
-                let f = Vec3::new(t[0][l], t[1][l], t[2][l]);
-                acc += f;
-                unsafe { *forces.get_mut(j as usize) += -f };
+        for ids in indices[slots].chunks(CHUNK) {
+            let n = ids.len();
+            let geometry = d.iter_mut().zip(&mut r).zip(&mut live);
+            for (ids, ((d, r), live)) in ids.chunks(LANES).zip(geometry) {
+                // SAFETY: one to LANES ids; AVX2 is the caller's.
+                unsafe { lanes.displacements(geo, pi, ids, d, r, live) };
+            }
+            pot.radial_deriv_batch(
+                &r.as_flattened()[..n],
+                &mut dphi.as_flattened_mut()[..n],
+                &mut df.as_flattened_mut()[..n],
+            );
+            for (k, ids) in ids.chunks(LANES).enumerate() {
+                let deriv = [&dphi[k], &df[k]];
+                // SAFETY: one to LANES ids, `fp` per atom (asserted); AVX2
+                // is the caller's.
+                unsafe { lanes.forces(fpi, fp, ids, &d[k], &r[k], &live[k], deriv, &mut t) };
+                for (l, &j) in ids.iter().enumerate() {
+                    let f = Vec3::new(t[0][l], t[1][l], t[2][l]);
+                    acc += f;
+                    unsafe { *forces.get_mut(j as usize) += -f };
+                }
             }
         }
         unsafe { *forces.get_mut(i) = acc };
@@ -270,17 +270,13 @@ impl ForceEngine {
     /// [`ForceEngine::compute`] resolves the concrete potential once per
     /// step and monomorphizes this over it, so the pair loops pay no
     /// virtual calls; any other implementor runs the same code with
-    /// `P = dyn EamPotential`. φ and f come from one
-    /// [`EamPotential::pair_density`] lookup (one segment index into
-    /// interleaved coefficients for tabulated potentials).
+    /// `P = dyn EamPotential`.
     ///
     /// Row-owning strategies ([`sdc_core::StrategyKind::owns_rows`]) run
     /// [`density_rows`] over whole task rows: pair geometry in lanes and
-    /// each row chunk through the batched evaluators (AVX2 when the CPU has
-    /// it, per-pair scalar code otherwise — same bits either way), and one
-    /// 16-byte [`PairRecord`] per stored pair for
-    /// [`ForceEngine::eam_force_phase`]. The baseline strategies keep a
-    /// per-pair kernel and no records.
+    /// each row chunk through [`EamPotential::density_batch`] (AVX2 when
+    /// the CPU has it, per-pair scalar code otherwise — same bits either
+    /// way). The baseline strategies keep a per-pair kernel.
     pub(crate) fn eam_density_phase<P: EamPotential + ?Sized>(
         &mut self,
         system: &mut System,
@@ -292,15 +288,9 @@ impl ForceEngine {
         // onto a baseline strategy.
         let owns_rows = strategy.owns_rows();
         let entries = self.neighbor_list().csr().entries();
-        // Timers and scratch are detached so `exec` (borrowing `self`) can
-        // coexist with both.
+        // The timers are detached so `exec` (borrowing `self`) can coexist
+        // with them.
         let mut timers = std::mem::take(self.timers_mut());
-        let mut scratch = std::mem::take(self.scratch_mut());
-        if owns_rows {
-            scratch.resize(entries, PairRecord::default());
-        } else {
-            scratch = Vec::new();
-        }
         let steps = AtomicUsize::new(0);
         {
             let exec = self.exec();
@@ -308,16 +298,15 @@ impl ForceEngine {
             let half = self.neighbor_list().csr();
             let (sim_box, pos, rho, fp, _forces) = system.eam_split_mut();
 
-            // Phase 1: densities, and the records for phase 3.
+            // Phase 1: densities.
             timers.time(Phase::Density, || {
                 rho.fill(0.0);
                 if owns_rows {
-                    let records = SharedSlice::new(&mut scratch);
                     let geo = Geometry::new(sim_box, pos, rc2);
-                    // SAFETY: `run_tasks` gives each task its rows' slots and
+                    // SAFETY: `run_tasks` gives each task its rows'
                     // footprint to itself.
                     let task = |rows: TaskRows<'_>, rho: &SharedSlice<'_, f64>| unsafe {
-                        let n = density_rows(rows, half, &geo, pot, rho, &records);
+                        let n = density_rows(rows, half, &geo, pot, rho);
                         steps.fetch_add(n, Ordering::Relaxed);
                     };
                     exec.run_tasks(strategy, rho, &task);
@@ -338,7 +327,6 @@ impl ForceEngine {
                 ctx.install(|| embedding_phase(pot, rho, fp));
             });
         }
-        *self.scratch_mut() = scratch;
         *self.timers_mut() = timers;
         // Each row chunk's lane steps are full but its last, so this is
         // entries / (4 · Σ_chunks ⌈pairs_c / 4⌉).
@@ -348,13 +336,14 @@ impl ForceEngine {
         });
     }
 
-    /// EAM phase 3: forces from the `fp` currently in the system (normally
-    /// the output of [`ForceEngine::eam_density_phase`], possibly with ghost
-    /// entries overwritten by a halo exchange). Row-owning strategies run
-    /// [`force_rows`] over whole task rows, reading the φ′/f′ records the
-    /// density phase wrote (it must run first on the same neighbor list and
-    /// positions — [`ForceEngine::compute`] and the shard driver both
-    /// guarantee that); the baseline strategies recompute every pair.
+    /// EAM phase 3: forces from the positions and the `fp` currently in the
+    /// system (normally the output of [`ForceEngine::eam_density_phase`],
+    /// possibly with ghost entries overwritten by a halo exchange).
+    /// Row-owning strategies run [`force_rows`] over whole task rows,
+    /// evaluating φ′ and f′ through [`EamPotential::radial_deriv_batch`]
+    /// on the separations they recompute; the baseline strategies recompute
+    /// every pair through [`EamPotential::pair_density`]. Either way the
+    /// phase reads no per-pair state of the density phase.
     pub(crate) fn eam_force_phase<P: EamPotential + ?Sized>(
         &mut self,
         system: &mut System,
@@ -363,12 +352,7 @@ impl ForceEngine {
         let rc2 = pot.cutoff() * pot.cutoff();
         let strategy = self.strategy();
         let owns_rows = strategy.owns_rows();
-        debug_assert!(
-            !owns_rows || self.scratch_mut().len() == self.neighbor_list().csr().entries(),
-            "force phase without a preceding density phase"
-        );
         let mut timers = std::mem::take(self.timers_mut());
-        let scratch = std::mem::take(self.scratch_mut());
         {
             let exec = self.exec();
             let half = self.neighbor_list().csr();
@@ -379,12 +363,11 @@ impl ForceEngine {
                 forces.fill(Vec3::ZERO);
                 let fp: &[f64] = fp;
                 if owns_rows {
-                    let records: &[PairRecord] = &scratch;
                     let geo = Geometry::new(sim_box, pos, rc2);
                     // SAFETY: `run_tasks` gives each task its footprint to
                     // itself.
                     let task = |rows: TaskRows<'_>, forces: &SharedSlice<'_, Vec3>| unsafe {
-                        force_rows(rows, half, &geo, fp, records, forces)
+                        force_rows(rows, half, &geo, pot, fp, forces)
                     };
                     exec.run_tasks(strategy, forces, &task);
                 } else {
@@ -404,7 +387,6 @@ impl ForceEngine {
                 }
             });
         }
-        *self.scratch_mut() = scratch;
         *self.timers_mut() = timers;
     }
 }
@@ -520,32 +502,39 @@ mod tests {
         [v[0], v[v.len() / 4], v[v.len() / 2]]
     }
 
-    /// The probes' crystal: `cells`³-cell bcc Fe, tabulated, velocities
-    /// from `kelvin`, after 10 velocity-Verlet steps on the given engine.
+    /// The probes' crystal: `cells`³-cell bcc Fe, tabulated or analytic,
+    /// velocities from `kelvin`, after 10 velocity-Verlet steps on the
+    /// given engine.
     fn probe_crystal(
         cells: usize,
+        tabulated: bool,
         strategy: StrategyKind,
         threads: usize,
         kelvin: f64,
-    ) -> (System, ForceEngine, Arc<TabulatedEam>) {
+    ) -> (System, ForceEngine) {
         use crate::integrate::velocity_verlet;
         use crate::velocity::init_velocities;
         let src = AnalyticEam::fe();
-        let tab = Arc::new(TabulatedEam::standard(&src, src.rho_e()));
+        let pot = if tabulated {
+            PotentialChoice::Eam(Arc::new(TabulatedEam::standard(&src, src.rho_e())))
+        } else {
+            PotentialChoice::Eam(Arc::new(src))
+        };
         let mut system = System::from_lattice(LatticeSpec::bcc_fe(cells), FE_MASS);
         init_velocities(&mut system, kelvin, 1);
-        let pot = PotentialChoice::Eam(tab.clone());
         let mut eng = ForceEngine::new(&system, pot, strategy, threads, 0.3).unwrap();
         eng.compute(&mut system);
         for _ in 0..10 {
             velocity_verlet(&mut system, &mut eng, 1e-3);
         }
-        (system, eng, tab)
+        (system, eng)
     }
 
     /// Tuning probe (not part of the suite): per-phase wall time of the
     /// density and force phases on the benchmark crystal (32³ cells, 65,536
-    /// atoms) in the [`PROBE_CASES`] and the [`EQUAL_WORK_CASES`]. The
+    /// atoms): tabulated in the [`PROBE_CASES`] and the
+    /// [`EQUAL_WORK_CASES`], and analytic (mdrun's default potential, whose
+    /// radial functions cost an `exp` each) in the [`PROBE_CASES`]. The
     /// cases take turns over `ROUNDS` rounds of `REPS` reps each, so host
     /// drift hits them alike; prints the min, first quartile and median of
     /// each phase, in ns per atom. Much lower-noise than timing whole runs;
@@ -559,34 +548,41 @@ mod tests {
         const ROUNDS: usize = 8;
         const REPS: usize = 5;
         let simd = md_potential::simd_active();
-        let mut cases: Vec<_> = PROBE_CASES
+        let setups: Vec<_> = PROBE_CASES
             .iter()
             .chain(&EQUAL_WORK_CASES)
-            .map(|&(strategy, threads, kelvin)| {
-                let (mut system, mut eng, tab) = probe_crystal(32, strategy, threads, kelvin);
-                eng.compute(&mut system); // warm caches + scratch
-                (system, eng, tab, Vec::new(), Vec::new())
+            .map(|&case| (true, case))
+            .chain(PROBE_CASES.iter().map(|&case| (false, case)))
+            .collect();
+        let mut cases: Vec<_> = setups
+            .iter()
+            .map(|&(tabulated, (strategy, threads, kelvin))| {
+                let (mut system, mut eng) = probe_crystal(32, tabulated, strategy, threads, kelvin);
+                eng.compute(&mut system); // warm caches
+                (system, eng, Vec::new(), Vec::new())
             })
             .collect();
         for _ in 0..ROUNDS {
-            for (system, eng, tab, density, force) in &mut cases {
+            for (system, eng, density, force) in &mut cases {
                 let per_atom = 1e9 / system.len() as f64;
                 for _ in 0..REPS {
                     let t = Instant::now();
-                    eng.eam_density_phase(system, &**tab);
+                    eng.compute_density_phase(system);
                     density.push(t.elapsed().as_secs_f64() * per_atom);
                     let t = Instant::now();
-                    eng.eam_force_phase(system, &**tab);
+                    eng.compute_force_phase(system);
                     force.push(t.elapsed().as_secs_f64() * per_atom);
                 }
             }
         }
-        let cases = PROBE_CASES.iter().chain(&EQUAL_WORK_CASES).zip(cases);
-        for (&(strategy, threads, kelvin), (.., density, force)) in cases {
+        for (&(tabulated, (strategy, threads, kelvin)), (.., density, force)) in
+            setups.iter().zip(cases)
+        {
             let both: Vec<f64> = density.iter().zip(&force).map(|(d, f)| d + f).collect();
             let [d, f, b] = [density, force, both].map(min_p25_median);
+            let pot = if tabulated { "tabulated" } else { "analytic" };
             eprintln!(
-                "{strategy} t={threads} {kelvin} K simd={simd}: ns/atom min/p25/median \
+                "{pot} {strategy} t={threads} {kelvin} K simd={simd}: ns/atom min/p25/median \
                  density {:.0}/{:.0}/{:.0}  force {:.0}/{:.0}/{:.0}  \
                  density+force {:.0}/{:.0}/{:.0}",
                 d[0], d[1], d[2], f[0], f[1], f[2], b[0], b[1], b[2]
@@ -612,7 +608,7 @@ mod tests {
         const PROBE_REPS: usize = 11;
         let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
         for (strategy, threads, kelvin) in PROBE_CASES {
-            let (system, mut eng, _) = probe_crystal(32, strategy, threads, kelvin);
+            let (system, mut eng) = probe_crystal(32, true, strategy, threads, kelvin);
             let reps = (0..PROBE_REPS)
                 .map(|_| {
                     let t = Instant::now();
@@ -624,7 +620,7 @@ mod tests {
             eprintln!("ForceEngine::rebuild {strategy} t={threads} {kelvin} K: ms min/p25/median {min:.1}/{p25:.1}/{med:.1}");
         }
         for cells in [12, 18, 32] {
-            let (system, eng, _) = probe_crystal(cells, StrategyKind::Serial, 1, 3000.0);
+            let (system, eng) = probe_crystal(cells, true, StrategyKind::Serial, 1, 3000.0);
             let verlet = eng.neighbor_list().config();
             for threads in [1, 2] {
                 let pool = Pool::new(threads);
@@ -920,32 +916,21 @@ mod tests {
     }
 
     #[test]
-    fn pair_records_are_16_bytes_one_per_stored_pair_on_row_owning_sweeps() {
-        assert_eq!(std::mem::size_of::<super::PairRecord>(), 16);
+    fn lane_occupancy_is_reported_after_row_owning_density_sweeps() {
         for strategy in StrategyKind::all() {
             let (mut system, mut eng) = fe_engine(9, strategy, 2);
             rattle(&mut system, 0.05);
             eng.rebuild(&system);
             eng.compute(&mut system);
-            let records = eng.scratch_mut().len();
             if strategy.owns_rows() {
-                let entries = eng.neighbor_list().csr().entries();
-                assert_eq!(records, entries, "{strategy}: one record per stored pair");
                 let occupancy = eng.lane_occupancy().expect("the row kernel ran");
                 assert!(
                     occupancy > 0.5 && occupancy <= 1.0,
                     "{strategy}: {occupancy}"
                 );
             } else {
-                assert_eq!(
-                    eng.scratch_mut().capacity(),
-                    0,
-                    "{strategy} keeps no records"
-                );
                 assert_eq!(eng.lane_occupancy(), None, "{strategy}");
             }
-            // A rebuild on moved atoms changes the entry count; the scratch
-            // follows it on the next density pass.
             rattle(&mut system, 0.2);
             eng.rebuild(&system);
             assert_eq!(
@@ -954,8 +939,51 @@ mod tests {
                 "{strategy}: stale after a rebuild"
             );
             eng.compute(&mut system);
-            if strategy.owns_rows() {
-                assert_eq!(eng.scratch_mut().len(), eng.neighbor_list().csr().entries());
+            assert_eq!(
+                eng.lane_occupancy().is_some(),
+                strategy.owns_rows(),
+                "{strategy}: measured again on the fresh list"
+            );
+        }
+    }
+
+    /// The force phase depends only on positions and `F′`: after the atoms
+    /// move and the list is rebuilt, a force phase with no density phase of
+    /// its own, fed the `F′` another engine computed at the new positions,
+    /// gives that engine's forces bit for bit.
+    #[test]
+    fn the_force_phase_alone_matches_a_fresh_engine_after_a_rebuild() {
+        for tabulated in [false, true] {
+            for strategy in [
+                StrategyKind::Serial,
+                StrategyKind::Sdc { dims: 3 },
+                StrategyKind::TaskGraph { dims: 2 },
+            ] {
+                let src = AnalyticEam::fe();
+                let pot = if tabulated {
+                    PotentialChoice::Eam(Arc::new(TabulatedEam::standard(&src, src.rho_e())))
+                } else {
+                    PotentialChoice::Eam(Arc::new(src))
+                };
+                let mut system = System::from_lattice(LatticeSpec::bcc_fe(9), FE_MASS);
+                rattle(&mut system, 0.05);
+                let mut eng = ForceEngine::new(&system, pot.clone(), strategy, 2, 0.3).unwrap();
+                eng.compute(&mut system);
+                rattle(&mut system, 0.2);
+                eng.rebuild(&system);
+
+                let mut fresh_system = system.clone();
+                let mut fresh = ForceEngine::new(&fresh_system, pot, strategy, 2, 0.3).unwrap();
+                fresh.compute(&mut fresh_system);
+
+                system.fp_mut().copy_from_slice(fresh_system.fp());
+                eng.compute_force_phase(&mut system);
+                let what = format!("{strategy}, tabulated {tabulated}");
+                assert_eq!(system.forces(), fresh_system.forces(), "{what}");
+                assert!(
+                    system.forces().iter().any(|f| f.norm() > 1e-3),
+                    "{what}: the rattled crystal has forces"
+                );
             }
         }
     }

@@ -5,7 +5,9 @@
 //! [`PairLanes`] leg: a load of the neighbour ids, the positions `pos[j]`,
 //! the displacement `d = pᵢ − pⱼ` after the minimum image, `r²` and `r`.
 //! The density kernel takes `r` (the [`SKIN`] sentinel on a skin lane) and
-//! the cutoff mask; the force kernel takes the masked terms `d·(−s/r)`.
+//! the cutoff mask; the force kernel also keeps `d`, hands `r` to the
+//! derivative splines, and then forms the masked terms `d·(−s/r)` from
+//! `F′(ρⱼ)` and the spline lanes.
 //!
 //! * [`Avx2`] computes the lanes in 256-bit registers. It loads the ids with
 //!   a masked load and gathers `pos[j]` and `F′(ρⱼ)` with 64-bit indices
@@ -34,20 +36,22 @@
 //!   order; `−s` flips the sign bit.
 //!
 //! A skin lane's force terms are masked to exactly `+0.0` with a bitwise
-//! AND, never a multiply: its record holds the splines at the sentinel,
-//! which may be inf or NaN (see `density_rows_in` for why adding the masked
-//! zero changes no bit).
+//! AND, never a multiply: its derivative lanes hold whatever the potential
+//! gives at the sentinel, and `d·(−s/r)` there is `d·(−0/∞)` at best and
+//! NaN at worst (see `density_rows_in` for why adding the masked zero
+//! changes no bit).
 
-use super::PairRecord;
 use md_geometry::{SimBox, Vec3};
 
 /// Lanes per step: one AVX2 register of `f64`.
 pub(super) const LANES: usize = 4;
 
-/// The separation a skin lane hands to the splines: inside every table's
-/// domain (a separation `r ≥ rc` would drop its whole 4-lane block off the
-/// vector spline path), and below zero, so no live lane can carry it.
-pub(super) const SKIN: f64 = -1.0;
+/// The separation a skin lane hands to the splines: beyond every cutoff,
+/// so no live lane (`r < rc`) can carry it and every potential's own
+/// `r ≥ rc` guard returns its zeros there without evaluating anything —
+/// `AnalyticEam` spends no `exp` on a skin lane, and `TabulatedEam`'s
+/// vector legs mask it like any beyond-cutoff lane.
+pub(super) const SKIN: f64 = f64::INFINITY;
 
 /// The all-ones or all-zeros lane mask of `live`.
 #[inline(always)]
@@ -106,11 +110,28 @@ impl<'a> Geometry<'a> {
 /// For every method: `1 ≤ ids.len() ≤ LANES`. [`Avx2`]'s methods also need
 /// a CPU with AVX2.
 pub(super) trait PairLanes: Copy {
-    /// The density lanes: `r[l]` is the separation of pair `l`, or [`SKIN`]
-    /// on a skin lane (`r² ≥ rc²`), and `live[l]` its [`lane_mask`].
+    /// The geometry lanes: `d[a][l]` is component `a` of pair `l`'s
+    /// displacement after the minimum image, `r[l]` its separation, or
+    /// [`SKIN`] on a skin lane (`r² ≥ rc²`), and `live[l]` its
+    /// [`lane_mask`].
     ///
     /// # Safety
     /// See the trait.
+    unsafe fn displacements(
+        self,
+        g: &Geometry<'_>,
+        pi: Vec3,
+        ids: &[u32],
+        d: &mut [[f64; LANES]; 3],
+        r: &mut [f64; LANES],
+        live: &mut [u64; LANES],
+    );
+
+    /// The density lanes: [`PairLanes::displacements`] without `d`.
+    ///
+    /// # Safety
+    /// See the trait.
+    #[inline(always)]
     unsafe fn separations(
         self,
         g: &Geometry<'_>,
@@ -118,24 +139,32 @@ pub(super) trait PairLanes: Copy {
         ids: &[u32],
         r: &mut [f64; LANES],
         live: &mut [u64; LANES],
-    );
+    ) {
+        let mut d = [[0.0; LANES]; 3];
+        // SAFETY: the caller's contract.
+        unsafe { self.displacements(g, pi, ids, &mut d, r, live) }
+    }
 
     /// The force lanes: `f[a][l]` is component `a` of `d·(−s/r)` for pair
-    /// `l`, with `s = φ′ + (F′ᵢ + F′ⱼ)·f′` from `recs[l]`, `fpi` and
-    /// `fp[j]`; exactly `+0.0` on a skin lane, whatever its record holds.
+    /// `l`, with `s = φ′ + (F′ᵢ + F′ⱼ)·f′` from `deriv = [φ′, f′]` lanes,
+    /// `fpi` and `fp[j]`, and `d`, `r`, `live` as [`PairLanes::displacements`]
+    /// gave them; exactly `+0.0` on a skin lane, whatever its lanes hold.
+    ///
+    /// # Panics
+    /// Panics if a stored id does not index `fp`.
     ///
     /// # Safety
-    /// See the trait; also `recs.len() == ids.len()` and
-    /// `fp.len() == g.pos().len()`.
+    /// See the trait.
     #[allow(clippy::too_many_arguments)]
     unsafe fn forces(
         self,
-        g: &Geometry<'_>,
-        pi: Vec3,
         fpi: f64,
         fp: &[f64],
         ids: &[u32],
-        recs: &[PairRecord],
+        d: &[[f64; LANES]; 3],
+        r: &[f64; LANES],
+        live: &[u64; LANES],
+        deriv: [&[f64; LANES]; 2],
         f: &mut [[f64; LANES]; 3],
     );
 }
@@ -146,46 +175,45 @@ pub(super) struct Scalar;
 
 impl PairLanes for Scalar {
     #[inline(always)]
-    unsafe fn separations(
+    unsafe fn displacements(
         self,
         g: &Geometry<'_>,
         pi: Vec3,
         ids: &[u32],
+        d: &mut [[f64; LANES]; 3],
         r: &mut [f64; LANES],
         live: &mut [u64; LANES],
     ) {
         for (l, &j) in ids.iter().enumerate() {
-            let r2 = g.sim_box.min_image(pi, g.pos[j as usize]).norm_sq();
+            let dl = g.sim_box.min_image(pi, g.pos[j as usize]);
+            let r2 = dl.norm_sq();
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
             let is_live = !(r2 >= g.rc2);
             r[l] = if is_live { r2.sqrt() } else { SKIN };
             live[l] = lane_mask(is_live);
+            [d[0][l], d[1][l], d[2][l]] = [dl.x, dl.y, dl.z];
         }
     }
 
     #[inline(always)]
     unsafe fn forces(
         self,
-        g: &Geometry<'_>,
-        pi: Vec3,
         fpi: f64,
         fp: &[f64],
         ids: &[u32],
-        recs: &[PairRecord],
+        d: &[[f64; LANES]; 3],
+        r: &[f64; LANES],
+        live: &[u64; LANES],
+        [dphi, df]: [&[f64; LANES]; 2],
         f: &mut [[f64; LANES]; 3],
     ) {
-        for (l, (&j, rec)) in ids.iter().zip(recs).enumerate() {
-            let j = j as usize;
-            let d = g.sim_box.min_image(pi, g.pos[j]);
-            let r2 = d.norm_sq();
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            let live = lane_mask(!(r2 >= g.rc2));
-            let scalar = rec.dphi + (fpi + fp[j]) * rec.df;
+        for (l, &j) in ids.iter().enumerate() {
+            let scalar = dphi[l] + (fpi + fp[j as usize]) * df[l];
             // F_i = −dE/dr · r̂, r̂ = (r_i − r_j)/r; Newton gives −F to j.
-            let t = d * (-scalar / r2.sqrt());
-            f[0][l] = masked(t.x, live);
-            f[1][l] = masked(t.y, live);
-            f[2][l] = masked(t.z, live);
+            let k = -scalar / r[l];
+            for a in 0..3 {
+                f[a][l] = masked(d[a][l] * k, live[l]);
+            }
         }
     }
 }
@@ -195,13 +223,13 @@ pub(super) use avx2::Avx2;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{Geometry, PairLanes, PairRecord, LANES, SKIN};
+    use super::{Geometry, PairLanes, LANES, SKIN};
     use core::arch::x86_64::*;
     use md_geometry::Vec3;
 
-    /// Lane masks: the four 64-bit lanes read from `TAIL[8 − k..]` are all
-    /// ones in the first `k` lanes and zero after (`−4 ≤ k ≤ 8`).
-    static TAIL: [i64; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+    /// Lane masks: the four 64-bit lanes read from `TAIL[4 − k..]` are all
+    /// ones in the first `k` lanes and zero after (`0 ≤ k ≤ 4`).
+    static TAIL: [i64; 8] = [-1, -1, -1, -1, 0, 0, 0, 0];
     /// The same for four 32-bit lanes, read from `TAIL32[4 − k..]`
     /// (`0 ≤ k ≤ 4`).
     static TAIL32: [i32; 8] = [-1, -1, -1, -1, 0, 0, 0, 0];
@@ -210,11 +238,30 @@ mod avx2 {
     #[derive(Debug, Clone, Copy)]
     pub(in super::super) struct Avx2;
 
-    /// Four 64-bit lanes of [`TAIL`] from `at` on.
+    /// The ids widened to 64 bits, and the mask of the lanes that carry
+    /// one, after checking that every id indexes an array of `len`
+    /// entries: a CSR does not promise that its ids index the per-atom
+    /// arrays, and a gather has no bounds check of its own.
+    ///
+    /// # Safety
+    /// AVX2, and `1 ≤ ids.len() ≤ LANES`.
     #[inline(always)]
-    unsafe fn tail(at: usize) -> __m256i {
-        // SAFETY: the slice is in bounds (checked); AVX is the caller's.
-        unsafe { _mm256_loadu_si256(TAIL[at..at + 4].as_ptr().cast()) }
+    unsafe fn load_ids(ids: &[u32], len: usize, what: &str) -> (__m256i, __m256d) {
+        let m = ids.len();
+        debug_assert!((1..=LANES).contains(&m), "{m} ids in one lane step");
+        // SAFETY: AVX2 is the caller's; the masked load reads only the `m`
+        // ids of the slice, and both tables are in bounds for `m ≤ 4`.
+        unsafe {
+            let ids32 = _mm_loadu_si128(TAIL32[4 - m..][..4].as_ptr().cast());
+            let j = _mm256_cvtepu32_epi64(_mm_maskload_epi32(ids.as_ptr().cast(), ids32));
+            let beyond = _mm256_cmpgt_epi64(j, _mm256_set1_epi64x(len as i64 - 1));
+            assert!(
+                _mm256_testz_si256(beyond, beyond) == 1,
+                "a stored neighbour id is beyond the {len} {what}"
+            );
+            let lanes = _mm256_loadu_si256(TAIL[4 - m..][..4].as_ptr().cast());
+            (j, _mm256_castsi256_pd(lanes))
+        }
     }
 
     /// One axis of the minimum image: `d − L` where `d > L/2`, `d + L`
@@ -231,68 +278,40 @@ mod avx2 {
         }
     }
 
-    /// The lanes of `ids`: `(dx, dy, dz, r², j, lanes)`, with `d` after the
-    /// minimum image, `j` the ids widened to 64 bits and `lanes` the mask
-    /// of the lanes that carry a pair.
-    ///
-    /// # Safety
-    /// AVX2, and `1 ≤ ids.len() ≤ LANES`.
-    #[inline(always)]
-    unsafe fn geometry(
-        g: &Geometry<'_>,
-        pi: Vec3,
-        ids: &[u32],
-    ) -> (__m256d, __m256d, __m256d, __m256d, __m256i, __m256d) {
-        let m = ids.len();
-        debug_assert!((1..=LANES).contains(&m), "{m} ids in one lane step");
-        // SAFETY: AVX2 is the caller's; the masked load reads only the `m`
-        // ids of the slice, and the gathers read only lanes whose id was
-        // just checked to index `pos` (tail lanes are masked off).
-        unsafe {
-            let ids32 = _mm_loadu_si128(TAIL32[4 - m..][..4].as_ptr().cast());
-            let j = _mm256_cvtepu32_epi64(_mm_maskload_epi32(ids.as_ptr().cast(), ids32));
-            // Always checked: a CSR does not promise that its ids index
-            // `pos`, and a gather has no bounds check of its own.
-            let last = _mm256_set1_epi64x(g.pos.len() as i64 - 1);
-            let beyond = _mm256_cmpgt_epi64(j, last);
-            assert!(
-                _mm256_testz_si256(beyond, beyond) == 1,
-                "a stored neighbour id is beyond the {} positions",
-                g.pos.len()
-            );
-            let lanes = _mm256_castsi256_pd(tail(8 - m));
-            let j3 = _mm256_add_epi64(j, _mm256_add_epi64(j, j));
-            let base = g.pos.as_ptr().cast::<f64>();
-            let zero = _mm256_setzero_pd();
-            let x = _mm256_mask_i64gather_pd::<8>(zero, base, j3, lanes);
-            let y = _mm256_mask_i64gather_pd::<8>(zero, base.wrapping_add(1), j3, lanes);
-            let z = _mm256_mask_i64gather_pd::<8>(zero, base.wrapping_add(2), j3, lanes);
-            let dx = image(_mm256_sub_pd(_mm256_set1_pd(pi.x), x), g.len[0], g.half[0]);
-            let dy = image(_mm256_sub_pd(_mm256_set1_pd(pi.y), y), g.len[1], g.half[1]);
-            let dz = image(_mm256_sub_pd(_mm256_set1_pd(pi.z), z), g.len[2], g.half[2]);
-            let r2 = _mm256_add_pd(
-                _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
-                _mm256_mul_pd(dz, dz),
-            );
-            (dx, dy, dz, r2, j, lanes)
-        }
-    }
-
     impl PairLanes for Avx2 {
         #[inline(always)]
-        unsafe fn separations(
+        unsafe fn displacements(
             self,
             g: &Geometry<'_>,
             pi: Vec3,
             ids: &[u32],
+            d: &mut [[f64; LANES]; 3],
             r: &mut [f64; LANES],
             live: &mut [u64; LANES],
         ) {
-            // SAFETY: the trait's contract; the stores write whole arrays.
+            // SAFETY: the trait's contract; the gathers read only lanes
+            // whose id was just checked to index `pos` (tail lanes are
+            // masked off); the stores write whole arrays.
             unsafe {
-                let (_, _, _, r2, _, _) = geometry(g, pi, ids);
+                let (j, lanes) = load_ids(ids, g.pos.len(), "positions");
+                let j3 = _mm256_add_epi64(j, _mm256_add_epi64(j, j));
+                let base = g.pos.as_ptr().cast::<f64>();
+                let zero = _mm256_setzero_pd();
+                let x = _mm256_mask_i64gather_pd::<8>(zero, base, j3, lanes);
+                let y = _mm256_mask_i64gather_pd::<8>(zero, base.wrapping_add(1), j3, lanes);
+                let z = _mm256_mask_i64gather_pd::<8>(zero, base.wrapping_add(2), j3, lanes);
+                let dx = image(_mm256_sub_pd(_mm256_set1_pd(pi.x), x), g.len[0], g.half[0]);
+                let dy = image(_mm256_sub_pd(_mm256_set1_pd(pi.y), y), g.len[1], g.half[1]);
+                let dz = image(_mm256_sub_pd(_mm256_set1_pd(pi.z), z), g.len[2], g.half[2]);
+                let r2 = _mm256_add_pd(
+                    _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
+                    _mm256_mul_pd(dz, dz),
+                );
                 let mask = _mm256_cmp_pd::<_CMP_NGE_UQ>(r2, _mm256_set1_pd(g.rc2));
                 let sep = _mm256_blendv_pd(_mm256_set1_pd(SKIN), _mm256_sqrt_pd(r2), mask);
+                _mm256_storeu_pd(d[0].as_mut_ptr(), dx);
+                _mm256_storeu_pd(d[1].as_mut_ptr(), dy);
+                _mm256_storeu_pd(d[2].as_mut_ptr(), dz);
                 _mm256_storeu_pd(r.as_mut_ptr(), sep);
                 _mm256_storeu_pd(live.as_mut_ptr().cast(), mask);
             }
@@ -301,42 +320,35 @@ mod avx2 {
         #[inline(always)]
         unsafe fn forces(
             self,
-            g: &Geometry<'_>,
-            pi: Vec3,
             fpi: f64,
             fp: &[f64],
             ids: &[u32],
-            recs: &[PairRecord],
+            d: &[[f64; LANES]; 3],
+            r: &[f64; LANES],
+            live: &[u64; LANES],
+            [dphi, df]: [&[f64; LANES]; 2],
             f: &mut [[f64; LANES]; 3],
         ) {
-            let m = ids.len();
-            debug_assert_eq!(recs.len(), m, "one record per pair");
-            debug_assert_eq!(fp.len(), g.pos.len(), "one F′ per atom");
-            // SAFETY: the trait's contract. The fp gather reads lanes whose
-            // id indexes `pos`, hence `fp`; the record loads read only the
-            // `m` records of `recs` (a fully masked load touches no memory);
-            // the stores write whole arrays.
+            // SAFETY: the trait's contract. The fp gather reads only lanes
+            // whose id was just checked to index `fp`; the loads and stores
+            // touch whole stack arrays.
             unsafe {
-                let (dx, dy, dz, r2, j, lanes) = geometry(g, pi, ids);
-                let zero = _mm256_setzero_pd();
-                let fpj = _mm256_mask_i64gather_pd::<8>(zero, fp.as_ptr(), j, lanes);
-                // Records [φ′₀ f′₀ φ′₁ f′₁] [φ′₂ f′₂ φ′₃ f′₃], straight from
-                // the record array, then de-interleaved.
-                let p = recs.as_ptr().cast::<f64>();
-                let lo = _mm256_maskload_pd(p, tail(8 - 2 * m));
-                let hi = _mm256_maskload_pd(p.wrapping_add(4), tail(12 - 2 * m));
-                let dphi = _mm256_permute4x64_pd::<0b11_01_10_00>(_mm256_unpacklo_pd(lo, hi));
-                let df = _mm256_permute4x64_pd::<0b11_01_10_00>(_mm256_unpackhi_pd(lo, hi));
+                let (j, lanes) = load_ids(ids, fp.len(), "F′ values");
+                let fpj = _mm256_mask_i64gather_pd::<8>(_mm256_setzero_pd(), fp.as_ptr(), j, lanes);
                 let s = _mm256_add_pd(
-                    dphi,
-                    _mm256_mul_pd(_mm256_add_pd(_mm256_set1_pd(fpi), fpj), df),
+                    _mm256_loadu_pd(dphi.as_ptr()),
+                    _mm256_mul_pd(
+                        _mm256_add_pd(_mm256_set1_pd(fpi), fpj),
+                        _mm256_loadu_pd(df.as_ptr()),
+                    ),
                 );
                 let minus_s = _mm256_xor_pd(s, _mm256_set1_pd(-0.0));
-                let k = _mm256_div_pd(minus_s, _mm256_sqrt_pd(r2));
-                let live = _mm256_cmp_pd::<_CMP_NGE_UQ>(r2, _mm256_set1_pd(g.rc2));
-                _mm256_storeu_pd(f[0].as_mut_ptr(), _mm256_and_pd(_mm256_mul_pd(dx, k), live));
-                _mm256_storeu_pd(f[1].as_mut_ptr(), _mm256_and_pd(_mm256_mul_pd(dy, k), live));
-                _mm256_storeu_pd(f[2].as_mut_ptr(), _mm256_and_pd(_mm256_mul_pd(dz, k), live));
+                let k = _mm256_div_pd(minus_s, _mm256_loadu_pd(r.as_ptr()));
+                let live = _mm256_loadu_pd(live.as_ptr().cast());
+                for (a, f) in f.iter_mut().enumerate() {
+                    let t = _mm256_mul_pd(_mm256_loadu_pd(d[a].as_ptr()), k);
+                    _mm256_storeu_pd(f.as_mut_ptr(), _mm256_and_pd(t, live));
+                }
             }
         }
     }
@@ -414,29 +426,23 @@ mod tests {
         pos
     }
 
-    /// Records that a skin lane must not leak: inf, NaN and huge values
-    /// among ordinary ones.
-    fn adversarial_records(n: usize, rng: &mut Rng) -> Vec<PairRecord> {
+    /// Derivative lanes `[φ′, f′]` that a skin lane must not leak: inf,
+    /// NaN and ±1e300 among ordinary values.
+    fn adversarial_derivs(n: usize, rng: &mut Rng) -> Vec<[f64; 2]> {
         (0..n)
             .map(|k| match k % 7 {
-                0 => PairRecord {
-                    dphi: f64::INFINITY,
-                    df: f64::NAN,
-                },
-                1 => PairRecord {
-                    dphi: f64::NAN,
-                    df: -1e300,
-                },
-                _ => PairRecord {
-                    dphi: rng.uniform(-2.0, 2.0),
-                    df: rng.uniform(-1.0, 1.0),
-                },
+                0 => [f64::INFINITY, f64::NAN],
+                1 => [f64::NAN, -1e300],
+                2 => [1e300, f64::NEG_INFINITY],
+                _ => [rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)],
             })
             .collect()
     }
 
-    /// The first `ids.len()` lanes of both lane methods over one row,
-    /// [`LANES`] at a time as the row kernels walk it: `(r, live, f)`.
+    /// The first `ids.len()` lanes of the lane methods over one row,
+    /// [`LANES`] at a time as the row kernels walk it: `(r, live, f)`,
+    /// with `derivs[l]` as pair `l`'s `[φ′, f′]` lanes. Checks on the way
+    /// that `separations` gives the `r` and mask of `displacements`.
     #[allow(clippy::type_complexity)]
     fn row_lanes<L: PairLanes>(
         lanes: L,
@@ -444,18 +450,35 @@ mod tests {
         pi: Vec3,
         fp: &[f64],
         ids: &[u32],
-        recs: &[PairRecord],
+        derivs: &[[f64; 2]],
     ) -> (Vec<f64>, Vec<u64>, Vec<[f64; 3]>) {
         let (mut r, mut live, mut f) = (Vec::new(), Vec::new(), Vec::new());
-        for (ids, recs) in ids.chunks(LANES).zip(recs.chunks(LANES)) {
-            let (mut r4, mut live4, mut t) = ([0.0; LANES], [0; LANES], [[0.0; LANES]; 3]);
-            // SAFETY: one to LANES ids, one record each, `fp` per atom; the
-            // caller checked AVX2 before passing that leg.
+        for (ids, derivs) in ids.chunks(LANES).zip(derivs.chunks(LANES)) {
+            let (mut r4, mut live4, mut d) = ([0.0; LANES], [0; LANES], [[0.0; LANES]; 3]);
+            let (mut sep, mut sep_live) = ([0.0; LANES], [0; LANES]);
+            let (mut dphi, mut df, mut t) = ([0.0; LANES], [0.0; LANES], [[0.0; LANES]; 3]);
+            for (l, &[p, q]) in derivs.iter().enumerate() {
+                (dphi[l], df[l]) = (p, q);
+            }
+            // SAFETY: one to LANES ids, `fp` per atom; the caller checked
+            // AVX2 before passing that leg.
             unsafe {
-                lanes.separations(g, pi, ids, &mut r4, &mut live4);
-                lanes.forces(g, pi, 0.25, fp, ids, recs, &mut t);
+                lanes.separations(g, pi, ids, &mut sep, &mut sep_live);
+                lanes.displacements(g, pi, ids, &mut d, &mut r4, &mut live4);
+                lanes.forces(0.25, fp, ids, &d, &r4, &live4, [&dphi, &df], &mut t);
             }
             let m = ids.len();
+            let b = |v: &[f64]| v.iter().map(|&x| bits(x)).collect::<Vec<_>>();
+            assert_eq!(
+                b(&sep[..m]),
+                b(&r4[..m]),
+                "separations and displacements: r"
+            );
+            assert_eq!(
+                sep_live[..m],
+                live4[..m],
+                "separations and displacements: mask"
+            );
             r.extend_from_slice(&r4[..m]);
             live.extend_from_slice(&live4[..m]);
             f.extend((0..m).map(|l| [t[0][l], t[1][l], t[2][l]]));
@@ -486,9 +509,10 @@ mod tests {
     /// neighbour and in the row's own atom), under a cutoff that makes most
     /// lanes live and one that makes many skin lanes, for every row length
     /// 0–9 and so every tail. Skin lanes carry the sentinel, a zero mask
-    /// and exactly `+0.0` force terms although their records hold inf and
-    /// NaN. The ids after each row's window are out of range, so a leg that
-    /// read past the window would trip the gather's bounds check.
+    /// and exactly `+0.0` force terms although their derivative lanes hold
+    /// inf, NaN and ±1e300. The ids after each row's window are out of
+    /// range, so a leg that read past the window would trip the gather's
+    /// bounds check.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn legs_agree_bit_for_bit_on_adversarial_rows() {
@@ -522,9 +546,9 @@ mod tests {
                             (0..len).map(|k| ((start + 3 * k) % n) as u32).collect();
                         let window = ids.len();
                         ids.extend([u32::MAX; LANES]);
-                        let recs = adversarial_records(len, &mut rng);
-                        let a = row_lanes(avx2, &g, pi, &fp, &ids[..window], &recs);
-                        let s = row_lanes(Scalar, &g, pi, &fp, &ids[..window], &recs);
+                        let derivs = adversarial_derivs(len, &mut rng);
+                        let a = row_lanes(avx2, &g, pi, &fp, &ids[..window], &derivs);
+                        let s = row_lanes(Scalar, &g, pi, &fp, &ids[..window], &derivs);
                         let what = format!("rc2 {rc2} pi {pi} row {:?}", &ids[..window]);
                         let rb = |v: &[f64]| v.iter().map(|&x| bits(x)).collect::<Vec<_>>();
                         assert_eq!(rb(&a.0), rb(&s.0), "{what}: r lanes");
@@ -574,16 +598,13 @@ mod tests {
         ];
         let pos: Vec<Vec3> = cases.iter().map(|c| c.0).collect();
         let g = Geometry::new(&sim_box, &pos, 1e6);
-        let recs = [PairRecord {
-            dphi: -1.0,
-            df: 0.0,
-        }; 4];
+        let derivs = [[-1.0, 0.0]; 4];
         let fp = [0.0; 4];
         for leg in 0..2 {
             let (r, _, f) = if leg == 0 {
-                row_lanes(avx2, &g, Vec3::ZERO, &fp, &[0, 1, 2, 3], &recs)
+                row_lanes(avx2, &g, Vec3::ZERO, &fp, &[0, 1, 2, 3], &derivs)
             } else {
-                row_lanes(Scalar, &g, Vec3::ZERO, &fp, &[0, 1, 2, 3], &recs)
+                row_lanes(Scalar, &g, Vec3::ZERO, &fp, &[0, 1, 2, 3], &derivs)
             };
             for (l, &(_, dx)) in cases.iter().enumerate() {
                 assert_eq!(r[l], dx.abs(), "leg {leg} lane {l}: r");
@@ -594,19 +615,18 @@ mod tests {
             let g = Geometry::new(&sim_box, &pos, 1e6);
             let ids = [0];
             let (r, _, _) = if leg == 0 {
-                row_lanes(avx2, &g, Vec3::ZERO, &fp[..1], &ids, &recs[..1])
+                row_lanes(avx2, &g, Vec3::ZERO, &fp[..1], &ids, &derivs[..1])
             } else {
-                row_lanes(Scalar, &g, Vec3::ZERO, &fp[..1], &ids, &recs[..1])
+                row_lanes(Scalar, &g, Vec3::ZERO, &fp[..1], &ids, &derivs[..1])
             };
             assert_eq!(r[0], hz + 5.0, "leg {leg}: the open axis is never imaged");
         }
     }
 
-    /// The row kernels on both legs: rho, every record and forces carry the
-    /// same bits for rows of every length 0–9 and rows longer than a chunk
-    /// (split inside the row, every tail length mod 4), visited in a
-    /// shuffled task order, with adversarial positions and the analytic
-    /// potential, whose splines at the skin sentinel are not small.
+    /// The row kernels on both legs: rho and forces carry the same bits for
+    /// rows of every length 0–9 and rows longer than a chunk (split inside
+    /// the row, every tail length mod 4), visited in a shuffled task order,
+    /// with adversarial positions and the analytic potential.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn row_kernels_agree_across_legs_on_every_row_length() {
@@ -646,28 +666,27 @@ mod tests {
         let fp: Vec<f64> = (0..n).map(|_| rng.uniform(-2.0, 2.0)).collect();
         let run = |avx2: bool| {
             let mut rho = vec![0.0; n];
-            let mut records = vec![PairRecord::default(); half.entries()];
             let mut forces = vec![Vec3::ZERO; n];
             let rows = TaskRows::Atoms(&order);
-            let (rho_s, rec_s) = (SharedSlice::new(&mut rho), SharedSlice::new(&mut records));
+            let rho_s = SharedSlice::new(&mut rho);
             // SAFETY: one task owns every row; AVX2 was detected above.
             let steps = unsafe {
                 if avx2 {
-                    super::super::density_rows_avx2(rows, &half, &geo, &pot, &rho_s, &rec_s)
+                    super::super::density_rows_avx2(rows, &half, &geo, &pot, &rho_s)
                 } else {
-                    density_rows_in(Scalar, rows, &half, &geo, &pot, &rho_s, &rec_s)
+                    density_rows_in(Scalar, rows, &half, &geo, &pot, &rho_s)
                 }
             };
             let f_s = SharedSlice::new(&mut forces);
             // SAFETY: as above.
             unsafe {
                 if avx2 {
-                    super::super::force_rows_avx2(rows, &half, &geo, &fp, &records, &f_s)
+                    super::super::force_rows_avx2(rows, &half, &geo, &pot, &fp, &f_s)
                 } else {
-                    force_rows_in(Scalar, rows, &half, &geo, &fp, &records, &f_s)
+                    force_rows_in(Scalar, rows, &half, &geo, &pot, &fp, &f_s)
                 }
             }
-            (steps, rho, records, forces)
+            (steps, rho, forces)
         };
         let (a, s) = (run(true), run(false));
         assert_eq!(a.0, s.0, "lane steps");
@@ -678,18 +697,12 @@ mod tests {
         );
         let rb = |v: &[f64]| v.iter().map(|&x| bits(x)).collect::<Vec<_>>();
         assert_eq!(rb(&a.1), rb(&s.1), "rho");
-        let recb = |v: &[PairRecord]| {
-            v.iter()
-                .flat_map(|r| [bits(r.dphi), bits(r.df)])
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(recb(&a.2), recb(&s.2), "records");
         let fb = |v: &[Vec3]| {
             v.iter()
                 .flat_map(|f| [bits(f.x), bits(f.y), bits(f.z)])
                 .collect::<Vec<_>>()
         };
-        assert_eq!(fb(&a.3), fb(&s.3), "forces");
-        assert!(s.3.iter().any(|f| f.x != 0.0), "the sweep produced forces");
+        assert_eq!(fb(&a.2), fb(&s.2), "forces");
+        assert!(s.2.iter().any(|f| f.x != 0.0), "the sweep produced forces");
     }
 }

@@ -112,7 +112,6 @@ pub struct ForceEngine {
     rebuilds: usize,
     downgrades: Vec<DowngradeEvent>,
     metrics: Option<Arc<SimMetrics>>,
-    scratch: Vec<eam::PairRecord>,
     lane_occupancy: Option<f64>,
     sap: SapBuffers,
     balance: Option<BalanceState>,
@@ -134,9 +133,9 @@ fn with_dims(kind: StrategyKind, dims: usize) -> StrategyKind {
 /// With a plan the rows are laid out in the plan's atom order,
 /// `plan.atom_bins().indices()`: subdomain by subdomain, each in
 /// [`SdcPlan::atoms_of`] order, which is how `run_tasks` visits them under
-/// SDC and the task graph, so each task reads its neighbour ids and pair
-/// records as one contiguous run. Without one (Serial, the baselines) they
-/// stay in atom order, Serial's visiting order.
+/// SDC and the task graph, so each task reads its neighbour ids as one
+/// contiguous run. Without one (Serial, the baselines) they stay in atom
+/// order, Serial's visiting order.
 ///
 /// [`NeighborList::build`] emits the same bytes at every thread count, and
 /// the layout moves no row byte, so neither changes a trajectory.
@@ -200,7 +199,6 @@ impl ForceEngine {
             rebuilds: 0,
             downgrades: Vec::new(),
             metrics: None,
-            scratch: Vec::new(),
             lane_occupancy: None,
             sap: SapBuffers::new(),
             balance: None,
@@ -212,10 +210,11 @@ impl ForceEngine {
 
     /// Like [`ForceEngine::new`], but instead of failing when the requested
     /// strategy's geometric preconditions don't hold, walks the degradation
-    /// chain ([`StrategyKind::downgrade`]: SDC 3-D → 2-D → 1-D → striped
-    /// locks) until a feasible strategy is found, recording one
-    /// [`DowngradeEvent`] per step. Errors unrelated to strategy choice
-    /// (e.g. a box smaller than the interaction cutoff) are still returned.
+    /// chain ([`StrategyKind::downgrade`]: SDC 3-D → 2-D → 1-D → serial,
+    /// deterministic at every link) until a feasible strategy is found,
+    /// recording one [`DowngradeEvent`] per step. Errors unrelated to
+    /// strategy choice (e.g. a box smaller than the interaction cutoff)
+    /// are still returned.
     pub fn with_fallback(
         system: &System,
         potential: PotentialChoice,
@@ -795,10 +794,6 @@ impl ForceEngine {
         &mut self.timers
     }
 
-    pub(crate) fn scratch_mut(&mut self) -> &mut Vec<eam::PairRecord> {
-        &mut self.scratch
-    }
-
     pub(crate) fn ctx(&self) -> &ParallelContext {
         &self.ctx
     }
@@ -868,11 +863,11 @@ mod tests {
         assert!(eng.downgrades().is_empty());
 
         // …while bcc_fe(6) (17.2 Å) can host no axis split at all: the chain
-        // walks 3 → 2 → 1 → Locks, recording every step.
+        // walks 3 → 2 → 1 → Serial, recording every step.
         let sys = System::from_lattice(LatticeSpec::bcc_fe(6), FE_MASS);
         let eng =
             ForceEngine::with_fallback(&sys, pot, StrategyKind::Sdc { dims: 3 }, 2, 0.3).unwrap();
-        assert_eq!(eng.strategy(), StrategyKind::Locks);
+        assert_eq!(eng.strategy(), StrategyKind::Serial);
         let steps: Vec<(StrategyKind, StrategyKind)> = eng
             .downgrades()
             .iter()
@@ -883,7 +878,7 @@ mod tests {
             vec![
                 (StrategyKind::Sdc { dims: 3 }, StrategyKind::Sdc { dims: 2 }),
                 (StrategyKind::Sdc { dims: 2 }, StrategyKind::Sdc { dims: 1 }),
-                (StrategyKind::Sdc { dims: 1 }, StrategyKind::Locks),
+                (StrategyKind::Sdc { dims: 1 }, StrategyKind::Serial),
             ]
         );
         assert!(eng.downgrades()[0].reason.contains("axis"));
@@ -912,7 +907,7 @@ mod tests {
         // …then the box shrinks below the 2·(2·range) rule along x.
         sys.deform(md_geometry::Vec3::new(0.6, 1.0, 1.0));
         eng.rebuild(&sys);
-        assert_eq!(eng.strategy(), StrategyKind::Locks);
+        assert_eq!(eng.strategy(), StrategyKind::Serial);
         assert!(eng.plan().is_none());
         assert_eq!(eng.downgrades().len(), 1);
         assert_eq!(eng.downgrades()[0].from, StrategyKind::Sdc { dims: 1 });
@@ -1041,7 +1036,7 @@ mod tests {
             ForceEngine::new(&sys, pot, StrategyKind::TaskGraph { dims: 1 }, 2, 0.3).unwrap();
         sys.deform(md_geometry::Vec3::new(0.6, 1.0, 1.0));
         eng.rebuild(&sys);
-        assert_eq!(eng.strategy(), StrategyKind::Locks);
+        assert_eq!(eng.strategy(), StrategyKind::Serial);
         assert!(eng.plan().is_none());
         assert_eq!(eng.downgrades()[0].from, StrategyKind::TaskGraph { dims: 1 });
         eng.compute(&mut sys);
@@ -1157,12 +1152,12 @@ mod tests {
         assert_eq!(eng.strategy(), StrategyKind::Sdc { dims: 1 });
         assert_laid_out_for_the_sweep(&eng, "after a re-plan");
 
-        // A mid-run downgrade to locks drops the plan: atom order again.
+        // A mid-run downgrade to serial drops the plan: atom order again.
         let mut sys = System::from_lattice(LatticeSpec::bcc_fe(9), FE_MASS);
         let mut eng = ForceEngine::new(&sys, pot, StrategyKind::Sdc { dims: 1 }, 2, 0.3).unwrap();
         sys.deform(md_geometry::Vec3::new(0.6, 1.0, 1.0));
         eng.rebuild(&sys);
-        assert_eq!(eng.strategy(), StrategyKind::Locks);
+        assert_eq!(eng.strategy(), StrategyKind::Serial);
         assert_laid_out_for_the_sweep(&eng, "after a downgrade");
     }
 

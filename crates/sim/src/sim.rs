@@ -414,7 +414,7 @@ impl SimulationBuilder {
     /// Controls graceful strategy degradation (default **on**): when the
     /// requested `Sdc { dims }` decomposition is infeasible for the box,
     /// the build downgrades `dims` 3 → 2 → 1 and finally falls back to
-    /// striped locks instead of failing, recording each step as a
+    /// serial instead of failing, recording each step as a
     /// [`DowngradeEvent`] (see [`Simulation::downgrades`]). Disable to make
     /// an infeasible strategy a hard [`EngineError`] again.
     pub fn strategy_fallback(mut self, on: bool) -> Self {
@@ -780,13 +780,13 @@ mod tests {
     #[test]
     fn builder_degrades_infeasible_sdc_by_default() {
         // bcc_fe(6) (17.2 Å edges) cannot host any SDC decomposition; the
-        // default fallback lands on striped locks and records the chain.
+        // default fallback lands on serial and records the chain.
         let sim = Simulation::builder(LatticeSpec::bcc_fe(6))
             .potential(AnalyticEam::fe())
             .strategy(StrategyKind::Sdc { dims: 3 })
             .build()
             .unwrap();
-        assert_eq!(sim.engine().strategy(), StrategyKind::Locks);
+        assert_eq!(sim.engine().strategy(), StrategyKind::Serial);
         assert_eq!(sim.downgrades().len(), 3);
     }
 

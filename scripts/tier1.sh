@@ -46,12 +46,15 @@
 #      leg so the scalar geometry lanes and spline loop are held to the
 #      same oracle on any host, the list builder's brute-force conformance
 #      battery in release and with MD_SIMD_SCALAR=1 so both builder legs
-#      stay byte-equal to the brute force on any host, then an A/B metered
-#      tabulated mdrun of the AVX2 legs against MD_SIMD_SCALAR=1 (which
-#      also A/Bs the builder legs at every rebuild) with every physics
-#      counter matching exactly and the two final checkpoints
-#      byte-identical — a leg may only change how fast the lanes, splines
-#      and list builds run, never a bit of the trajectory)
+#      stay byte-equal to the brute force on any host, then two A/B
+#      metered mdruns of the AVX2 legs against MD_SIMD_SCALAR=1 (which
+#      also A/B the builder legs at every rebuild), one tabulated (the
+#      splines' value and derivative legs) and one analytic (mdrun's
+#      default potential, whose batches are scalar loops on either
+#      backend), each with every physics counter matching exactly and the
+#      two final checkpoints byte-identical — a leg may only change how
+#      fast the lanes, splines and list builds run, never a bit of the
+#      trajectory)
 #  11. perfbench build and run    (perfbench/ is a cargo workspace of its
 #      own that names engine APIs — `ForceEngine::lane_occupancy`,
 #      `ScatterExec`'s fields, `WorldSpec.{fused,simd}`, `md_shard::Codec`;
@@ -178,20 +181,23 @@ echo "    list builder vs brute force, release (AVX2 leg where the host has it)"
 cargo test -q --release --test neighbor_conformance
 echo "    list builder vs brute force, scalar leg (MD_SIMD_SCALAR=1)"
 MD_SIMD_SCALAR=1 cargo test -q --test neighbor_conformance
-scl="$(mktemp /tmp/tier1_scalar.XXXXXX.json)"
-smd="$(mktemp /tmp/tier1_simd.XXXXXX.json)"
-scl_ckpt="$(mktemp /tmp/tier1_scalar.XXXXXX.ckpt)"
-smd_ckpt="$(mktemp /tmp/tier1_simd.XXXXXX.ckpt)"
-MD_SIMD_SCALAR=1 cargo run -q -p sdc-bench --release --bin mdrun -- \
-  --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 --tabulated \
-  --metrics-out "$scl" --checkpoint "$scl_ckpt" > /dev/null
-cargo run -q -p sdc-bench --release --bin mdrun -- \
-  --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 --tabulated \
-  --metrics-out "$smd" --checkpoint "$smd_ckpt" > /dev/null
-cargo run -q -p sdc-bench --release --bin metrics_diff -- \
-  "$scl" "$smd" --ab --tol 1.0 --time-tol 50
-cmp "$scl_ckpt" "$smd_ckpt"
-rm -f "$scl" "$smd" "$scl_ckpt" "$smd_ckpt"
+for potential in --tabulated ""; do
+  echo "    mdrun A/B, AVX2 against MD_SIMD_SCALAR=1 (${potential:-analytic})"
+  scl="$(mktemp /tmp/tier1_scalar.XXXXXX.json)"
+  smd="$(mktemp /tmp/tier1_simd.XXXXXX.json)"
+  scl_ckpt="$(mktemp /tmp/tier1_scalar.XXXXXX.ckpt)"
+  smd_ckpt="$(mktemp /tmp/tier1_simd.XXXXXX.ckpt)"
+  MD_SIMD_SCALAR=1 cargo run -q -p sdc-bench --release --bin mdrun -- \
+    --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 $potential \
+    --metrics-out "$scl" --checkpoint "$scl_ckpt" > /dev/null
+  cargo run -q -p sdc-bench --release --bin mdrun -- \
+    --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 $potential \
+    --metrics-out "$smd" --checkpoint "$smd_ckpt" > /dev/null
+  cargo run -q -p sdc-bench --release --bin metrics_diff -- \
+    "$scl" "$smd" --ab --tol 1.0 --time-tol 50
+  cmp "$scl_ckpt" "$smd_ckpt"
+  rm -f "$scl" "$smd" "$scl_ckpt" "$smd_ckpt"
+done
 
 echo "==> [11/11] perfbench build and run (the benchmark workspace against this tree)"
 lock_backup="$(mktemp /tmp/tier1_perfbench_lock.XXXXXX)"

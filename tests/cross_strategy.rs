@@ -187,14 +187,14 @@ fn undecomposable_boxes_fail_loudly_not_wrongly() {
         .err()
         .expect("must refuse to build");
     assert!(err.to_string().contains("decomposition"));
-    // …and with the default fallback it degrades to striped locks,
-    // recording the downgrade instead of failing.
+    // …and with the default fallback it degrades to serial, recording the
+    // downgrade instead of failing.
     let degraded = Simulation::builder(LatticeSpec::bcc_fe(6))
         .potential(AnalyticEam::fe())
         .strategy(StrategyKind::Sdc { dims: 1 })
         .build()
         .unwrap();
-    assert_eq!(degraded.engine().strategy(), StrategyKind::Locks);
+    assert_eq!(degraded.engine().strategy(), StrategyKind::Serial);
     assert_eq!(degraded.downgrades().len(), 1);
     // The same box runs fine with strategies that need no decomposition.
     let mut ok = Simulation::builder(LatticeSpec::bcc_fe(6))
@@ -206,6 +206,32 @@ fn undecomposable_boxes_fail_loudly_not_wrongly() {
         .unwrap();
     ok.run(3);
     assert!(ok.thermo().total.is_finite());
+}
+
+#[test]
+fn a_downgraded_run_is_bitwise_reproducible_across_thread_counts() {
+    // A box too small for 1-D SDC, through the builder's default fallback:
+    // the run lands on the chain's deterministic end and, like any
+    // deterministic strategy, gives the same bits at 1 and 4 threads.
+    let run = |threads: usize| {
+        let mut sim = Simulation::builder(LatticeSpec::bcc_fe(6))
+            .potential(AnalyticEam::fe())
+            .strategy(StrategyKind::Sdc { dims: 1 })
+            .threads(threads)
+            .temperature(1200.0)
+            .seed(5)
+            .build()
+            .unwrap();
+        assert_eq!(sim.downgrades().len(), 1, "{threads} threads");
+        assert!(sim.engine().strategy().is_deterministic());
+        sim.run(40);
+        assert!(sim.engine().rebuilds() > 0, "the run crosses a rebuild");
+        sim
+    };
+    let (one, four) = (run(1), run(4));
+    assert_eq!(one.system().positions(), four.system().positions());
+    assert_eq!(one.system().velocities(), four.system().velocities());
+    assert_eq!(one.system().forces(), four.system().forces());
 }
 
 #[test]

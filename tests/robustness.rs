@@ -99,10 +99,10 @@ fn sdc3_degrades_to_the_only_feasible_dims_with_recorded_events() {
 }
 
 #[test]
-fn fully_infeasible_sdc_lands_on_locks_and_matches_serial_physics() {
-    // 17.2 Å on every axis: no SDC variant fits; chain ends at Locks.
+fn fully_infeasible_sdc_lands_on_serial_and_matches_serial_physics() {
+    // 17.2 Å on every axis: no SDC variant fits; chain ends at Serial.
     let sdc = fe_sim(LatticeSpec::bcc_fe(6), StrategyKind::Sdc { dims: 3 });
-    assert_eq!(sdc.engine().strategy(), StrategyKind::Locks);
+    assert_eq!(sdc.engine().strategy(), StrategyKind::Serial);
     assert_eq!(sdc.downgrades().len(), 3);
     assert!(sdc.engine().plan().is_none());
     let mut sdc = sdc;
@@ -111,6 +111,9 @@ fn fully_infeasible_sdc_lands_on_locks_and_matches_serial_physics() {
     serial.run(10);
     let (a, b) = (sdc.thermo().total, serial.thermo().total);
     assert!((a - b).abs() < 1e-6 * b.abs(), "{a} vs {b}");
+    // The chain's last link is serial itself: the same bits, not just the
+    // same physics.
+    assert_eq!(sdc.system().positions(), serial.system().positions());
 }
 
 #[test]

@@ -57,9 +57,9 @@ fn base_system(workload: Workload) -> System {
 /// The unsharded reference at step 0: velocities seeded, impact applied,
 /// forces fresh. The same state seeds every shard world.
 ///
-/// Both sides run SAP: the 5-cell box hosts no SDC decomposition, and the
-/// fallback (striped locks) adds in scheduling order, while SAP's sums are
-/// fixed for a given thread count — which the bitwise checks need.
+/// Both sides run SAP: the 5-cell box hosts no SDC decomposition, and
+/// SAP's sums are fixed for a given thread count — which the bitwise checks
+/// need.
 fn reference(workload: Workload, threads: usize) -> Simulation {
     let mut sim = Simulation::from_system(base_system(workload))
         .potential_choice(PotentialChoice::Eam(Arc::new(AnalyticEam::fe())))

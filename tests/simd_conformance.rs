@@ -4,15 +4,19 @@
 //! strategies (Serial, SDC, task graph) give rho, fp and forces **bit for
 //! bit** equal to the per-pair oracle of `common::reference_eam`, which
 //! replays each strategy's summation order with the potential's separate
-//! scalar calls. It holds at every step, at every thread count, on both
-//! potential backends, on uniform, carved-void, open-axis and compressed
-//! crystals, and in both build profiles; tier-1's SIMD gate runs this file
-//! in release and again with `MD_SIMD_SCALAR=1`, so both backends — the
-//! AVX2 geometry lanes and splines, and their scalar legs — are held to
-//! the same oracle on any host. Physics-level nets: central-difference force
-//! consistency, NaN positions poisoning the same atoms as in the oracle,
-//! and the out-of-table density guard surfacing through the watchdog as
-//! the structured root cause.
+//! scalar calls. The density sweep evaluates `f` alone and the force sweep
+//! evaluates `φ′` and `f′` on the separations it recomputes, keeping
+//! nothing per pair in between, so each sweep's splines are held to the
+//! oracle's separate `density` and `pair` calls. It holds at every step,
+//! at every thread count, on both potential backends, on uniform,
+//! carved-void, open-axis and compressed crystals, and in both build
+//! profiles; tier-1's SIMD gate runs this file in release and again with
+//! `MD_SIMD_SCALAR=1`, so both backends — the AVX2 geometry lanes and
+//! splines, and their scalar legs — are held to the same oracle on any
+//! host. Physics-level nets: central-difference force consistency, NaN
+//! positions poisoning the same atoms as in the oracle, and the
+//! out-of-table density guard surfacing through the watchdog as the
+//! structured root cause.
 
 mod common;
 
